@@ -11,7 +11,7 @@ import numpy as np
 
 from conceptdistill.losses import DistillConfig
 from conceptdistill.metrics import macro_report
-from conceptdistill.model import forward, fused_predict
+from conceptdistill.model import forward
 from conceptdistill.synthetic import GeneratorConfig, generate
 from conceptdistill.train import TrainConfig, pretrain_teacher, train_student
 
@@ -76,11 +76,6 @@ def main():
             "comb": macro_pr_f1(combined, pool, x, y, C),
             "teacher": macro_pr_f1(teacher, pool, xt, yt, C),
         }
-        _, ps = forward(combined, x, pool)
-        _, pt = forward(teacher, xt, pool)
-        fused = fused_predict(ps, pt)
-        rep = macro_report(fused.probabilities.data, fused.predicted_class, y, C)
-        f1["fused"] = 100.0 * rep.macro["pr_f1"]
         rows.append(f1)
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.2f}" for k, v in f1.items()),
               flush=True)

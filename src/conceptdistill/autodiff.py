@@ -286,11 +286,6 @@ def sum_rows(a) -> Matrix:
     return _finish("sum_rows", a.data.sum(axis=1, keepdims=True), (a,), vjp)
 
 
-def mean_all(a) -> Matrix:
-    a = as_matrix(a)
-    return scale(sum_all(a), 1.0 / a.data.size)
-
-
 def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
     """Scale each row to unit length; rows with norm <= eps pass through as zero.
 
@@ -301,8 +296,8 @@ def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
     a = as_matrix(a)
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     safe = np.maximum(norms, eps)
-    out = a.data / safe
     live = (norms > eps).astype(np.float64)
+    out = a.data / safe * live
 
     def vjp(g):
         dot = (g * out).sum(axis=1, keepdims=True)

@@ -22,15 +22,12 @@ class DistillConfig:
     alpha: float = 0.6  # prototype-loss weight
     beta: float = 0.05  # contrastive-loss weight
     tau: float = 10.0  # contrastive temperature
-    gpd_class_reduction: str = "mean"  # "sum" switch for sensitivity runs
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.gpd_class_reduction not in ("mean", "sum"):
-            raise ValueError("gpd_class_reduction must be 'mean' or 'sum'")
 
 
 @dataclass
@@ -59,8 +56,8 @@ def class_prototypes(similarity, labels, num_classes: int) -> ClassPrototypes:
     return ClassPrototypes(vectors=ad.matmul(Matrix(weights), sim), present=present)
 
 
-def gpd_loss(a: ClassPrototypes, b: ClassPrototypes, reduction: str = "mean") -> Matrix:
-    """Squared L2 distance between prototypes, over classes present in both."""
+def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> Matrix:
+    """Squared L2 distance between prototypes, averaged over classes present in both."""
     if a.vectors.cols != b.vectors.cols:
         raise ShapeError(
             f"prototype widths differ: {a.vectors.cols} vs {b.vectors.cols}"
@@ -76,10 +73,7 @@ def gpd_loss(a: ClassPrototypes, b: ClassPrototypes, reduction: str = "mean") ->
     selector[np.arange(len(common)), common] = 1.0
     sel = Matrix(selector)
     diff = ad.sub(ad.matmul(sel, a.vectors), ad.matmul(sel, b.vectors))
-    total = ad.sum_all(ad.mul(diff, diff))
-    if reduction == "sum":
-        return total
-    return ad.scale(total, 1.0 / len(common))
+    return ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / len(common))
 
 
 def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,

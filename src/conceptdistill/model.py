@@ -197,17 +197,6 @@ def forward(model, features, pool: ConceptPool):
     return sims, predict(sims, model)
 
 
-def fused_predict(pred_a: Prediction, pred_b: Prediction) -> Prediction:
-    """Average two probability matrices; argmax of the mean decides."""
-    if pred_a.probabilities.shape != pred_b.probabilities.shape:
-        raise ShapeError(
-            f"cannot fuse predictions of shapes {pred_a.probabilities.shape} "
-            f"and {pred_b.probabilities.shape}"
-        )
-    mean = ad.scale(ad.add(pred_a.probabilities, pred_b.probabilities), 0.5)
-    return Prediction(probabilities=mean, predicted_class=mean.data.argmax(axis=1))
-
-
 # --- checkpoint files -------------------------------------------------------
 
 CHECKPOINT_FORMAT = "concept-model-v1"

@@ -6,6 +6,13 @@ fraction of each class's concepts is attenuated in the student modality
 only, so the teacher stream carries signal the student sees faintly. The
 attenuation is 0.1 rather than 0: the student must retain a weak correlate
 of every concept or no amount of guidance could transfer it.
+
+In memory a dataset is columnar: one (features, labels) array pair per
+(modality, split), rows in generation order. On disk it is a directory of
+``meta.json`` plus one JSONL file per split, one record per row. A record's
+``index`` is its position in generation order (modality, then split, then
+class), counted across the whole dataset; reading sorts each split back
+into that order and rejects an index found in two splits.
 """
 
 from __future__ import annotations
@@ -93,64 +100,61 @@ class GeneratorConfig:
         return cls(**payload)
 
 
-@dataclass
-class SampleRecord:
-    modality: str
-    features: np.ndarray
-    label: int
-    split: str
-    index: int | None  # None for external files without explicit indices
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SampleRecord)
-            and self.modality == other.modality
-            and self.label == other.label
-            and self.split == other.split
-            and self.index == other.index
-            and np.array_equal(self.features, other.features)
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
     class_profiles: np.ndarray  # C x N binary activation patterns
     teacher_dominant: list[list[int]]  # per class, global concept indices
     mixing_student: np.ndarray  # N x F
     mixing_teacher: np.ndarray  # N x F
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroundTruth)
-            and np.array_equal(self.class_profiles, other.class_profiles)
-            and self.teacher_dominant == other.teacher_dominant
-            and np.array_equal(self.mixing_student, other.mixing_student)
-            and np.array_equal(self.mixing_teacher, other.mixing_teacher)
-        )
 
-
-@dataclass
+@dataclass(eq=False)
 class SyntheticDataset:
     config: GeneratorConfig
-    records: list[SampleRecord]
+    arrays: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]  # (modality, split) -> (x, y)
     ground_truth: GroundTruth
 
+    def __post_init__(self):
+        for column in (a for pair in self.arrays.values() for a in pair):
+            column.flags.writeable = False  # split_arrays hands out the stored arrays
+
     def split_arrays(self, modality: str, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) for one modality and split, in record order."""
-        rows = [r for r in self.records if r.modality == modality and r.split == split]
-        if not rows:
-            return np.zeros((0, self.config.feature_dim)), np.zeros(0, dtype=np.int64)
-        x = np.stack([r.features for r in rows])
-        y = np.array([r.label for r in rows], dtype=np.int64)
-        return x, y
+        """(features, labels) for one modality and split, in generation order."""
+        return self.arrays[modality, split]
+
+    @property
+    def records(self) -> "_Rows":
+        """Row-wise handle on the columns; ``pop()`` drops the last row.
+
+        perfbench's smoke test corrupts a read-back dataset through it.
+        """
+        return _Rows(self.arrays)
 
     def __eq__(self, other):
+        if not isinstance(other, SyntheticDataset) or self.arrays.keys() != other.arrays.keys():
+            return False
+        gt, other_gt = self.ground_truth, other.ground_truth
+        pairs = [(getattr(gt, name), getattr(other_gt, name))
+                 for name in ("class_profiles", "mixing_student", "mixing_teacher")]
+        pairs += [(a, b) for key in self.arrays
+                  for a, b in zip(self.arrays[key], other.arrays[key])]
         return (
-            isinstance(other, SyntheticDataset)
-            and self.config.to_dict() == other.config.to_dict()
-            and self.records == other.records
-            and self.ground_truth == other.ground_truth
+            self.config.to_dict() == other.config.to_dict()
+            and gt.teacher_dominant == other_gt.teacher_dominant
+            and all(np.array_equal(a, b) for a, b in pairs)
         )
+
+
+class _Rows:
+    def __init__(self, arrays: dict):
+        self._arrays = arrays
+
+    def pop(self) -> tuple[np.ndarray, int]:
+        """Remove and return the last row in generation order as (features, label)."""
+        key = next(k for k in reversed(self._arrays) if len(self._arrays[k][1]))
+        x, y = self._arrays[key]
+        self._arrays[key] = (x[:-1], y[:-1])
+        return x[-1], int(y[-1])
 
 
 def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
@@ -192,28 +196,19 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
         mixing_student[rows] *= cfg.attenuation
 
     mixing = {"student": mixing_student, "teacher": mixing_teacher}
-    records: list[SampleRecord] = []
-    index = 0
+    arrays = {}
     for modality in MODALITIES:
         for split in SPLITS:
+            counts = cfg.counts[modality][split]
+            blocks = [np.zeros((0, cfg.feature_dim))]
             for d in range(c):
-                count = cfg.counts[modality][split][d]
-                if count == 0:
+                if counts[d] == 0:
                     continue
                 clean = profiles[d] @ mixing[modality]
-                noise = cfg.noise_sigma * rng.standard_normal((count, cfg.feature_dim))
-                feats = clean[None, :] + noise
-                for i in range(count):
-                    records.append(
-                        SampleRecord(
-                            modality=modality,
-                            features=feats[i],
-                            label=d,
-                            split=split,
-                            index=index,
-                        )
-                    )
-                    index += 1
+                noise = cfg.noise_sigma * rng.standard_normal((counts[d], cfg.feature_dim))
+                blocks.append(clean[None, :] + noise)
+            labels = np.repeat(np.arange(c, dtype=np.int64), counts)
+            arrays[modality, split] = (np.concatenate(blocks), labels)
 
     ground_truth = GroundTruth(
         class_profiles=profiles,
@@ -221,7 +216,7 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
         mixing_student=mixing_student,
         mixing_teacher=mixing_teacher,
     )
-    return SyntheticDataset(config=cfg, records=records, ground_truth=ground_truth), pool
+    return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth), pool
 
 
 # --- directory format -------------------------------------------------------
@@ -242,21 +237,25 @@ def write_dataset(ds: SyntheticDataset, directory) -> None:
     with open(directory / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
+    first, n = {}, 0  # index of each block's first row; modalities, then splits
+    for modality in MODALITIES:
+        for split in SPLITS:
+            first[modality, split] = n
+            n += len(ds.arrays[modality, split][1])
     for split in SPLITS:
         with open(directory / f"{split}.jsonl", "w", encoding="utf-8") as f:
-            for r in ds.records:
-                if r.split != split:
-                    continue
-                f.write(json.dumps({
-                    "modality": r.modality,
-                    "features": r.features.tolist(),
-                    "label": r.label,
-                    "index": r.index,
-                }))
-                f.write("\n")
+            for modality in MODALITIES:
+                x, y = ds.arrays[modality, split]
+                for index, (row, label) in enumerate(zip(x, y.tolist()), first[modality, split]):
+                    f.write(json.dumps({
+                        "modality": modality, "features": row.tolist(), "label": label,
+                        "index": index,
+                    }))
+                    f.write("\n")
 
 
-def _parse_record(line: str, lineno: int, split: str, path: Path) -> SampleRecord:
+def _parse_record(line: str, lineno: int, path: Path) -> tuple[str, np.ndarray, int, int | None]:
+    """(modality, features, label, index) of one JSONL line; index is None if absent."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as e:
@@ -272,13 +271,7 @@ def _parse_record(line: str, lineno: int, split: str, path: Path) -> SampleRecor
     if features.ndim != 1 or not np.all(np.isfinite(features)):
         raise ValueError(f"{path}:{lineno}: features must be a finite 1-D vector")
     index = payload.get("index")
-    return SampleRecord(
-        modality=modality,
-        features=features,
-        label=label,
-        split=split,
-        index=int(index) if index is not None else None,
-    )
+    return modality, features, label, int(index) if index is not None else None
 
 
 def read_dataset(directory) -> SyntheticDataset:
@@ -296,7 +289,7 @@ def read_dataset(directory) -> SyntheticDataset:
         mixing_student=np.asarray(gt["mixing_student"], dtype=np.float64),
         mixing_teacher=np.asarray(gt["mixing_teacher"], dtype=np.float64),
     )
-    records: list[SampleRecord] = []
+    rows = {(m, s): [] for m in MODALITIES for s in SPLITS}  # -> [(index, features, label)]
     seen: dict[int, str] = {}
     for split in SPLITS:
         path = directory / f"{split}.jsonl"
@@ -306,25 +299,25 @@ def read_dataset(directory) -> SyntheticDataset:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
-                rec = _parse_record(line, lineno, split, path)
-                if rec.label < 0 or rec.label >= cfg.num_classes:
+                modality, features, label, index = _parse_record(line, lineno, path)
+                if label < 0 or label >= cfg.num_classes:
                     raise ValueError(f"{path}:{lineno}: label outside [0, {cfg.num_classes})")
-                if rec.index is not None:
-                    if rec.index in seen and seen[rec.index] != split:
+                if index is not None:
+                    if index in seen and seen[index] != split:
                         raise ValueError(
-                            f"record index {rec.index} appears in splits "
-                            f"{seen[rec.index]!r} and {split!r}"
+                            f"record index {index} appears in splits "
+                            f"{seen[index]!r} and {split!r}"
                         )
-                    seen[rec.index] = split
-                records.append(rec)
-    if all(r.index is not None for r in records):
-        records.sort(key=lambda r: r.index)  # restore generation order
-    return SyntheticDataset(config=cfg, records=records, ground_truth=ground_truth)
-
-
-def pool_embeddings_from_dataset(ds: SyntheticDataset) -> np.ndarray:
-    """Regenerate the pool deterministically; used where only the dataset dir is at hand."""
-    rng = np.random.default_rng(ds.config.seed)
-    emb = rng.standard_normal((ds.config.num_classes * ds.config.concepts_per_class,
-                               ds.config.embed_dim))
-    return emb / np.linalg.norm(emb, axis=1, keepdims=True)
+                    seen[index] = split
+                rows[modality, split].append((index, features, label))
+    if all(r[0] is not None for group in rows.values() for r in group):
+        for group in rows.values():
+            group.sort(key=lambda r: r[0])  # restore generation order
+    arrays = {
+        key: (
+            np.stack([r[1] for r in group]) if group else np.zeros((0, cfg.feature_dim)),
+            np.array([r[2] for r in group], dtype=np.int64),
+        )
+        for key, group in rows.items()
+    }
+    return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth)

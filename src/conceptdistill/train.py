@@ -1,4 +1,10 @@
-"""Teacher pretraining and student distillation loops.
+"""Teacher pretraining and student distillation, run by one training loop.
+
+``pretrain_teacher`` and ``train_student`` both call ``_fit``: seeded
+init, AdamW on a cosine learning-rate schedule, one JSONL record per step
+and per epoch. The student's loop adds the GPD and LCD terms against a
+frozen teacher when their weights are non-zero. The teacher keeps its last
+epoch; the student keeps the epoch with the best validation macro P-R F1.
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -17,19 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Matrix, Tape, backward
 from .concepts import ConceptPool
 from .losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
 from .metrics import macro_report
-from .model import (
-    ModelBinding,
-    ModelParams,
-    cross_entropy,
-    forward,
-    init_params,
-    predict,
-)
+from .model import ModelBinding, ModelParams, cross_entropy, forward, init_params
 from .synthetic import SyntheticDataset
 
 _MODALITY_CODE = {"student": 0, "teacher": 1}
@@ -42,41 +40,17 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 20
     seed: int = 0
-    lr_min: float = 0.0  # cosine-annealing floor
-    schedule_period_steps: int | None = None  # None = one cycle over the whole run
     encoder_hidden: tuple = ()
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
-        if self.weight_decay < 0 or self.lr_min < 0:
-            raise ValueError("weight_decay and lr_min must be non-negative")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
         if isinstance(self.distill, dict):
             self.distill = DistillConfig(**self.distill)
         self.encoder_hidden = tuple(self.encoder_hidden)
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "lr_min": self.lr_min,
-            "schedule_period_steps": self.schedule_period_steps,
-            "encoder_hidden": list(self.encoder_hidden),
-            "distill": {
-                "alpha": self.distill.alpha,
-                "beta": self.distill.beta,
-                "tau": self.distill.tau,
-                "gpd_class_reduction": self.distill.gpd_class_reduction,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
 
 
 @dataclass
@@ -130,56 +104,44 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
         arr -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:
+def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """One cosine cycle from ``lr_max`` at step 0 down to 0 at ``total_steps``."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     if total_steps == 0:
         return lr_max
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
+    return 0.5 * lr_max * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 class EpochStream:
-    """Without-replacement index stream; one seeded permutation per epoch."""
+    """Without-replacement index stream; one seeded permutation per epoch.
+
+    Position p of the stream is entry p % n of epoch p // n's permutation.
+    Only the latest epoch's permutation is cached: training reads the stream
+    in order, so a batch revisits at most the epoch the previous batch ended in.
+    """
 
     def __init__(self, n: int, seed: int, modality: str):
         if n == 0:
-            raise ValueError(f"{modality} split is empty")
+            raise ValueError(f"{modality} train split is empty")
         self.n = n
         self.seed = seed
         self.code = _MODALITY_CODE[modality]
-        self._cache: dict[int, np.ndarray] = {}
+        self._epoch, self._cached = -1, None
 
     def _perm(self, epoch: int) -> np.ndarray:
-        if epoch not in self._cache:
+        if epoch != self._epoch:
             rng = np.random.default_rng([self.seed, self.code, epoch])
-            self._cache[epoch] = rng.permutation(self.n)
-            if len(self._cache) > 4:  # keep the window small
-                oldest = min(self._cache)
-                if oldest != epoch:
-                    del self._cache[oldest]
-        return self._cache[epoch]
+            self._epoch, self._cached = epoch, rng.permutation(self.n)
+        return self._cached
 
     def batch(self, step: int, batch_size: int) -> np.ndarray:
-        start = step * batch_size
-        out = np.empty(batch_size, dtype=np.int64)
-        for i in range(batch_size):
-            pos = start + i
-            out[i] = self._perm(pos // self.n)[pos % self.n]
-        return out
-
-
-def sample_unpaired_batch(dataset: SyntheticDataset, batch_size: int, seed: int,
-                          step: int):
-    """Independent per-modality train batches for one step.
-
-    Returns ((student_x, student_y), (teacher_x, teacher_y)); deterministic
-    in (seed, step), and each modality cycles its own epochs.
-    """
-    xs, ys = dataset.split_arrays("student", "train")
-    xt, yt = dataset.split_arrays("teacher", "train")
-    si = EpochStream(len(ys), seed, "student").batch(step, batch_size)
-    ti = EpochStream(len(yt), seed, "teacher").batch(step, batch_size)
-    return (xs[si], ys[si]), (xt[ti], yt[ti])
+        """Stream positions [step * batch_size, (step + 1) * batch_size)."""
+        start, stop = step * batch_size, (step + 1) * batch_size
+        return np.concatenate([
+            self._perm(epoch)[max(start - epoch * self.n, 0):stop - epoch * self.n]
+            for epoch in range(start // self.n, (stop - 1) // self.n + 1)
+        ])
 
 
 class JsonlLogger:
@@ -211,123 +173,86 @@ def _check_term(name: str, value: float) -> float:
     return value
 
 
-def _steps_per_epoch(n_train: int, batch_size: int) -> int:
-    return max(1, n_train // batch_size)
-
-
 def pretrain_teacher(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool,
-                     num_classes: int | None = None, log_path=None) -> ModelParams:
-    """Train the teacher with plain cross-entropy and return it frozen."""
-    xt, yt = dataset.split_arrays("teacher", "train")
-    if len(yt) == 0:
-        raise ValueError("teacher train split is empty")
-    num_classes = num_classes or dataset.config.num_classes
-    params = init_params(
-        "teacher", xt.shape[1], pool, num_classes, config.seed, config.encoder_hidden
-    )
-    stream = EpochStream(len(yt), config.seed, "teacher")
-    logger = JsonlLogger(log_path)
-    steps_per_epoch = _steps_per_epoch(len(yt), config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    period = config.schedule_period_steps or total_steps
-    state = OptimizerState.for_params(params, config.weight_decay)
-
-    xv, yv = dataset.split_arrays("teacher", "val")
-    step = 0
-    for epoch in range(config.epochs):
-        for _ in range(steps_per_epoch):
-            idx = stream.batch(step, config.batch_size)
-            lr_t = cosine_lr(min(step, period), period, config.learning_rate, config.lr_min)
-            tape = Tape()
-            binding = ModelBinding(params, tape)
-            _, pred = forward(binding, xt[idx], pool)
-            loss = cross_entropy(pred, yt[idx])
-            value = _check_term("cls", loss.item())
-            grads = backward(tape, loss)
-            named = {
-                name: grads.get(leaf.slot, np.zeros(leaf.shape))
-                for name, leaf in binding.leaves.items()
-            }
-            adamw_step(params, named, state, lr_t)
-            logger.write({
-                "step": step, "lr": lr_t, "loss_cls": value,
-                "loss_gpd": 0.0, "loss_lcd": 0.0, "loss_total": value,
-            })
-            step += 1
-        val = evaluate_macro_pr_f1(params, pool, xv, yv) if len(yv) else None
-        logger.write({
-            "epoch": epoch, "val_macro_prf1": val,
-            "selected": epoch == config.epochs - 1,
-        })
-    return params.freeze()
+                     log_path=None) -> ModelParams:
+    """Train the teacher with plain cross-entropy and return its last epoch, frozen."""
+    return _fit(config, dataset, pool, "teacher", log_path, keep_best=False).freeze()
 
 
 def train_student(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool,
-                  teacher: ModelParams | None = None, num_classes: int | None = None,
-                  log_path=None,
+                  teacher: ModelParams | None = None, log_path=None,
                   step_hook: Callable[[int, ModelParams], None] | None = None
                   ) -> ModelParams:
-    """Shared student loop; with a teacher and non-zero weights it distills.
+    """Student training; with a frozen teacher and non-zero weights it distills.
 
-    The teacher path is skipped entirely when alpha == beta == 0, which makes
-    the distilled trajectory bit-identical to the plain baseline by
-    construction. Validation macro P-R F1 picks the returned epoch snapshot.
+    Validation macro P-R F1 picks the returned epoch snapshot.
     """
-    cfg_d = config.distill
-    needs_teacher = teacher is not None and (cfg_d.alpha > 0 or cfg_d.beta > 0)
     if teacher is not None:
         if not teacher.frozen:
             raise ValueError("teacher must be frozen before distillation")
         if teacher.pool_fingerprint != pool.fingerprint():
             raise ValueError("teacher was trained against a different concept pool")
-    xs, ys = dataset.split_arrays("student", "train")
-    if len(ys) == 0:
-        raise ValueError("student train split is empty")
-    xt, yt = dataset.split_arrays("teacher", "train")
-    if needs_teacher and len(yt) == 0:
-        raise ValueError("teacher train split is empty")
-    num_classes = num_classes or dataset.config.num_classes
+    return _fit(config, dataset, pool, "student", log_path, keep_best=True,
+                teacher=teacher, step_hook=step_hook)
 
+
+def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, modality: str,
+         log_path, keep_best: bool, teacher: ModelParams | None = None,
+         step_hook: Callable[[int, ModelParams], None] | None = None) -> ModelParams:
+    """The one training loop: a fresh ``modality`` model on its train split.
+
+    Each step minimises cross-entropy. With a teacher and a non-zero alpha or
+    beta it also draws an independent teacher batch and adds the GPD and LCD
+    terms through ``total_loss``; otherwise the teacher path is skipped
+    entirely, which makes alpha == beta == 0 bit-identical to the plain
+    baseline by construction. ``keep_best`` returns the epoch snapshot with
+    the best validation macro P-R F1; without it, or without a validation
+    split, the last epoch's parameters are returned.
+    """
+    cfg_d = config.distill
+    num_classes = dataset.config.num_classes
+    x, y = dataset.split_arrays(modality, "train")
     params = init_params(
-        "student", xs.shape[1], pool, num_classes, config.seed, config.encoder_hidden
+        modality, x.shape[1], pool, num_classes, config.seed, config.encoder_hidden
     )
-    student_stream = EpochStream(len(ys), config.seed, "student")
-    teacher_stream = EpochStream(len(yt), config.seed, "teacher") if needs_teacher else None
+    stream = EpochStream(len(y), config.seed, modality)
+    teacher_stream = None
+    if teacher is not None and (cfg_d.alpha > 0 or cfg_d.beta > 0):
+        xt, yt = dataset.split_arrays("teacher", "train")
+        teacher_stream = EpochStream(len(yt), config.seed, "teacher")
     teacher_hash = teacher.params_hash() if teacher is not None else None
     logger = JsonlLogger(log_path)
-    steps_per_epoch = _steps_per_epoch(len(ys), config.batch_size)
+    steps_per_epoch = max(1, len(y) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
-    period = config.schedule_period_steps or total_steps
     state = OptimizerState.for_params(params, config.weight_decay)
 
-    xv, yv = dataset.split_arrays("student", "val")
+    xv, yv = dataset.split_arrays(modality, "val")
+    track_best = keep_best and len(yv) > 0
     best_score, best_params = -np.inf, params.copy()
     step = 0
     for epoch in range(config.epochs):
         for _ in range(steps_per_epoch):
-            idx = student_stream.batch(step, config.batch_size)
-            lr_t = cosine_lr(min(step, period), period, config.learning_rate, config.lr_min)
+            idx = stream.batch(step, config.batch_size)
+            lr_t = cosine_lr(step, total_steps, config.learning_rate)
             tape = Tape()
             binding = ModelBinding(params, tape)
-            sims, pred = forward(binding, xs[idx], pool)
-            cls = cross_entropy(pred, ys[idx])
+            sims, pred = forward(binding, x[idx], pool)
+            cls = cross_entropy(pred, y[idx])
             cls_v = _check_term("cls", cls.item())
             gpd_v, lcd_v = 0.0, 0.0
             loss = cls
-            if needs_teacher:
+            if teacher_stream is not None:
                 t_idx = teacher_stream.batch(step, config.batch_size)
                 t_sims, _ = forward(teacher, xt[t_idx], pool)
-                gpd = Matrix([[0.0]])
-                lcd = Matrix([[0.0]])
+                gpd = lcd = Matrix([[0.0]])
                 if cfg_d.alpha > 0:
                     gpd = gpd_loss(
                         class_prototypes(t_sims, yt[t_idx], num_classes),
-                        class_prototypes(sims, ys[idx], num_classes),
-                        reduction=cfg_d.gpd_class_reduction,
+                        class_prototypes(sims, y[idx], num_classes),
                     )
                     gpd_v = _check_term("gpd", gpd.item())
                 if cfg_d.beta > 0:
-                    lcd, _ = lcd_loss(sims, ys[idx], t_sims, yt[t_idx], cfg_d.tau)
+                    lcd, _ = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
                     lcd_v = _check_term("lcd", lcd.item())
                 loss = total_loss(cls, gpd, lcd, cfg_d)
             total_v = _check_term("total", loss.item())
@@ -346,30 +271,15 @@ def train_student(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptP
             step += 1
         if teacher is not None and teacher.params_hash() != teacher_hash:
             raise RuntimeError("teacher parameters changed during distillation")
-        selected = False
         val = evaluate_macro_pr_f1(params, pool, xv, yv) if len(yv) else None
-        if val is None:
-            selected = epoch == config.epochs - 1
+        if track_best:
+            selected = val > best_score
             if selected:
-                best_params = params.copy()
-        elif val > best_score:
-            best_score, best_params = val, params.copy()
-            selected = True
+                best_score, best_params = val, params.copy()
+        else:
+            selected = epoch == config.epochs - 1
         logger.write({"epoch": epoch, "val_macro_prf1": val, "selected": selected})
-    return best_params
-
-
-def distill_student(config: TrainConfig, teacher: ModelParams,
-                    dataset: SyntheticDataset, pool: ConceptPool,
-                    num_classes: int | None = None, log_path=None,
-                    step_hook=None) -> ModelParams:
-    """Student training guided by a frozen teacher (errors if unfrozen)."""
-    if teacher is None:
-        raise ValueError("distill_student requires a teacher; use train_student for baselines")
-    return train_student(
-        config, dataset, pool, teacher=teacher, num_classes=num_classes,
-        log_path=log_path, step_hook=step_hook,
-    )
+    return best_params if track_best else params
 
 
 def baseline_config(config: TrainConfig) -> TrainConfig:

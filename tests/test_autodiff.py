@@ -66,8 +66,10 @@ class TestL2NormalizeRows:
         np.testing.assert_allclose(out.data, [[0.6, 0.8]])
 
     def test_zero_row_guard(self):
-        out = ad.l2_normalize_rows([[0.0, 0.0]])
-        np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
+        # rows with norm <= eps come out as zero, including a tiny non-zero row
+        for rows in ([[0.0, 0.0]], [[0.0, 1e-15]]):
+            out = ad.l2_normalize_rows(rows)
+            np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_direct_norms(self):
         out = ad.l2_normalize_rows([[1.0, 1.0], [2.0, 0.0]])

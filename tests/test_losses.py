@@ -29,7 +29,7 @@ def oracle_prototypes(sims, labels, num_classes):
     return protos, present
 
 
-def oracle_gpd(protos_a, present_a, protos_b, present_b, reduction="mean"):
+def oracle_gpd(protos_a, present_a, protos_b, present_b):
     total, n = 0.0, 0
     for d in range(len(present_a)):
         if present_a[d] and present_b[d]:
@@ -37,7 +37,7 @@ def oracle_gpd(protos_a, present_a, protos_b, present_b, reduction="mean"):
             n += 1
     if n == 0:
         return 0.0
-    return total if reduction == "sum" else total / n
+    return total / n
 
 
 def oracle_lcd(sims_s, labels_s, sims_t, labels_t, tau):
@@ -122,7 +122,6 @@ class TestGpdLoss:
         a = class_prototypes(np.array([[1.0, 0.0], [0.5, 0.0]]), [0, 1], 2)
         b = class_prototypes(np.array([[0.0, 1.0], [0.0, 0.5]]), [0, 1], 2)
         assert gpd_loss(a, b).item() == pytest.approx(1.25)
-        assert gpd_loss(a, b, reduction="sum").item() == pytest.approx(2.5)
 
     def test_no_common_class_zero(self):
         a = class_prototypes(np.ones((1, 3)), [0], 2)
@@ -292,8 +291,6 @@ class TestTotalLoss:
             DistillConfig(tau=0.0)
         with pytest.raises(ValueError):
             DistillConfig(alpha=-0.1)
-        with pytest.raises(ValueError):
-            DistillConfig(gpd_class_reduction="median")
 
 
 class TestGpdGradient:

@@ -11,7 +11,6 @@ from conceptdistill.model import (
     cross_entropy,
     encode,
     forward,
-    fused_predict,
     init_params,
     load_checkpoint,
     predict,
@@ -205,34 +204,6 @@ class TestEndToEndGradient:
             fd = finite_diff_grad(f, Matrix(params.named_arrays()[name])).data
             err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             assert err < 1e-4, name
-
-
-class TestFusedPredict:
-    def test_identical_inputs_unchanged(self):
-        fused = fused_predict(_pred([[0.2, 0.8]]), _pred([[0.2, 0.8]]))
-        np.testing.assert_allclose(fused.probabilities.data, [[0.2, 0.8]])
-        assert fused.predicted_class[0] == 1
-
-    def test_opposite_rows_tie_to_class_zero(self):
-        fused = fused_predict(_pred([[1.0, 0.0]]), _pred([[0.0, 1.0]]))
-        np.testing.assert_allclose(fused.probabilities.data, [[0.5, 0.5]])
-        assert fused.predicted_class[0] == 0
-
-    def test_arithmetic_mean(self):
-        fused = fused_predict(_pred([[0.6, 0.4]]), _pred([[0.2, 0.8]]))
-        np.testing.assert_allclose(fused.probabilities.data, [[0.4, 0.6]])
-        assert fused.predicted_class[0] == 1
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fused_predict(_pred([[0.5, 0.5]]), _pred([[0.3, 0.3, 0.4]]))
-
-
-def _pred(rows):
-    from conceptdistill.model import Prediction
-
-    m = Matrix(rows)
-    return Prediction(probabilities=m, predicted_class=m.data.argmax(axis=1))
 
 
 class TestCheckpoints:

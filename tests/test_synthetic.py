@@ -113,10 +113,16 @@ class TestGenerate:
         b, _ = generate(small_config(seed=2))
         assert a != b
 
-    def test_indices_unique_across_splits(self):
-        ds, _ = generate(small_config())
-        indices = [r.index for r in ds.records]
-        assert len(indices) == len(set(indices))
+    def test_indices_unique_across_splits(self, tmp_path):
+        # the written indices number every row of every split exactly once
+        cfg = small_config()
+        ds, _ = generate(cfg)
+        write_dataset(ds, tmp_path / "data")
+        indices = [json.loads(line)["index"]
+                   for split in ("train", "val", "test")
+                   for line in (tmp_path / "data" / f"{split}.jsonl").read_text().splitlines()]
+        total = sum(sum(c) for by_split in cfg.counts.values() for c in by_split.values())
+        assert sorted(indices) == list(range(total))
 
 
 class TestRoundTrip:
@@ -125,6 +131,16 @@ class TestRoundTrip:
         write_dataset(ds, tmp_path / "data")
         again = read_dataset(tmp_path / "data")
         assert again == ds
+
+    def test_shuffled_lines_read_back_in_generation_order(self, tmp_path):
+        ds, _ = generate(small_config())
+        write_dataset(ds, tmp_path / "data")
+        rng = np.random.default_rng(0)
+        for split in ("train", "val", "test"):
+            path = tmp_path / "data" / f"{split}.jsonl"
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[i] for i in rng.permutation(len(lines))) + "\n")
+        assert read_dataset(tmp_path / "data") == ds
 
     def test_truncated_line_reports_lineno(self, tmp_path):
         ds, _ = generate(small_config())

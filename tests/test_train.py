@@ -8,15 +8,14 @@ from conceptdistill.metrics import macro_report
 from conceptdistill.model import forward, init_params
 from conceptdistill.synthetic import GeneratorConfig, generate
 from conceptdistill.train import (
+    EpochStream,
     OptimizerState,
     TrainConfig,
     adamw_step,
     baseline_config,
     cosine_lr,
-    distill_student,
     evaluate_macro_pr_f1,
     pretrain_teacher,
-    sample_unpaired_batch,
     train_student,
 )
 
@@ -67,9 +66,9 @@ class TestAdamW:
 
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 100, 1e-3, 1e-5) == pytest.approx(1e-3)
-        assert cosine_lr(100, 100, 1e-3, 1e-5) == pytest.approx(1e-5)
-        assert cosine_lr(50, 100, 1e-3, 1e-5) == pytest.approx((1e-3 + 1e-5) / 2)
+        assert cosine_lr(0, 100, 1e-3) == pytest.approx(1e-3)
+        assert cosine_lr(100, 100, 1e-3) == 0.0
+        assert cosine_lr(50, 100, 1e-3) == pytest.approx(5e-4)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -78,20 +77,16 @@ class TestCosineLr:
 
 class TestUnpairedSampling:
     def test_whole_split_batch(self):
-        ds, _ = tiny_dataset()
-        n = len(ds.split_arrays("student", "train")[1])
-        (xs, ys), _ = sample_unpaired_batch(ds, n, seed=0, step=0)
-        assert len(ys) == n
-        # a full-split batch is a permutation of the split
-        _, y_all = ds.split_arrays("student", "train")
-        assert sorted(ys.tolist()) == sorted(y_all.tolist())
+        # a batch the size of the split is a permutation of the split
+        n = 37
+        idx = EpochStream(n, seed=0, modality="student").batch(0, n)
+        assert sorted(idx.tolist()) == list(range(n))
 
     def test_deterministic(self):
-        ds, _ = tiny_dataset()
-        a = sample_unpaired_batch(ds, 8, seed=5, step=3)
-        b = sample_unpaired_batch(ds, 8, seed=5, step=3)
-        np.testing.assert_array_equal(a[0][0], b[0][0])
-        np.testing.assert_array_equal(a[1][0], b[1][0])
+        a = EpochStream(37, seed=5, modality="student")
+        b = EpochStream(37, seed=5, modality="student")
+        b.batch(9, 8)  # what was drawn before does not matter
+        np.testing.assert_array_equal(a.batch(3, 8), b.batch(3, 8))
 
     def test_modalities_cycle_independently(self):
         # unequal split sizes: each stream wraps at its own epoch boundary
@@ -100,22 +95,32 @@ class TestUnpairedSampling:
         n_t = len(ds.split_arrays("teacher", "train")[1])
         assert n_s != n_t
         batch = 7
-        seen_s, seen_t = set(), set()
-        for step in range(max(n_s, n_t) // batch + 2):
-            (xs, ys), (xt, yt) = sample_unpaired_batch(ds, batch, seed=1, step=step)
-            seen_s.add(xs.tobytes())
-            seen_t.add(xt.tobytes())
-        assert len(seen_s) > 1 and len(seen_t) > 1
+        for modality, n in (("student", n_s), ("teacher", n_t)):
+            stream = EpochStream(n, seed=1, modality=modality)
+            drawn = np.concatenate([stream.batch(step, batch)
+                                    for step in range(2 * n // batch + 1)])
+            for epoch in range(2):
+                assert sorted(drawn[epoch * n:(epoch + 1) * n].tolist()) == list(range(n))
+        # the same seed gives each modality its own order
+        assert not np.array_equal(EpochStream(n_s, 1, "student").batch(0, n_s),
+                                  EpochStream(n_s, 1, "teacher").batch(0, n_s))
 
     def test_within_epoch_no_replacement(self):
         ds, _ = tiny_dataset()
         n = len(ds.split_arrays("student", "train")[1])
-        collected = []
+        stream = EpochStream(n, seed=2, modality="student")
         batch = 10
-        for step in range(n // batch):
-            (xs, _), _ = sample_unpaired_batch(ds, batch, seed=2, step=step)
-            collected.extend(map(bytes, [row.tobytes() for row in xs]))
-        assert len(collected) == len(set(collected))
+        collected = np.concatenate([stream.batch(step, batch) for step in range(n // batch)])
+        assert len(collected) == len(set(collected.tolist()))
+
+    @pytest.mark.parametrize("n, batch", [(37, 8), (5, 12), (10, 10)])
+    def test_matches_per_position_definition(self, n, batch):
+        # position p is entry p % n of epoch p // n's seeded permutation
+        stream = EpochStream(n, seed=4, modality="teacher")
+        for step in range(6):
+            want = [np.random.default_rng([4, 1, pos // n]).permutation(n)[pos % n]
+                    for pos in range(step * batch, (step + 1) * batch)]
+            np.testing.assert_array_equal(stream.batch(step, batch), want)
 
 
 def quick_train_config(**overrides):
@@ -156,7 +161,7 @@ class TestPretrainTeacher:
         epochs = [l for l in lines if "epoch" in l]
         assert {"step", "lr", "loss_cls", "loss_gpd", "loss_lcd", "loss_total"} <= set(steps[0])
         assert {"epoch", "val_macro_prf1", "selected"} <= set(epochs[0])
-        assert len(epochs) == 2
+        assert [l["selected"] for l in epochs] == [False, True]  # the last epoch is kept
 
 
 class TestDistillStudent:
@@ -165,20 +170,20 @@ class TestDistillStudent:
         teacher = init_params("teacher", ds.config.feature_dim, pool,
                               ds.config.num_classes, seed=0)
         with pytest.raises(ValueError, match="frozen"):
-            distill_student(quick_train_config(), teacher, ds, pool)
+            train_student(quick_train_config(), ds, pool, teacher=teacher)
 
     def test_pool_mismatch_rejected(self):
         ds, pool = tiny_dataset()
         other_pool = make_pool({"x": 4, "y": 4, "z": 4}, dim=ds.config.embed_dim)
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
         with pytest.raises(ValueError, match="different concept pool"):
-            distill_student(quick_train_config(), teacher, ds, other_pool)
+            train_student(quick_train_config(), ds, other_pool, teacher=teacher)
 
     def test_teacher_hash_unchanged(self):
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
         before = teacher.params_hash()
-        distill_student(quick_train_config(epochs=2), teacher, ds, pool)
+        train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
         assert teacher.params_hash() == before
 
     def test_alpha_beta_zero_matches_baseline_trajectory(self):
@@ -188,8 +193,8 @@ class TestDistillStudent:
             epochs=2, distill=DistillConfig(alpha=0.0, beta=0.0)
         )
         traj_a, traj_b = [], []
-        distill_student(config, teacher, ds, pool,
-                        step_hook=lambda s, p: traj_a.append(p.params_hash()))
+        train_student(config, ds, pool, teacher=teacher,
+                      step_hook=lambda s, p: traj_a.append(p.params_hash()))
         train_student(baseline_config(config), ds, pool,
                       step_hook=lambda s, p: traj_b.append(p.params_hash()))
         assert traj_a == traj_b != []
@@ -198,8 +203,8 @@ class TestDistillStudent:
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=2), ds, pool)
         log = tmp_path / "student.jsonl"
-        student = distill_student(
-            quick_train_config(epochs=2), teacher, ds, pool, log_path=log
+        student = train_student(
+            quick_train_config(epochs=2), ds, pool, teacher=teacher, log_path=log
         )
         assert student.modality == "student"
         assert not student.frozen
@@ -213,8 +218,8 @@ class TestDistillStudent:
     def test_full_run_determinism(self):
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
-        a = distill_student(quick_train_config(epochs=2), teacher, ds, pool)
-        b = distill_student(quick_train_config(epochs=2), teacher, ds, pool)
+        a = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
+        b = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
         assert a.params_hash() == b.params_hash()
 
 
