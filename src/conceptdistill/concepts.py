@@ -1,337 +1,46 @@
-"""Concept pools: loading, validation, and subset selection.
+"""The concept pool shared by the teacher and the student.
 
-A pool is an ordered list of named concepts with fixed unit-norm embedding
-vectors; the load order is the canonical concept axis for every similarity
-matrix downstream. Five selectors filter a pool down to k concepts per
-class: random, svd, kmeans, similarity, submodular. All selectors are pure
-and break ties toward the lower canonical index.
+A pool is stored as columns: an ordered tuple of concept ids and one
+read-only N x dim embedding matrix, row i embedding concept i. That order
+is the concept axis of every similarity row downstream, so the teacher's
+and the student's rows are comparable column by column.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-SELECTION_METHODS = ("none", "random", "svd", "kmeans", "similarity", "submodular")
 
-
-class PoolError(ValueError):
-    """Concept pool file or selection input is invalid."""
-
-
-@dataclass(frozen=True)
-class Concept:
-    id: str
-    class_hint: str
-    text: str
-    embedding: np.ndarray  # 1-D float64, unit norm (zero vectors stay zero)
-
-
-@dataclass
 class ConceptPool:
-    concepts: list[Concept]
-    dim: int
+    def __init__(self, ids, embeddings):
+        self.ids = tuple(ids)
+        self.embeddings = np.array(embeddings, dtype=np.float64)
+        if not self.ids:
+            raise ValueError("empty concept pool")
+        if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.ids):
+            raise ValueError(
+                f"embeddings of shape {self.embeddings.shape} for {len(self.ids)} concept ids; "
+                "need one row per id"
+            )
+        self.embeddings.flags.writeable = False
 
-    def __post_init__(self):
-        if not self.concepts:
-            raise PoolError("empty concept pool")
+    @property
+    def dim(self) -> int:
+        return self.embeddings.shape[1]
 
     def __len__(self) -> int:
-        return len(self.concepts)
-
-    @property
-    def per_class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.concepts:
-            counts[c.class_hint] = counts.get(c.class_hint, 0) + 1
-        return counts
-
-    @property
-    def class_order(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for c in self.concepts:
-            seen.setdefault(c.class_hint, None)
-        return list(seen)
-
-    def class_indices(self) -> dict[str, list[int]]:
-        groups: dict[str, list[int]] = {}
-        for i, c in enumerate(self.concepts):
-            groups.setdefault(c.class_hint, []).append(i)
-        return groups
+        return len(self.ids)
 
     def embedding_matrix(self) -> np.ndarray:
-        return np.stack([c.embedding for c in self.concepts])
+        return self.embeddings
 
     def fingerprint(self) -> str:
+        """Hash of the ids and the embedding bytes: equal only for the same pool."""
         h = hashlib.sha256()
-        for c in self.concepts:
-            h.update(c.id.encode("utf-8"))
+        for cid in self.ids:
+            h.update(cid.encode("utf-8"))
             h.update(b"\x00")
+        h.update(self.embeddings.tobytes())
         return h.hexdigest()
-
-    def subset(self, indices: list[int]) -> "ConceptPool":
-        """New pool keeping canonical order of the given indices."""
-        return ConceptPool([self.concepts[i] for i in sorted(indices)], self.dim)
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    if n <= 1e-12 or abs(n - 1.0) < 1e-12:  # keep save/load round trips bit-exact
-        return v
-    return v / n
-
-
-def pool_from_dict(payload: dict) -> ConceptPool:
-    if not isinstance(payload, dict) or "dim" not in payload or "concepts" not in payload:
-        raise PoolError("pool file must contain 'dim' and 'concepts'")
-    dim = int(payload["dim"])
-    raw = payload["concepts"]
-    if not raw:
-        raise PoolError("empty concept pool")
-    seen_ids: set[str] = set()
-    concepts: list[Concept] = []
-    for entry in raw:
-        try:
-            cid, hint, text = entry["id"], entry["class_hint"], entry["text"]
-            emb = np.asarray(entry["embedding"], dtype=np.float64)
-        except (KeyError, TypeError) as e:
-            raise PoolError(f"malformed concept entry: {e}") from e
-        if cid in seen_ids:
-            raise PoolError(f"duplicate concept id {cid!r}")
-        seen_ids.add(cid)
-        if emb.ndim != 1 or len(emb) != dim:
-            raise PoolError(
-                f"dimension mismatch for concept {cid!r}: expected {dim}, got {emb.shape}"
-            )
-        if not np.all(np.isfinite(emb)):
-            raise PoolError(f"non-finite embedding for concept {cid!r}")
-        concepts.append(Concept(id=cid, class_hint=hint, text=text, embedding=_normalize(emb)))
-    return ConceptPool(concepts, dim)
-
-
-def pool_to_dict(pool: ConceptPool) -> dict:
-    return {
-        "dim": pool.dim,
-        "concepts": [
-            {
-                "id": c.id,
-                "class_hint": c.class_hint,
-                "text": c.text,
-                "embedding": c.embedding.tolist(),
-            }
-            for c in pool.concepts
-        ],
-    }
-
-
-def load_pool(path) -> ConceptPool:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"concept pool file not found: {path}")
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return pool_from_dict(payload)
-
-
-def save_pool(pool: ConceptPool, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(pool_to_dict(pool), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _require_k(groups: dict[str, list[int]], k: int) -> None:
-    if k < 1:
-        raise PoolError(f"k_per_class must be >= 1, got {k}")
-    for hint, idx in groups.items():
-        if len(idx) < k:
-            raise PoolError(f"class {hint!r} has {len(idx)} concepts, need {k}")
-
-
-def _check_images(pool: ConceptPool, image_embeddings: np.ndarray) -> np.ndarray:
-    imgs = np.asarray(image_embeddings, dtype=np.float64)
-    if imgs.ndim != 2 or imgs.shape[0] == 0:
-        raise PoolError("image embeddings must be a non-empty 2-D array")
-    if imgs.shape[1] != pool.dim:
-        raise PoolError(
-            f"image embedding dim {imgs.shape[1]} does not match pool dim {pool.dim}"
-        )
-    norms = np.linalg.norm(imgs, axis=1, keepdims=True)
-    return imgs / np.maximum(norms, 1e-12)
-
-
-def _mean_similarity(pool: ConceptPool, image_embeddings: np.ndarray) -> np.ndarray:
-    """Mean cosine of every concept against all provided images, concept axis."""
-    imgs = _check_images(pool, image_embeddings)
-    return (imgs @ pool.embedding_matrix().T).mean(axis=0)
-
-
-def select_random(pool: ConceptPool, k_per_class: int, seed: int) -> ConceptPool:
-    """Seeded uniform sample of k concepts per class, without replacement."""
-    groups = pool.class_indices()
-    _require_k(groups, k_per_class)
-    chosen: list[int] = []
-    for ci, hint in enumerate(pool.class_order):
-        rng = np.random.default_rng([seed, ci])
-        chosen.extend(rng.choice(groups[hint], size=k_per_class, replace=False).tolist())
-    return pool.subset(chosen)
-
-
-def _svd_directions(emb: np.ndarray, k: int) -> np.ndarray:
-    _, _, vt = np.linalg.svd(emb, full_matrices=False)
-    directions = vt[:k]
-    # sign convention: largest-magnitude coordinate is positive
-    for row in directions:
-        j = np.argmax(np.abs(row))
-        if row[j] < 0:
-            row *= -1.0
-    return directions
-
-
-def select_svd(pool: ConceptPool, k_per_class: int) -> ConceptPool:
-    """Per class, match each leading singular direction to its closest concept."""
-    groups = pool.class_indices()
-    _require_k(groups, k_per_class)
-    chosen: list[int] = []
-    for hint in pool.class_order:
-        idx = groups[hint]
-        emb = np.stack([pool.concepts[i].embedding for i in idx])
-        taken: set[int] = set()
-        for direction in _svd_directions(emb, k_per_class):
-            sims = emb @ direction
-            order = sorted(range(len(idx)), key=lambda j: (-sims[j], j))
-            pick = next(j for j in order if j not in taken)
-            taken.add(pick)
-        chosen.extend(idx[j] for j in sorted(taken))
-    return pool.subset(chosen)
-
-
-def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
-    """Lloyd's iterations with distinct-point init; returns final centers."""
-    n = emb.shape[0]
-    centers = emb[rng.choice(n, size=k, replace=False)].copy()
-    assignments = np.full(n, -1)
-    for _ in range(max_iters):
-        d2 = ((emb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = d2.argmin(axis=1)
-        if np.array_equal(new_assign, assignments):
-            break
-        assignments = new_assign
-        for c in range(k):
-            members = emb[assignments == c]
-            if len(members):  # empty clusters keep their previous center
-                centers[c] = members.mean(axis=0)
-    return centers
-
-
-def select_kmeans(pool: ConceptPool, k_per_class: int, seed: int, max_iters: int = 100) -> ConceptPool:
-    """Per class, k-means on embeddings; keep the concept nearest each center."""
-    groups = pool.class_indices()
-    _require_k(groups, k_per_class)
-    chosen: list[int] = []
-    for ci, hint in enumerate(pool.class_order):
-        idx = groups[hint]
-        emb = np.stack([pool.concepts[i].embedding for i in idx])
-        centers = _kmeans(emb, k_per_class, np.random.default_rng([seed, ci]), max_iters)
-        taken: set[int] = set()
-        for center in centers:
-            d2 = ((emb - center) ** 2).sum(axis=1)
-            order = sorted(range(len(idx)), key=lambda j: (d2[j], j))
-            pick = next(j for j in order if j not in taken)
-            taken.add(pick)
-        chosen.extend(idx[j] for j in sorted(taken))
-    return pool.subset(chosen)
-
-
-def select_by_similarity(pool: ConceptPool, k_per_class: int, image_embeddings) -> ConceptPool:
-    """Per class, top k concepts by mean cosine similarity over all images."""
-    groups = pool.class_indices()
-    _require_k(groups, k_per_class)
-    mean_sim = _mean_similarity(pool, image_embeddings)
-    chosen: list[int] = []
-    for hint in pool.class_order:
-        idx = groups[hint]
-        order = sorted(idx, key=lambda i: (-mean_sim[i], i))
-        chosen.extend(order[:k_per_class])
-    return pool.subset(chosen)
-
-
-def submodular_greedy(class_emb: np.ndarray, mean_sim_01: np.ndarray, k: int,
-                      lambda_disc: float, lambda_div: float):
-    """Greedy argmax-gain selection within one class.
-
-    Objective over a set S: lambda_disc * sum of per-concept mean image
-    similarity + lambda_div * facility-location coverage of the class.
-    Both terms use similarities affinely mapped from [-1, 1] onto [0, 1] so
-    every marginal gain is non-negative and the greedy objective sequence
-    is non-decreasing.
-
-    Returns (picked indices in greedy order, objective values, gains).
-    """
-    m = class_emb.shape[0]
-    kernel = (1.0 + class_emb @ class_emb.T) / 2.0
-    coverage = np.zeros(m)
-    picked: list[int] = []
-    objectives: list[float] = []
-    gains: list[float] = []
-    objective = 0.0
-    for _ in range(k):
-        best_j, best_gain = -1, -np.inf
-        for j in range(m):
-            if j in picked:
-                continue
-            gain = lambda_disc * mean_sim_01[j] + lambda_div * np.maximum(
-                kernel[:, j] - coverage, 0.0
-            ).sum()
-            if gain > best_gain + 1e-15:
-                best_j, best_gain = j, gain
-        picked.append(best_j)
-        coverage = np.maximum(coverage, kernel[:, best_j])
-        objective += best_gain
-        objectives.append(objective)
-        gains.append(best_gain)
-    return picked, objectives, gains
-
-
-def select_submodular(pool: ConceptPool, k_per_class: int, image_embeddings,
-                      lambda_disc: float = 1.0, lambda_div: float = 1.0) -> ConceptPool:
-    """Per class, greedy submodular pick balancing image relevance and coverage."""
-    groups = pool.class_indices()
-    _require_k(groups, k_per_class)
-    mean_sim_01 = (1.0 + _mean_similarity(pool, image_embeddings)) / 2.0
-    chosen: list[int] = []
-    for hint in pool.class_order:
-        idx = groups[hint]
-        emb = np.stack([pool.concepts[i].embedding for i in idx])
-        picked, _, _ = submodular_greedy(
-            emb, mean_sim_01[idx], k_per_class, lambda_disc, lambda_div
-        )
-        chosen.extend(idx[j] for j in picked)
-    return pool.subset(chosen)
-
-
-def select_concepts(pool: ConceptPool, method: str, k_per_class: int, *,
-                    seed: int = 0, image_embeddings=None,
-                    lambda_disc: float = 1.0, lambda_div: float = 1.0,
-                    max_iters: int = 100) -> ConceptPool:
-    """Dispatch by method name; 'none' copies the pool unchanged."""
-    if method not in SELECTION_METHODS:
-        raise PoolError(
-            f"unknown selection method {method!r}; valid methods: {', '.join(SELECTION_METHODS)}"
-        )
-    if method == "none":
-        return ConceptPool(list(pool.concepts), pool.dim)
-    if method == "random":
-        return select_random(pool, k_per_class, seed)
-    if method == "svd":
-        return select_svd(pool, k_per_class)
-    if method == "kmeans":
-        return select_kmeans(pool, k_per_class, seed, max_iters)
-    if image_embeddings is None:
-        raise PoolError(f"method {method!r} requires image embeddings")
-    if method == "similarity":
-        return select_by_similarity(pool, k_per_class, image_embeddings)
-    return select_submodular(pool, k_per_class, image_embeddings, lambda_disc, lambda_div)

@@ -136,13 +136,6 @@ def per_class_average_precision(probabilities, actual) -> tuple[dict[int, float]
     return aps, skipped
 
 
-def mean_average_precision(probabilities, actual) -> float:
-    aps, _ = per_class_average_precision(probabilities, actual)
-    if not aps:
-        raise ValueError("no class has a positive sample")
-    return float(np.mean(list(aps.values())))
-
-
 @dataclass
 class MetricsReport:
     class_names: list[str]

@@ -12,7 +12,9 @@ In memory a dataset is columnar: one (features, labels) array pair per
 ``meta.json`` plus one JSONL file per split, one record per row. A record's
 ``index`` is its position in generation order (modality, then split, then
 class), counted across the whole dataset; reading sorts each split back
-into that order and rejects an index found in two splits.
+into that order. Reading rejects an index found in two splits, a feature
+vector whose length is not ``feature_dim``, and a split whose per-class row
+counts differ from the config's ``counts``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concepts import Concept, ConceptPool
+from .concepts import ConceptPool
 
 MODALITIES = ("student", "teacher")
 SPLITS = ("train", "val", "test")
@@ -165,18 +167,8 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
 
     embeddings = rng.standard_normal((n, cfg.embed_dim))
     embeddings /= np.linalg.norm(embeddings, axis=1, keepdims=True)
-    concepts = []
-    for d, name in enumerate(cfg.class_names):
-        for j in range(k):
-            concepts.append(
-                Concept(
-                    id=f"{name}.concept{j}",
-                    class_hint=name,
-                    text=f"synthetic marker {j} associated with {name}",
-                    embedding=embeddings[d * k + j],
-                )
-            )
-    pool = ConceptPool(concepts, cfg.embed_dim)
+    pool = ConceptPool([f"{name}.concept{j}" for name in cfg.class_names for j in range(k)],
+                       embeddings)
 
     profiles = np.zeros((c, n))
     for d in range(c):
@@ -302,6 +294,11 @@ def read_dataset(directory) -> SyntheticDataset:
                 modality, features, label, index = _parse_record(line, lineno, path)
                 if label < 0 or label >= cfg.num_classes:
                     raise ValueError(f"{path}:{lineno}: label outside [0, {cfg.num_classes})")
+                if len(features) != cfg.feature_dim:
+                    raise ValueError(
+                        f"{path}:{lineno}: {len(features)} features, "
+                        f"meta.json feature_dim is {cfg.feature_dim}"
+                    )
                 if index is not None:
                     if index in seen and seen[index] != split:
                         raise ValueError(
@@ -320,4 +317,11 @@ def read_dataset(directory) -> SyntheticDataset:
         )
         for key, group in rows.items()
     }
+    for (modality, split), (_, y) in arrays.items():
+        per_class = np.bincount(y, minlength=cfg.num_classes).tolist()
+        if per_class != cfg.counts[modality][split]:
+            raise ValueError(
+                f"{directory / f'{split}.jsonl'}: {modality} rows per class {per_class}, "
+                f"meta.json counts {cfg.counts[modality][split]}"
+            )
     return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth)

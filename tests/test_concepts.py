@@ -1,291 +1,46 @@
-import json
-
 import numpy as np
 import pytest
 
-from conceptdistill.concepts import (
-    Concept,
-    ConceptPool,
-    PoolError,
-    load_pool,
-    pool_from_dict,
-    save_pool,
-    select_by_similarity,
-    select_concepts,
-    select_kmeans,
-    select_random,
-    select_submodular,
-    select_svd,
-    submodular_greedy,
-)
+from conceptdistill.concepts import ConceptPool
+from conceptdistill.synthetic import GeneratorConfig, generate
 
 
 def make_pool(per_class: dict[str, int], dim: int = 16, seed: int = 0) -> ConceptPool:
-    rng = np.random.default_rng(seed)
-    concepts = []
-    for hint, n in per_class.items():
-        for j in range(n):
-            v = rng.standard_normal(dim)
-            concepts.append(
-                Concept(id=f"{hint}:{j}", class_hint=hint, text=f"marker {j} of {hint}",
-                        embedding=v / np.linalg.norm(v))
-            )
-    return ConceptPool(concepts, dim)
+    ids = [f"{hint}:{j}" for hint, n in per_class.items() for j in range(n)]
+    emb = np.random.default_rng(seed).standard_normal((len(ids), dim))
+    return ConceptPool(ids, [v / np.linalg.norm(v) for v in emb])
 
 
-def pool_payload(per_class: dict[str, int], dim: int = 16, seed: int = 0) -> dict:
-    pool = make_pool(per_class, dim, seed)
-    return {
-        "dim": dim,
-        "concepts": [
-            {"id": c.id, "class_hint": c.class_hint, "text": c.text,
-             "embedding": c.embedding.tolist()}
-            for c in pool.concepts
-        ],
-    }
-
-
-class TestLoadPool:
-    def test_nine_class_pool(self, tmp_path):
-        payload = pool_payload({f"class_{i}": 10 for i in range(9)}, dim=16)
-        path = tmp_path / "pool.json"
-        path.write_text(json.dumps(payload))
-        pool = load_pool(path)
-        assert len(pool) == 90
-        assert pool.dim == 16
-        assert all(v == 10 for v in pool.per_class_counts.values())
-
+class TestConceptPool:
     def test_single_concept(self):
-        pool = pool_from_dict(pool_payload({"only": 1}))
+        pool = ConceptPool(["only"], [[0.6, 0.8]])
         assert len(pool) == 1
-
-    def test_mixed_dims_rejected(self):
-        payload = pool_payload({"a": 2}, dim=16)
-        payload["concepts"][1]["embedding"] = [0.0] * 17
-        with pytest.raises(PoolError, match="dimension mismatch"):
-            pool_from_dict(payload)
-
-    def test_duplicate_id_rejected(self):
-        payload = pool_payload({"a": 2})
-        payload["concepts"][1]["id"] = payload["concepts"][0]["id"]
-        with pytest.raises(PoolError, match="duplicate"):
-            pool_from_dict(payload)
+        assert pool.dim == 2
+        assert pool.ids == ("only",)
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(PoolError, match="empty"):
-            pool_from_dict({"dim": 4, "concepts": []})
+        with pytest.raises(ValueError, match="empty"):
+            ConceptPool([], np.zeros((0, 4)))
 
-    def test_embeddings_normalized_on_load(self):
-        payload = pool_payload({"a": 3})
-        payload["concepts"][0]["embedding"] = [3.0] + [0.0] * 15
-        pool = pool_from_dict(payload)
-        assert np.linalg.norm(pool.concepts[0].embedding) == pytest.approx(1.0)
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            ConceptPool(["a", "b"], np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            ConceptPool(["a"], np.ones(3))
 
-    def test_round_trip(self, tmp_path):
-        pool = make_pool({"a": 3, "b": 2})
-        save_pool(pool, tmp_path / "p.json")
-        again = load_pool(tmp_path / "p.json")
-        assert [c.id for c in again.concepts] == [c.id for c in pool.concepts]
-        np.testing.assert_array_equal(again.embedding_matrix(), pool.embedding_matrix())
-        assert again.fingerprint() == pool.fingerprint()
+    def test_embeddings_stored_read_only(self):
+        emb = np.eye(3)
+        pool = ConceptPool(["a", "b", "c"], emb)
+        assert pool.embedding_matrix() is pool.embeddings
+        with pytest.raises(ValueError):
+            pool.embeddings[0, 0] = 2.0
+        emb[0, 0] = 2.0  # the caller's array is not the stored one
+        assert pool.embeddings[0, 0] == 1.0
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_pool(tmp_path / "absent.json")
-
-
-class TestSelectRandom:
-    def test_k_equals_class_size_is_identity(self):
-        pool = make_pool({"a": 5, "b": 5})
-        out = select_random(pool, 5, seed=3)
-        assert [c.id for c in out.concepts] == [c.id for c in pool.concepts]
-
-    def test_same_seed_same_subset(self):
-        pool = make_pool({"a": 20})
-        a = select_random(pool, 10, seed=4)
-        b = select_random(pool, 10, seed=4)
-        assert [c.id for c in a.concepts] == [c.id for c in b.concepts]
-
-    def test_seed_changes_subset_regression(self):
-        pool = make_pool({"a": 20}, seed=1)
-        ids0 = [c.id for c in select_random(pool, 10, seed=0).concepts]
-        ids1 = [c.id for c in select_random(pool, 10, seed=1).concepts]
-        assert ids0 != ids1
-        # frozen regression fixture: run once, pinned
-        assert ids0 == ['a:0', 'a:1', 'a:3', 'a:4', 'a:6', 'a:7', 'a:9', 'a:16', 'a:17', 'a:18']
-
-    def test_insufficient_concepts(self):
-        with pytest.raises(PoolError, match="need"):
-            select_random(make_pool({"a": 3}), 4, seed=0)
-
-
-def axis_pool(rows: list[int], dim: int = 4, hint: str = "a") -> ConceptPool:
-    """Concepts on coordinate axes; rows[i] names the axis of concept i."""
-    concepts = []
-    for i, axis in enumerate(rows):
-        v = np.zeros(dim)
-        v[axis] = 1.0
-        concepts.append(Concept(id=f"{hint}:{i}", class_hint=hint, text="", embedding=v))
-    return ConceptPool(concepts, dim)
-
-
-class TestSelectSVD:
-    def test_k_equals_class_size(self):
-        pool = axis_pool([0, 1, 2])
-        out = select_svd(pool, 3)
-        assert len(out) == 3
-
-    def test_identical_embeddings_tie_break_lowest(self):
-        pool = axis_pool([1, 1, 1])
-        out = select_svd(pool, 1)
-        assert [c.id for c in out.concepts] == ["a:0"]
-
-    def test_rank_two_duplicated_directions(self):
-        # four embeddings spanning two orthogonal directions, duplicated 3+1
-        # so the singular values are distinct and directions unambiguous
-        pool = axis_pool([0, 0, 0, 1])
-        out = select_svd(pool, 2)
-        axes = {int(np.argmax(c.embedding)) for c in out.concepts}
-        assert axes == {0, 1}
-
-    def test_purity(self):
-        pool = make_pool({"a": 6})
-        before = [c.id for c in pool.concepts]
-        select_svd(pool, 2)
-        assert [c.id for c in pool.concepts] == before
-
-
-class TestSelectKMeans:
-    def test_two_separated_clusters(self):
-        rng = np.random.default_rng(0)
-        base_a = np.array([1.0, 0.0, 0.0, 0.0])
-        base_b = np.array([0.0, 0.0, 0.0, 1.0])
-        concepts = []
-        for i in range(6):
-            center = base_a if i < 3 else base_b
-            v = center + 0.01 * rng.standard_normal(4)
-            concepts.append(Concept(id=f"a:{i}", class_hint="a", text="",
-                                    embedding=v / np.linalg.norm(v)))
-        pool = ConceptPool(concepts, 4)
-        out = select_kmeans(pool, 2, seed=0)
-        picked = [int(c.id.split(":")[1]) for c in out.concepts]
-        assert len(picked) == 2
-        assert any(i < 3 for i in picked) and any(i >= 3 for i in picked)
-
-    def test_k_equals_class_size(self):
-        pool = make_pool({"a": 4})
-        out = select_kmeans(pool, 4, seed=1)
-        assert [c.id for c in out.concepts] == [c.id for c in pool.concepts]
-
-    def test_same_seed_same_result(self):
-        pool = make_pool({"a": 12, "b": 12})
-        a = select_kmeans(pool, 5, seed=9)
-        b = select_kmeans(pool, 5, seed=9)
-        assert [c.id for c in a.concepts] == [c.id for c in b.concepts]
-
-
-class TestSelectBySimilarity:
-    def test_image_equal_to_concept_ranks_first(self):
-        pool = make_pool({"a": 8}, dim=8)
-        target = pool.concepts[5].embedding
-        out = select_by_similarity(pool, 1, target.reshape(1, -1))
-        assert [c.id for c in out.concepts] == ["a:5"]
-
-    def test_empty_image_set_rejected(self):
-        pool = make_pool({"a": 3})
-        with pytest.raises(PoolError, match="non-empty"):
-            select_by_similarity(pool, 1, np.zeros((0, 16)))
-
-    def test_dimension_mismatch(self):
-        pool = make_pool({"a": 3}, dim=16)
-        with pytest.raises(PoolError, match="dim"):
-            select_by_similarity(pool, 1, np.ones((2, 8)))
-
-    def test_ranked_means(self):
-        # concepts on axes 0,1,2; one image per axis with controlled weights
-        pool = axis_pool([0, 1, 2], dim=3)
-        images = np.array([
-            [0.9, 0.5, 0.1],
-        ])
-        out = select_by_similarity(pool, 2, images)
-        assert [c.id for c in out.concepts] == ["a:0", "a:1"]
-
-
-class TestSelectSubmodular:
-    def test_lambda_div_zero_matches_similarity_top1(self):
-        pool = make_pool({"a": 10, "b": 10}, dim=8, seed=3)
-        rng = np.random.default_rng(7)
-        images = rng.standard_normal((20, 8))
-        sub = select_submodular(pool, 1, images, lambda_disc=1.0, lambda_div=0.0)
-        sim = select_by_similarity(pool, 1, images)
-        assert [c.id for c in sub.concepts] == [c.id for c in sim.concepts]
-
-    def test_duplicate_embeddings_defer_to_distinct(self):
-        # concepts 0 and 1 identical; a duplicate has zero marginal coverage
-        # gain, so with equal image similarity the distinct concept 2 must
-        # be picked before the second duplicate
-        v1 = np.array([1.0, 0.0, 0.0])
-        v2 = np.array([0.0, 1.0, 0.0])
-        concepts = [
-            Concept(id="a:0", class_hint="a", text="", embedding=v1),
-            Concept(id="a:1", class_hint="a", text="", embedding=v1.copy()),
-            Concept(id="a:2", class_hint="a", text="", embedding=v2),
-        ]
-        pool = ConceptPool(concepts, 3)
-        images = np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3.0)  # equidistant image
-        out = select_submodular(pool, 2, images, lambda_disc=1.0, lambda_div=1.0)
-        assert [c.id for c in out.concepts] == ["a:0", "a:2"]
-
-    def test_greedy_objective_monotone_and_gains_non_increasing(self):
-        rng = np.random.default_rng(21)
-        for trial in range(50):
-            m, d = int(rng.integers(4, 14)), int(rng.integers(3, 9))
-            emb = rng.standard_normal((m, d))
-            emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-            mean01 = rng.uniform(0, 1, m)
-            k = int(rng.integers(2, m + 1))
-            picked, objectives, gains = submodular_greedy(emb, mean01, k, 1.0, 1.0)
-            assert len(set(picked)) == k
-            assert all(g >= -1e-12 for g in gains)
-            assert all(b >= a - 1e-12 for a, b in zip(objectives, objectives[1:]))
-            assert all(a >= b - 1e-9 for a, b in zip(gains, gains[1:]))
-
-    def test_objective_matches_direct_evaluation(self):
-        # recompute F(S) from its definition at every greedy prefix
-        rng = np.random.default_rng(5)
-        emb = rng.standard_normal((8, 5))
-        emb /= np.linalg.norm(emb, axis=1, keepdims=True)
-        mean01 = rng.uniform(0, 1, 8)
-        picked, objectives, _ = submodular_greedy(emb, mean01, 4, 1.0, 1.0)
-        kernel = (1.0 + emb @ emb.T) / 2.0
-        for t in range(1, 5):
-            s = picked[:t]
-            f = mean01[s].sum() + kernel[:, s].max(axis=1).sum()
-            assert objectives[t - 1] == pytest.approx(f, abs=1e-9)
-
-
-class TestDispatch:
-    def test_none_copies_pool(self):
-        pool = make_pool({"a": 4})
-        out = select_concepts(pool, "none", 2)
-        assert [c.id for c in out.concepts] == [c.id for c in pool.concepts]
-        assert out is not pool
-
-    def test_unknown_method_lists_valid(self):
-        pool = make_pool({"a": 4})
-        with pytest.raises(PoolError, match="none, random, svd, kmeans, similarity, submodular"):
-            select_concepts(pool, "best", 2)
-
-    def test_similarity_requires_images(self):
-        pool = make_pool({"a": 4})
-        with pytest.raises(PoolError, match="image embeddings"):
-            select_concepts(pool, "similarity", 2)
-
-    @pytest.mark.parametrize("method", ["random", "svd", "kmeans", "similarity", "submodular"])
-    def test_each_selector_returns_k_per_class(self, method):
-        pool = make_pool({"x": 7, "y": 7, "z": 7}, dim=8, seed=2)
-        images = np.random.default_rng(0).standard_normal((5, 8))
-        out = select_concepts(pool, method, 3, seed=1, image_embeddings=images)
-        assert out.per_class_counts == {"x": 3, "y": 3, "z": 3}
-        original_ids = {c.id for c in pool.concepts}
-        assert all(c.id in original_ids for c in out.concepts)
+    def test_fingerprint_covers_embeddings(self):
+        _, pool_0 = generate(GeneratorConfig(seed=0))
+        _, again = generate(GeneratorConfig(seed=0))
+        _, pool_1 = generate(GeneratorConfig(seed=1))
+        assert pool_0.ids == pool_1.ids
+        assert pool_0.fingerprint() == again.fingerprint()
+        assert pool_0.fingerprint() != pool_1.fingerprint()

@@ -11,7 +11,6 @@ from conceptdistill.metrics import (
     average_precision,
     confusion_counts,
     macro_report,
-    mean_average_precision,
     per_class_average_precision,
     per_class_metrics,
 )
@@ -189,8 +188,9 @@ class TestAveragePrecision:
 
 class TestMeanAveragePrecision:
     def test_perfect_classifier(self):
-        probs = np.eye(3)[[0, 1, 2, 0]]
-        assert mean_average_precision(probs, [0, 1, 2, 0]) == 1.0
+        actual = [0, 1, 2, 0]
+        probs = np.eye(3)[actual]
+        assert macro_report(probs, actual, actual, 3).macro["average_precision"] == 1.0
 
     def test_mean_of_two(self):
         # class 0 AP 1.0 (its positive ranked first), class 1 AP 0.5 by construction
@@ -198,7 +198,7 @@ class TestMeanAveragePrecision:
         actual = [0, 1, 1]
         aps, skipped = per_class_average_precision(probs, actual)
         assert skipped == []
-        got = mean_average_precision(probs, actual)
+        got = macro_report(probs, probs.argmax(axis=1), actual, 2).macro["average_precision"]
         assert got == pytest.approx((aps[0] + aps[1]) / 2.0)
 
     def test_skipped_class_reported(self):

@@ -3,7 +3,7 @@ import pytest
 
 from conceptdistill import autodiff as ad
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
-from conceptdistill.concepts import Concept, ConceptPool
+from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
     ModelBinding,
     ModelParams,
@@ -72,7 +72,7 @@ class TestEncode:
 class TestConceptSimilarity:
     def test_matching_concept_scores_one(self):
         pool = make_pool({"a": 4}, dim=8)
-        emb = pool.concepts[2].embedding.reshape(1, -1)
+        emb = pool.embeddings[2].reshape(1, -1)
         sims = concept_similarity(emb, pool).data
         assert sims[0, 2] == pytest.approx(1.0)
 
@@ -81,13 +81,13 @@ class TestConceptSimilarity:
         v[0] = 1.0
         w = np.zeros(4)
         w[1] = 1.0
-        pool = ConceptPool([Concept("c", "a", "", v)], 4)
+        pool = ConceptPool(["c"], [v])
         sims = concept_similarity(w.reshape(1, -1), pool).data
         assert sims[0, 0] == pytest.approx(0.0)
 
     def test_45_degree_pair(self):
         v = np.array([1.0, 0.0])
-        pool = ConceptPool([Concept("c", "a", "", v)], 2)
+        pool = ConceptPool(["c"], [v])
         emb = np.array([[1.0, 1.0]])
         sims = concept_similarity(emb, pool).data
         assert sims[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
@@ -220,7 +220,16 @@ class TestCheckpoints:
 
     def test_pool_mismatch_rejected(self, tmp_path):
         pool = make_pool({"a": 4}, dim=6)
-        other = make_pool({"b": 4}, dim=6)  # fingerprint covers concept ids
+        other = make_pool({"b": 4}, dim=6)  # same embeddings, other ids
+        params = init_params("student", 7, pool, 2, seed=5)
+        path = tmp_path / "model.json"
+        save_checkpoint(params, path)
+        with pytest.raises(ValueError, match="different concept pool"):
+            load_checkpoint(path, other)
+
+    def test_same_ids_other_embeddings_rejected(self, tmp_path):
+        pool = make_pool({"a": 4}, dim=6, seed=0)
+        other = make_pool({"a": 4}, dim=6, seed=1)
         params = init_params("student", 7, pool, 2, seed=5)
         path = tmp_path / "model.json"
         save_checkpoint(params, path)

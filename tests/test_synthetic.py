@@ -61,7 +61,7 @@ class TestGenerate:
         ds, pool = generate(small_config())
         assert len(pool) == 12
         assert pool.dim == 6
-        assert pool.per_class_counts == {"a": 4, "b": 4, "c": 4}
+        assert pool.ids == tuple(f"{name}.concept{j}" for name in "abc" for j in range(4))
         norms = np.linalg.norm(pool.embedding_matrix(), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -150,6 +150,26 @@ class TestRoundTrip:
         lines[2] = lines[2][: len(lines[2]) // 2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"val\.jsonl:3"):
+            read_dataset(tmp_path / "data")
+
+    def test_feature_width_checked_against_meta(self, tmp_path):
+        ds, _ = generate(small_config())
+        write_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "test.jsonl"
+        lines = path.read_text().splitlines()
+        short = json.loads(lines[4])
+        short["features"] = short["features"][:-2]
+        lines[4] = json.dumps(short)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"test\.jsonl:5: 6 features, meta.json feature_dim is 8"):
+            read_dataset(tmp_path / "data")
+
+    def test_row_counts_checked_against_meta(self, tmp_path):
+        ds, _ = generate(small_config())
+        write_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "val.jsonl"
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match=r"val\.jsonl: teacher rows per class \[5, 4, 2\]"):
             read_dataset(tmp_path / "data")
 
     def test_missing_split_file(self, tmp_path):

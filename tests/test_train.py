@@ -179,6 +179,15 @@ class TestDistillStudent:
         with pytest.raises(ValueError, match="different concept pool"):
             train_student(quick_train_config(), ds, other_pool, teacher=teacher)
 
+    def test_same_ids_other_embeddings_rejected(self):
+        # seeds 3 and 4 give pools with equal ids and different embeddings
+        ds, pool = tiny_dataset(seed=3)
+        _, other_pool = tiny_dataset(seed=4)
+        assert other_pool.ids == pool.ids
+        teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
+        with pytest.raises(ValueError, match="different concept pool"):
+            train_student(quick_train_config(), ds, other_pool, teacher=teacher)
+
     def test_teacher_hash_unchanged(self):
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
