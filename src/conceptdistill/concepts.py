@@ -3,7 +3,11 @@
 A pool is stored as columns: an ordered tuple of concept ids and one
 read-only N x dim embedding matrix, row i embedding concept i. That order
 is the concept axis of every similarity row downstream, so the teacher's
-and the student's rows are comparable column by column.
+and the student's rows are comparable column by column. A concept's class
+is the part of its id before the first "." (``DR.concept3`` is a DR concept).
+
+``select_by_similarity`` keeps the k concepts per class that are closest on
+average to a set of image embeddings; the experiment does not call it yet.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ class ConceptPool:
         self.embeddings = np.array(embeddings, dtype=np.float64)
         if not self.ids:
             raise ValueError("empty concept pool")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("duplicate concept id in pool")
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.ids):
             raise ValueError(
                 f"embeddings of shape {self.embeddings.shape} for {len(self.ids)} concept ids; "
@@ -44,3 +50,27 @@ class ConceptPool:
             h.update(b"\x00")
         h.update(self.embeddings.tobytes())
         return h.hexdigest()
+
+
+def select_by_similarity(pool: ConceptPool, k_per_class: int, image_embeddings) -> ConceptPool:
+    """Per class, top k concepts by mean cosine similarity over all images.
+
+    Ties go to the earlier concept; the kept concepts stay in pool order.
+    """
+    imgs = np.asarray(image_embeddings, dtype=np.float64)
+    if imgs.ndim != 2 or imgs.shape[0] == 0:
+        raise ValueError("image embeddings must be a non-empty 2-D array")
+    if imgs.shape[1] != pool.dim:
+        raise ValueError(f"image embedding dim {imgs.shape[1]} does not match pool dim {pool.dim}")
+    imgs = imgs / np.maximum(np.linalg.norm(imgs, axis=1, keepdims=True), 1e-12)
+    mean_sim = (imgs @ pool.embeddings.T).mean(axis=0)
+    groups: dict[str, list[int]] = {}
+    for i, cid in enumerate(pool.ids):
+        groups.setdefault(cid.split(".", 1)[0], []).append(i)
+    chosen: list[int] = []
+    for name, idx in groups.items():
+        if not 1 <= k_per_class <= len(idx):
+            raise ValueError(f"class {name!r} has {len(idx)} concepts, need {k_per_class}")
+        chosen.extend(sorted(idx, key=lambda i: (-mean_sim[i], i))[:k_per_class])
+    chosen.sort()
+    return ConceptPool([pool.ids[i] for i in chosen], pool.embeddings[chosen])

@@ -1,26 +1,61 @@
 import numpy as np
 import pytest
 
-from conceptdistill.concepts import ConceptPool
+from conceptdistill.concepts import ConceptPool, select_by_similarity
 from conceptdistill.synthetic import GeneratorConfig, generate
 
 
 def make_pool(per_class: dict[str, int], dim: int = 16, seed: int = 0) -> ConceptPool:
-    ids = [f"{hint}:{j}" for hint, n in per_class.items() for j in range(n)]
+    ids = [f"{hint}.concept{j}" for hint, n in per_class.items() for j in range(n)]
     emb = np.random.default_rng(seed).standard_normal((len(ids), dim))
     return ConceptPool(ids, [v / np.linalg.norm(v) for v in emb])
 
 
-class TestConceptPool:
+def axis_pool(rows: list[int], dim: int = 4, hint: str = "a") -> ConceptPool:
+    """Concepts on coordinate axes; rows[i] names the axis of concept i."""
+    return ConceptPool([f"{hint}.concept{i}" for i in range(len(rows))], np.eye(dim)[rows])
+
+
+class TestLoadPool:
+    """Building a pool from ids and embedding rows, and the pool generate builds."""
+
+    def test_nine_class_pool(self):
+        cfg = GeneratorConfig()
+        _, pool = generate(cfg)
+        assert len(pool) == 90
+        assert pool.dim == 16
+        classes = [cid.split(".")[0] for cid in pool.ids]
+        assert all(classes.count(name) == 10 for name in cfg.class_names)
+
     def test_single_concept(self):
         pool = ConceptPool(["only"], [[0.6, 0.8]])
         assert len(pool) == 1
         assert pool.dim == 2
         assert pool.ids == ("only",)
 
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ValueError):
+            ConceptPool(["a.concept0", "a.concept1"], [[0.0] * 16, [0.0] * 17])
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            ConceptPool(["a.concept0", "a.concept0"], np.eye(2))
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ConceptPool([], np.zeros((0, 4)))
+
+    def test_embeddings_normalized_on_load(self):
+        # the pool stores rows as given, so generate normalises them first
+        _, pool = generate(GeneratorConfig(seed=3))
+        np.testing.assert_allclose(np.linalg.norm(pool.embedding_matrix(), axis=1), 1.0)
+
+    def test_round_trip(self):
+        pool = make_pool({"a": 3, "b": 2})
+        again = ConceptPool(pool.ids, pool.embedding_matrix())
+        assert again.ids == pool.ids
+        np.testing.assert_array_equal(again.embedding_matrix(), pool.embedding_matrix())
+        assert again.fingerprint() == pool.fingerprint()
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -44,3 +79,41 @@ class TestConceptPool:
         assert pool_0.ids == pool_1.ids
         assert pool_0.fingerprint() == again.fingerprint()
         assert pool_0.fingerprint() != pool_1.fingerprint()
+
+
+class TestSelectBySimilarity:
+    def test_image_equal_to_concept_ranks_first(self):
+        pool = make_pool({"a": 8}, dim=8)
+        target = pool.embeddings[5]
+        out = select_by_similarity(pool, 1, target.reshape(1, -1))
+        assert out.ids == ("a.concept5",)
+
+    def test_empty_image_set_rejected(self):
+        pool = make_pool({"a": 3})
+        with pytest.raises(ValueError, match="non-empty"):
+            select_by_similarity(pool, 1, np.zeros((0, 16)))
+
+    def test_dimension_mismatch(self):
+        pool = make_pool({"a": 3}, dim=16)
+        with pytest.raises(ValueError, match="dim"):
+            select_by_similarity(pool, 1, np.ones((2, 8)))
+
+    def test_ranked_means(self):
+        # concepts on axes 0,1,2; one image with controlled weights
+        pool = axis_pool([0, 1, 2], dim=3)
+        images = np.array([
+            [0.9, 0.5, 0.1],
+        ])
+        out = select_by_similarity(pool, 2, images)
+        assert out.ids == ("a.concept0", "a.concept1")
+
+    def test_k_per_class_in_pool_order(self):
+        pool = make_pool({"x": 7, "y": 7, "z": 7}, dim=8, seed=2)
+        images = np.random.default_rng(0).standard_normal((5, 8))
+        out = select_by_similarity(pool, 3, images)
+        assert [cid.split(".")[0] for cid in out.ids] == ["x"] * 3 + ["y"] * 3 + ["z"] * 3
+        rows = [pool.ids.index(cid) for cid in out.ids]
+        assert rows == sorted(rows)
+        np.testing.assert_array_equal(out.embeddings, pool.embeddings[rows])
+        with pytest.raises(ValueError, match="need 8"):
+            select_by_similarity(pool, 8, images)
