@@ -212,26 +212,6 @@ def scale(a, c: float) -> Matrix:
     return _finish("scale", a.data * c, (a,), vjp)
 
 
-def transpose(a) -> Matrix:
-    a = as_matrix(a)
-
-    def vjp(g):
-        return (g.T,)
-
-    return _finish("transpose", a.data.T.copy(), (a,), vjp)
-
-
-def exp(a) -> Matrix:
-    a = as_matrix(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _finish("exp", out, (a,), vjp)
-
-
 def log(a) -> Matrix:
     a = as_matrix(a)
     if np.any(a.data <= 0.0):
@@ -275,17 +255,6 @@ def sum_all(a) -> Matrix:
     return _finish("sum_all", a.data.sum().reshape(1, 1), (a,), vjp)
 
 
-def sum_rows(a) -> Matrix:
-    """Row sums as a Bx1 column."""
-    a = as_matrix(a)
-    shape = a.shape
-
-    def vjp(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _finish("sum_rows", a.data.sum(axis=1, keepdims=True), (a,), vjp)
-
-
 def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
     """Scale each row to unit length; rows with norm <= eps pass through as zero.
 
@@ -317,6 +286,82 @@ def softmax_rows(a) -> Matrix:
         return (out * (g - dot),)
 
     return _finish("softmax_rows", out, (a,), vjp)
+
+
+def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
+    """Weighted supervised-contrastive loss of ``anchors`` against ``[anchors; others]``.
+
+    With ``z = anchors [anchors; others]^T / tau``, the candidates of anchor
+    i are the columns of row i except i itself, and the loss is
+    ``-sum_i anchor_weight_i sum_{j positive} (z_ij - log sum_{q != i, j} exp z_iq)``:
+    each positive pair (i, j) scores candidate j against every other
+    candidate of anchor i. ``positive`` is an n x (n + m) boolean mask,
+    false on the diagonal of its first n columns; an anchor with a positive
+    needs two candidates or more.
+
+    The sums are taken in log space after a shift by each row's largest
+    logit. Leaving out a column other than the row's argmax keeps the
+    argmax's term of 1 in the shifted sum, so it stays >= 1 and nothing
+    cancels; the sum without the argmax column is taken afresh, shifted by
+    the second-largest logit. Only the positive pairs are visited after the
+    exponentials. The gradient is written out by hand; it flows to
+    ``anchors`` and, when tracked, to ``others``.
+    """
+    s, t = as_matrix(anchors), as_matrix(others)
+    if tau <= 0:
+        raise ValueError(f"supcon_loss: tau must be positive, got {tau}")
+    if s.cols != t.cols:
+        raise ShapeError(f"supcon_loss: row widths differ: {s.cols} vs {t.cols}")
+    n, width = s.rows, s.rows + t.rows
+    positive = np.asarray(positive, dtype=bool)
+    weight = np.asarray(anchor_weight, dtype=np.float64)
+    if positive.shape != (n, width) or weight.shape != (n,):
+        raise ShapeError(f"supcon_loss: need an {(n, width)} mask and {n} anchor weights")
+    rows = np.arange(n)
+    if positive[rows, rows].any():
+        raise ValueError("supcon_loss: an anchor cannot be its own positive")
+    sd, td = s.data, t.data
+    z = (sd / tau) @ np.concatenate([sd, td]).T
+    z[rows, rows] = -np.inf
+    top = z.argmax(axis=1)
+    z -= z[rows, top][:, None]  # shifted: row maxima are 0
+    e = np.exp(z)  # 0 on the self column
+
+    flat = np.flatnonzero(positive)  # positive pairs, row-major
+    pi = flat // width
+    wp = weight[pi]
+    ep = e.ravel()[flat]
+    at_top = flat - pi * width == top[pi]
+    rest = e.sum(axis=1)[pi] - ep  # shifted sum without column j, >= 1
+    rest[at_top] = 1.0  # the argmax column's sum is taken below
+    loss = np.dot(wp, np.log(rest) - z.ravel()[flat])
+    inv = wp / rest
+    inv[at_top] = 0.0
+
+    hard, w_hard = pi[at_top], wp[at_top]  # rows whose argmax column is positive
+    if hard.size:
+        zh = z[hard]
+        zh[np.arange(hard.size), top[hard]] = -np.inf
+        second = zh.max(axis=1, keepdims=True)
+        eh = np.exp(zh - second)
+        sum_h = eh.sum(axis=1, keepdims=True)
+        loss += np.dot(w_hard, second[:, 0] + np.log(sum_h[:, 0]))
+        soft_h = eh / sum_h  # softmax over the candidates without the argmax
+
+    t_tracked = t.tracked
+
+    def vjp(g):
+        grad = e * np.bincount(pi, weights=inv, minlength=n)[:, None]
+        grad.ravel()[flat] -= ep * inv + wp
+        if hard.size:
+            grad[hard] += w_hard[:, None] * soft_h
+        c = g[0, 0] / tau
+        g_ss, g_st = grad[:, :n], grad[:, n:]
+        # anchors meet anchors twice, as rows and as candidates
+        d_s = c * ((g_ss + g_ss.T) @ sd + g_st @ td)
+        return d_s, (c * (g_st.T @ sd) if t_tracked else None)
+
+    return _finish("supcon_loss", np.array([[loss]]), (s, t), vjp)
 
 
 def backward(tape: Tape, loss: Matrix) -> dict[int, np.ndarray]:

@@ -5,6 +5,8 @@ read-only N x dim embedding matrix, row i embedding concept i. That order
 is the concept axis of every similarity row downstream, so the teacher's
 and the student's rows are comparable column by column. A concept's class
 is the part of its id before the first "." (``DR.concept3`` is a DR concept).
+The pool also holds ``embeddings_t``, the transposed matrix as a constant
+autodiff operand, built once so a similarity product does not copy it.
 
 ``select_by_similarity`` keeps the k concepts per class that are closest on
 average to a set of image embeddings; the experiment does not call it yet.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from .autodiff import Matrix
 
 
 class ConceptPool:
@@ -31,6 +35,9 @@ class ConceptPool:
                 "need one row per id"
             )
         self.embeddings.flags.writeable = False
+        # C-contiguous, so products equal those against embeddings.T.copy() bit for bit
+        self.embeddings_t = Matrix(np.ascontiguousarray(self.embedding_matrix().T))
+        self.embeddings_t.data.flags.writeable = False
 
     @property
     def dim(self) -> int:

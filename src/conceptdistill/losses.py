@@ -1,10 +1,13 @@
 """Distillation losses over concept-similarity rows.
 
-Two cross-modal signals drive the student: a prototype loss that aligns
-per-class mean similarity rows between modalities, and a contrastive loss
-that pulls each student row toward same-class rows from either modality.
-Teacher rows always enter as constants; gradients flow only through the
-student's tape.
+Two cross-modal signals drive the student: a prototype loss (GPD) that
+aligns per-class mean similarity rows between modalities, and a contrastive
+loss (LCD) that pulls each student row toward same-class rows from either
+modality. Teacher rows always enter as constants; gradients flow only
+through the student's tape. GPD is composed from tape operations; LCD builds
+its positive-pair mask and anchor weights here and hands them to one
+autodiff operation, ``autodiff.supcon_loss``, which works in log space and
+has a hand-written gradient.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
     set minus p itself, and anchors are averaged over those that have at
     least one positive (and at least two candidates, else no denominator
     exists). Returns the loss and the number of skipped anchors.
+
+    The whole loss is one ``autodiff.supcon_loss`` call over the candidate
+    matrix ``[student; teacher]``: every log-denominator is a max-shifted
+    log-sum-exp, so it stays finite for any positive ``tau``, however much
+    one candidate dominates the rest.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -99,47 +107,18 @@ def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
         raise ValueError("label vectors must match similarity row counts")
     n_s, n_t = s.rows, t.rows
 
-    off_diag = 1.0 - np.eye(n_s)
-    pos_ss = (ls[:, None] == ls[None, :]).astype(np.float64) * off_diag
-    pos_st = (ls[:, None] == lt[None, :]).astype(np.float64)
-
-    n_candidates = (n_s - 1) + n_t
-    n_pos = pos_ss.sum(axis=1) + pos_st.sum(axis=1)
-    active = (n_pos > 0) & (n_candidates >= 2)
-    skipped = int(n_s - active.sum())
-    if not active.any():
-        return Matrix([[0.0]]), skipped
-
-    z_ss = ad.scale(ad.matmul(s, ad.transpose(s)), 1.0 / tau)
-    z_st = ad.scale(ad.matmul(s, ad.transpose(t)), 1.0 / tau)
-
-    # constant per-anchor shift keeps every exponential <= 1
-    stacked = np.concatenate(
-        [np.where(off_diag > 0, z_ss.data, -np.inf), z_st.data], axis=1
-    )
-    shift = Matrix(stacked.max(axis=1, keepdims=True))
-
-    e_ss = ad.mul(ad.exp(ad.sub(z_ss, shift)), Matrix(off_diag))
-    e_st = ad.exp(ad.sub(z_st, shift))
-    denom_total = ad.add(ad.sum_rows(e_ss), ad.sum_rows(e_st))
-
-    pos_ss_eff = pos_ss * active[:, None]
-    pos_st_eff = pos_st * active[:, None]
-
-    def block_terms(z, e, pos_mask):
-        mask = Matrix(pos_mask)
-        denom = ad.sub(denom_total, e)  # candidate sum excluding this positive
-        safe = ad.add(ad.mul(denom, mask), Matrix(1.0 - pos_mask))
-        log_ratio = ad.sub(ad.sub(z, shift), ad.log(safe))
-        return ad.sum_rows(ad.mul(mask, log_ratio))
-
-    per_anchor = ad.add(
-        block_terms(z_ss, e_ss, pos_ss_eff), block_terms(z_st, e_st, pos_st_eff)
-    )
+    # positives over the candidate columns [student rows; teacher rows]
+    positive = ls[:, None] == np.concatenate([ls, lt])[None, :]
+    positive[np.arange(n_s), np.arange(n_s)] = False
+    n_pos = positive.sum(axis=1)
+    active = (n_pos > 0) & ((n_s - 1) + n_t >= 2)
     n_active = int(active.sum())
-    anchor_weight = np.where(active, 1.0 / np.maximum(n_pos, 1.0), 0.0) / n_active
-    loss = ad.scale(ad.sum_all(ad.mul(per_anchor, Matrix(anchor_weight[:, None]))), -1.0)
-    return loss, skipped
+    skipped = n_s - n_active
+    if not n_active:
+        return Matrix([[0.0]]), skipped
+    # an anchor without positives has an all-false row, so its weight is unused
+    anchor_weight = 1.0 / np.maximum(n_pos, 1) / n_active
+    return ad.supcon_loss(s, t, positive, anchor_weight, tau), skipped
 
 
 def total_loss(cls, gpd, lcd, cfg: DistillConfig) -> Matrix:

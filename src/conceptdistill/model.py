@@ -161,8 +161,7 @@ def concept_similarity(embeddings, pool: ConceptPool) -> Matrix:
     emb = ad.as_matrix(embeddings)
     if emb.cols != pool.dim:
         raise ShapeError(f"embedding dim {emb.cols} does not match pool dim {pool.dim}")
-    concepts = Matrix(pool.embedding_matrix())
-    return ad.matmul(ad.l2_normalize_rows(emb), ad.transpose(concepts))
+    return ad.matmul(ad.l2_normalize_rows(emb), pool.embeddings_t)
 
 
 def predict(similarity, model) -> Prediction:

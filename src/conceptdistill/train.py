@@ -3,8 +3,13 @@
 ``pretrain_teacher`` and ``train_student`` both call ``_fit``: seeded
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
-frozen teacher when their weights are non-zero. The teacher keeps its last
-epoch; the student keeps the epoch with the best validation macro P-R F1.
+frozen teacher when their weights are non-zero. The teacher's similarity
+rows for its whole train split are computed once per run and indexed per
+batch; its parameter hash is checked after every epoch. The teacher keeps
+its last epoch; the student keeps the epoch with the best validation macro
+P-R F1. Each step record carries the loss terms, the learning rate, the
+number of classes GPD compared and the number of anchors LCD skipped (null
+when the term is off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -202,12 +207,13 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     """The one training loop: a fresh ``modality`` model on its train split.
 
     Each step minimises cross-entropy. With a teacher and a non-zero alpha or
-    beta it also draws an independent teacher batch and adds the GPD and LCD
-    terms through ``total_loss``; otherwise the teacher path is skipped
-    entirely, which makes alpha == beta == 0 bit-identical to the plain
-    baseline by construction. ``keep_best`` returns the epoch snapshot with
-    the best validation macro P-R F1; without it, or without a validation
-    split, the last epoch's parameters are returned.
+    beta it also draws an independent teacher batch, whose rows come from one
+    teacher forward over the whole split made before the first step, and
+    adds the GPD and LCD terms through ``total_loss``; otherwise the teacher
+    path is skipped entirely, which makes alpha == beta == 0 bit-identical
+    to the plain baseline by construction. ``keep_best`` returns the epoch
+    snapshot with the best validation macro P-R F1; without it, or without a
+    validation split, the last epoch's parameters are returned.
     """
     cfg_d = config.distill
     num_classes = dataset.config.num_classes
@@ -220,6 +226,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     if teacher is not None and (cfg_d.alpha > 0 or cfg_d.beta > 0):
         xt, yt = dataset.split_arrays("teacher", "train")
         teacher_stream = EpochStream(len(yt), config.seed, "teacher")
+        # the teacher is frozen, so its rows are computed once and indexed per batch
+        teacher_rows = forward(teacher, xt, pool)[0].data
     teacher_hash = teacher.params_hash() if teacher is not None else None
     logger = JsonlLogger(log_path)
     steps_per_epoch = max(1, len(y) // config.batch_size)
@@ -240,19 +248,20 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
             cls = cross_entropy(pred, y[idx])
             cls_v = _check_term("cls", cls.item())
             gpd_v, lcd_v = 0.0, 0.0
+            gpd_shared = lcd_skipped = None
             loss = cls
             if teacher_stream is not None:
                 t_idx = teacher_stream.batch(step, config.batch_size)
-                t_sims, _ = forward(teacher, xt[t_idx], pool)
+                t_sims = Matrix(teacher_rows[t_idx])
                 gpd = lcd = Matrix([[0.0]])
                 if cfg_d.alpha > 0:
-                    gpd = gpd_loss(
-                        class_prototypes(t_sims, yt[t_idx], num_classes),
-                        class_prototypes(sims, y[idx], num_classes),
-                    )
+                    t_protos = class_prototypes(t_sims, yt[t_idx], num_classes)
+                    s_protos = class_prototypes(sims, y[idx], num_classes)
+                    gpd = gpd_loss(t_protos, s_protos)
                     gpd_v = _check_term("gpd", gpd.item())
+                    gpd_shared = int((t_protos.present & s_protos.present).sum())
                 if cfg_d.beta > 0:
-                    lcd, _ = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
+                    lcd, lcd_skipped = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
                     lcd_v = _check_term("lcd", lcd.item())
                 loss = total_loss(cls, gpd, lcd, cfg_d)
             total_v = _check_term("total", loss.item())
@@ -265,6 +274,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
             logger.write({
                 "step": step, "lr": lr_t, "loss_cls": cls_v,
                 "loss_gpd": gpd_v, "loss_lcd": lcd_v, "loss_total": total_v,
+                "gpd_shared_classes": gpd_shared, "lcd_skipped": lcd_skipped,
             })
             if step_hook is not None:
                 step_hook(step, params)

@@ -185,14 +185,13 @@ OP_CASES = {
     "mul": lambda rng: _binary_case(rng, ad.mul),
     "mul_col_broadcast": lambda rng: _col_broadcast_case(rng, ad.mul),
     "scale": lambda rng: _unary_case(rng, lambda x: ad.scale(x, 1.7)),
-    "transpose": lambda rng: _unary_case(rng, lambda x: ad.scale(ad.transpose(x), 2.0)),
-    "exp": lambda rng: _unary_case(rng, ad.exp),
     "log": lambda rng: _unary_case(rng, ad.log, low=0.1, high=2.0),
     "tanh": lambda rng: _unary_case(rng, ad.tanh),
     "clamp_min": lambda rng: _unary_case(rng, lambda x: ad.clamp_min(x, 0.3)),
-    "sum_rows": lambda rng: _unary_case(rng, lambda x: ad.mul(ad.sum_rows(x), ad.sum_rows(x))),
     "l2_normalize_rows": lambda rng: _unary_case(rng, ad.l2_normalize_rows, low=0.2, high=2.0),
     "softmax_rows": lambda rng: _unary_case(rng, ad.softmax_rows),
+    "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
+    "supcon_loss_others": lambda rng: _supcon_case(rng, tracked="others"),
 }
 
 
@@ -242,6 +241,24 @@ def _matmul_case(rng):
     return (lambda x: ad.sum_all(ad.mul(w, ad.matmul(x, other)))), x0
 
 
+def _supcon_case(rng, tracked):
+    n, k = _random_shape(rng)
+    m = int(rng.integers(2, 6))  # every anchor has two candidates or more
+    # logits within +-8: a saturated softmax has gradients below rounding
+    anchors = rng.uniform(-1, 1, (n, k))
+    others = rng.uniform(-1, 1, (m, k))
+    positive = rng.uniform(size=(n, n + m)) < 0.5
+    positive[np.arange(n), np.arange(n)] = False
+    # one positive and one negative per anchor, or the loss can be flat and
+    # finite differences compare rounding against an exact zero
+    positive[:, n], positive[:, -1] = True, False
+    weight = rng.uniform(0, 1, n)
+    tau = float(rng.uniform(1.0, 3.0))
+    if tracked == "others":
+        return (lambda x: ad.supcon_loss(anchors, x, positive, weight, tau)), others
+    return (lambda x: ad.supcon_loss(x, others, positive, weight, tau)), anchors
+
+
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_backward_matches_finite_differences(name):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -256,8 +273,8 @@ class TestValidation:
             Matrix([[np.nan]])
 
     def test_rejects_inf_result(self):
-        with pytest.raises(ValueError):
-            ad.exp(Matrix([[1000.0]]))
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            ad.scale(Matrix([[1e300]]), 1e10)
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -270,3 +287,15 @@ class TestValidation:
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
             Matrix(np.ones((2, 2, 2)))
+
+    def test_supcon_inputs_checked(self):
+        rows, weight = np.ones((2, 3)), np.ones(2)
+        mask = np.zeros((2, 4), dtype=bool)
+        with pytest.raises(ValueError, match="own positive"):
+            ad.supcon_loss(rows, rows, np.eye(2, 4, dtype=bool), weight, 1.0)
+        with pytest.raises(ShapeError):
+            ad.supcon_loss(rows, rows, np.zeros((2, 3), dtype=bool), weight, 1.0)
+        with pytest.raises(ShapeError):
+            ad.supcon_loss(rows, rows, mask, np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="tau"):
+            ad.supcon_loss(rows, rows, mask, weight, 0.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
 from conceptdistill.losses import (
@@ -72,6 +74,50 @@ def oracle_lcd(sims_s, labels_s, sims_t, labels_t, tau):
         total += -acc / len(positives)
         active += 1
     return (total / active if active else 0.0), skipped
+
+
+def oracle_lcd_logspace(sims_s, labels_s, sims_t, labels_t, tau):
+    """oracle_lcd with each log-ratio taken as logit minus a max-shifted log-sum-exp."""
+    n_s = len(sims_s)
+    rows = list(sims_s) + list(sims_t)
+    labels = list(labels_s) + list(labels_t)
+    total, active, skipped = 0.0, 0, 0
+    for i in range(n_s):
+        cands = [j for j in range(len(rows)) if j != i]
+        positives = [j for j in cands if labels[j] == labels_s[i]]
+        if not positives or len(cands) < 2:
+            skipped += 1
+            continue
+        logit = {j: float(np.dot(sims_s[i], rows[j])) / tau for j in cands}
+        acc = 0.0
+        for p in positives:
+            others = [logit[q] for q in cands if q != p]
+            top = max(others)
+            acc += logit[p] - (top + math.log(sum(math.exp(v - top) for v in others)))
+        total += -acc / len(positives)
+        active += 1
+    return (total / active if active else 0.0), skipped
+
+
+@st.composite
+def lcd_cases(draw):
+    """Small LCD inputs: tau in [1e-2, 1e2], similarity rows of norm up to 10."""
+    n_s, n_t = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    width, n_classes = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def rows(n):
+        out = np.zeros((n, width))
+        for r in range(n):
+            v = np.array(draw(st.lists(st.floats(-1, 1), min_size=width, max_size=width)))
+            norm = np.linalg.norm(v)
+            if norm > 0:
+                out[r] = v / norm * draw(st.floats(0, 10))
+        return out
+
+    labels = st.integers(0, n_classes - 1)
+    return (rows(n_s), np.array(draw(st.lists(labels, min_size=n_s, max_size=n_s))),
+            rows(n_t), np.array(draw(st.lists(labels, min_size=n_t, max_size=n_t))),
+            draw(st.floats(1e-2, 1e2)))
 
 
 class TestClassPrototypes:
@@ -262,6 +308,43 @@ class TestLcdLoss:
         analytic = backward(tape, loss)[leaf.slot]
         fd = finite_diff_grad(lambda m: run(m.data)[2].item(), Matrix(x0)).data
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
+
+
+class TestLcdRobustness:
+    def test_dominant_candidate_does_not_cancel(self):
+        # the only other candidate is 180 logits below the positive
+        loss, skipped = lcd_loss([[3.0, 0.0]], [0], [[3.0, 0.0], [-3.0, 0.0]], [0, 1], tau=0.1)
+        assert skipped == 0
+        assert loss.item() == pytest.approx(-180.0, abs=1e-12)
+
+    @given(lcd_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_finite_and_matches_oracles(self, case):
+        sims_s, ls, sims_t, lt, tau = case
+
+        def run(x):
+            tape = Tape()
+            leaf = tape.leaf(x)
+            loss, skipped = lcd_loss(leaf, ls, sims_t, lt, tau)
+            return tape, leaf, loss, skipped
+
+        tape, leaf, loss, skipped = run(sims_s)
+        want, want_skipped = oracle_lcd_logspace(sims_s, ls, sims_t, lt, tau)
+        assert skipped == want_skipped
+        assert math.isfinite(loss.item())
+        # logits reach 100 / tau; rounding grows with them
+        z_max = 100.0 / tau
+        assert loss.item() == pytest.approx(want, rel=1e-10, abs=1e-12 * (1.0 + z_max))
+        if not loss.tracked:  # no active anchor: a constant zero
+            assert loss.item() == 0.0
+            return
+        analytic = backward(tape, loss)[leaf.slot]
+        assert np.all(np.isfinite(analytic))
+        # step so that no logit moves by more than 1e-4
+        scale = max(1.0, float(np.abs(np.concatenate([sims_s, sims_t])).max())) / tau
+        fd = finite_diff_grad(lambda m: run(m.data)[2].item(), Matrix(sims_s),
+                              h=1e-4 / scale).data
+        assert np.linalg.norm(analytic - fd) <= 1e-5 * np.linalg.norm(fd) + 1e-6 * scale
 
 
 class TestTotalLoss:

@@ -103,6 +103,18 @@ class TestConceptSimilarity:
         with pytest.raises(ShapeError):
             concept_similarity(np.ones((1, 5)), pool)
 
+    def test_pool_operand_built_once(self):
+        pool = make_pool({"a": 4, "b": 3}, dim=6)
+        concepts_t = pool.embeddings_t.data
+        assert concepts_t.flags.c_contiguous and not concepts_t.flags.writeable
+        np.testing.assert_array_equal(concepts_t, pool.embeddings.T)
+        emb = np.random.default_rng(1).standard_normal((5, 6))
+        first = concept_similarity(emb, pool)
+        assert pool.embeddings_t.data is concepts_t
+        # bit-equal to normalising and multiplying by a fresh transposed copy
+        unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+        np.testing.assert_array_equal(first.data, unit @ pool.embeddings.T.copy())
+
 
 class TestPredict:
     def test_zero_classifier_uniform(self):

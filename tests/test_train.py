@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conceptdistill import train as train_module
 from conceptdistill.losses import DistillConfig
 from conceptdistill.metrics import macro_report
 from conceptdistill.model import forward, init_params
@@ -159,7 +160,10 @@ class TestPretrainTeacher:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         steps = [l for l in lines if "step" in l]
         epochs = [l for l in lines if "epoch" in l]
-        assert {"step", "lr", "loss_cls", "loss_gpd", "loss_lcd", "loss_total"} <= set(steps[0])
+        assert {"step", "lr", "loss_cls", "loss_gpd", "loss_lcd", "loss_total",
+                "gpd_shared_classes", "lcd_skipped"} <= set(steps[0])
+        # no distillation terms, so no counts
+        assert all(l["gpd_shared_classes"] is None and l["lcd_skipped"] is None for l in steps)
         assert {"epoch", "val_macro_prf1", "selected"} <= set(epochs[0])
         assert [l["selected"] for l in epochs] == [False, True]  # the last epoch is kept
 
@@ -220,6 +224,8 @@ class TestDistillStudent:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         steps = [l for l in lines if "step" in l]
         assert any(l["loss_gpd"] > 0 for l in steps)
+        assert all(1 <= l["gpd_shared_classes"] <= ds.config.num_classes for l in steps)
+        assert all(0 <= l["lcd_skipped"] <= 16 for l in steps)  # batch size 16
         assert all(np.isfinite(l["loss_total"]) for l in steps)
         epochs = [l for l in lines if "epoch" in l]
         assert sum(l["selected"] for l in epochs) >= 1
@@ -230,6 +236,42 @@ class TestDistillStudent:
         a = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
         b = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
         assert a.params_hash() == b.params_hash()
+
+
+class TestFrozenTeacherRows:
+    # ulp-level drift allowed between a whole-split and a per-batch forward
+    TOL = 16 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("hidden", [(), (64,)])
+    def test_rows_match_per_batch_forward(self, hidden, monkeypatch):
+        ds, pool = tiny_dataset()
+        config = quick_train_config(epochs=2, encoder_hidden=hidden)
+        teacher = pretrain_teacher(config, ds, pool)
+        seen, teacher_forwards = [], []
+        real_lcd, real_forward = train_module.lcd_loss, train_module.forward
+
+        def spy_lcd(sims, labels, t_sims, t_labels, tau):
+            seen.append((t_sims.data.copy(), np.array(t_labels)))
+            return real_lcd(sims, labels, t_sims, t_labels, tau)
+
+        def spy_forward(model, features, pool_):
+            if model is teacher:
+                teacher_forwards.append(len(features))
+            return real_forward(model, features, pool_)
+
+        monkeypatch.setattr(train_module, "lcd_loss", spy_lcd)
+        monkeypatch.setattr(train_module, "forward", spy_forward)
+        train_student(config, ds, pool, teacher=teacher)
+
+        xt, yt = ds.split_arrays("teacher", "train")
+        assert teacher_forwards == [len(yt)]  # one forward over the whole split
+        stream = EpochStream(len(yt), config.seed, "teacher")
+        assert len(seen) == config.epochs * (len(ds.split_arrays("student", "train")[1]) // 16)
+        for step, (rows, labels) in enumerate(seen):
+            idx = stream.batch(step, config.batch_size)
+            np.testing.assert_array_equal(labels, yt[idx])
+            want, _ = forward(teacher, xt[idx], pool)
+            assert np.abs(rows - want.data).max() <= self.TOL
 
 
 class TestValidationSelection:
