@@ -106,9 +106,10 @@ class Tape:
         return s
 
     def leaf(self, data) -> Matrix:
-        """Register a tracked input (trainable parameter or watched value)."""
-        m = as_matrix(data)
-        return Matrix._wrap(m.data.copy(), self, self._alloc())
+        """Register a copy of ``data`` as a tracked input (trainable parameter or watched value)."""
+        m = Matrix(data.data if isinstance(data, Matrix) else data)
+        m.tape, m.slot = self, self._alloc()
+        return m
 
     def _record(self, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable) -> Matrix:
         slots = tuple(m.slot if m.tape is self else None for m in inputs)
@@ -161,9 +162,11 @@ def matmul(a, b) -> Matrix:
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
+    a_tracked, b_tracked = a.tracked, b.tracked
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        # an untracked operand's adjoint would be dropped by backward
+        return (g @ bd.T if a_tracked else None), (ad.T @ g if b_tracked else None)
 
     return _finish("matmul", ad @ bd, (a, b), vjp)
 
