@@ -10,17 +10,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from conceptdistill.losses import DistillConfig
-from conceptdistill.metrics import macro_report
-from conceptdistill.model import forward
 from conceptdistill.synthetic import GeneratorConfig, generate
-from conceptdistill.train import TrainConfig, pretrain_teacher, train_student
-
-
-def macro_pr_f1(params, pool, x, y, num_classes):
-    _, pred = forward(params, x, pool)
-    return 100.0 * macro_report(
-        pred.probabilities.data, pred.predicted_class, y, num_classes
-    ).macro["pr_f1"]
+from conceptdistill.train import TrainConfig, evaluate_macro_pr_f1, pretrain_teacher, train_student
 
 
 def main():
@@ -64,17 +55,16 @@ def main():
 
         x, y = ds.split_arrays("student", "test")
         xt, yt = ds.split_arrays("teacher", "test")
-        C = gen.num_classes
         base = student(0.0, 0.0)
         gpd_only = student(args.alpha, 0.0)
         lcd_only = student(0.0, args.beta)
         combined = student(args.alpha, args.beta)
         f1 = {
-            "base": macro_pr_f1(base, pool, x, y, C),
-            "gpd": macro_pr_f1(gpd_only, pool, x, y, C),
-            "lcd": macro_pr_f1(lcd_only, pool, x, y, C),
-            "comb": macro_pr_f1(combined, pool, x, y, C),
-            "teacher": macro_pr_f1(teacher, pool, xt, yt, C),
+            "base": 100.0 * evaluate_macro_pr_f1(base, pool, x, y),
+            "gpd": 100.0 * evaluate_macro_pr_f1(gpd_only, pool, x, y),
+            "lcd": 100.0 * evaluate_macro_pr_f1(lcd_only, pool, x, y),
+            "comb": 100.0 * evaluate_macro_pr_f1(combined, pool, x, y),
+            "teacher": 100.0 * evaluate_macro_pr_f1(teacher, pool, xt, yt),
         }
         rows.append(f1)
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.2f}" for k, v in f1.items()),

@@ -4,6 +4,12 @@ Every value is a 2-D row-major array; vectors are 1xN matrices. Operations
 are recorded on a :class:`Tape` whenever at least one operand is tracked,
 and :func:`backward` replays the record in reverse to accumulate exact
 adjoints. A tape is meant to live for one forward/backward pass.
+
+The operations are ``matmul``, ``add``, ``sub``, ``mul``, ``scale``,
+``tanh``, ``sum_all``, ``l2_normalize_rows`` and ``softmax_rows``, plus two
+losses with hand-written gradients: ``softmax_cross_entropy`` (from logits)
+and ``supcon_loss``. Every one ends in ``_finish``, which rejects a
+non-finite result.
 """
 
 from __future__ import annotations
@@ -71,22 +77,6 @@ class Matrix:
         tag = f", slot={self.slot}" if self.tracked else ""
         return f"Matrix({self.rows}x{self.cols}{tag})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 class Tape:
     """Execution-ordered record of primitive operations.
@@ -106,7 +96,7 @@ class Tape:
         return s
 
     def leaf(self, data) -> Matrix:
-        """Register a copy of ``data`` as a tracked input (trainable parameter or watched value)."""
+        """Register a tracked copy of ``data`` (a trainable parameter or watched value)."""
         m = Matrix(data.data if isinstance(data, Matrix) else data)
         m.tape, m.slot = self, self._alloc()
         return m
@@ -215,18 +205,6 @@ def scale(a, c: float) -> Matrix:
     return _finish("scale", a.data * c, (a,), vjp)
 
 
-def log(a) -> Matrix:
-    a = as_matrix(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log: non-positive entry")
-    ad = a.data
-
-    def vjp(g):
-        return (g / ad,)
-
-    return _finish("log", np.log(ad), (a,), vjp)
-
-
 def tanh(a) -> Matrix:
     a = as_matrix(a)
     out = np.tanh(a.data)
@@ -235,17 +213,6 @@ def tanh(a) -> Matrix:
         return (g * (1.0 - out * out),)
 
     return _finish("tanh", out, (a,), vjp)
-
-
-def clamp_min(a, floor: float) -> Matrix:
-    a = as_matrix(a)
-    ad = a.data
-    mask = ad > floor
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _finish("clamp_min", np.maximum(ad, floor), (a,), vjp)
 
 
 def sum_all(a) -> Matrix:
@@ -289,6 +256,35 @@ def softmax_rows(a) -> Matrix:
         return (out * (g - dot),)
 
     return _finish("softmax_rows", out, (a,), vjp)
+
+
+def softmax_cross_entropy(logits, labels) -> Matrix:
+    """Mean over rows of ``log sum_k exp z_ik - z_i,labels_i``: cross-entropy from logits.
+
+    Each row is shifted by its largest logit before the exponentials, so the
+    sum inside the log is >= 1, nothing overflows, and a true class whose
+    probability rounds to zero still gets its full loss and gradient. The
+    gradient is written out by hand: ``(softmax - onehot) / n``.
+    """
+    z = as_matrix(logits)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (z.rows,):
+        raise ValueError(f"labels must be 1-D of length {z.rows}")
+    if labels.min() < 0 or labels.max() >= z.cols:
+        raise ValueError(f"label outside [0, {z.cols})")
+    n = z.rows
+    rows = np.arange(n)
+    shifted = z.data - z.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = np.mean(np.log(total[:, 0]) - shifted[rows, labels])
+
+    def vjp(g):
+        grad = e / total
+        grad[rows, labels] -= 1.0
+        return (grad * (g[0, 0] / n),)
+
+    return _finish("softmax_cross_entropy", np.array([[loss]]), (z,), vjp)
 
 
 def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:

@@ -3,9 +3,10 @@
 Features pass through a small trainable projection (optionally with tanh
 hidden layers), get L2-normalized, and are scored against the frozen
 concept embeddings by cosine similarity. A linear concept classifier maps
-the similarity row to class logits; softmax gives the prediction. The
-classifier stays linear so each (concept, class) weight remains readable
-as a direct contribution.
+the similarity row to class logits. The training loss is cross-entropy taken
+from the logits in one autodiff op; the predicted probabilities are a softmax
+of the logits' values, off the tape. The classifier stays linear so each
+(concept, class) weight remains readable as a direct contribution.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Matrix, ShapeError, Tape
 from .concepts import ConceptPool
-
-EPS_LOG = 1e-12
 
 
 @dataclass
@@ -37,10 +37,6 @@ class ModelParams:
     @property
     def feature_dim(self) -> int:
         return self.encoder_weights[0].shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.encoder_weights[-1].shape[1]
 
     @property
     def num_concepts(self) -> int:
@@ -132,12 +128,17 @@ def _arrays_of(model) -> tuple[ModelParams, dict[str, Matrix]]:
 
 @dataclass
 class Prediction:
-    probabilities: Matrix  # B x C rows on the simplex
-    predicted_class: np.ndarray  # per-row argmax, ties to lower index
+    logits: Matrix  # B x C class scores, tracked when the model is bound
 
-    @property
-    def num_classes(self) -> int:
-        return self.probabilities.cols
+    @cached_property
+    def probabilities(self) -> Matrix:
+        """B x C rows on the simplex, computed off the tape."""
+        return ad.softmax_rows(self.logits.data)
+
+    @cached_property
+    def predicted_class(self) -> np.ndarray:
+        """Per-row argmax of the probabilities, ties to lower index."""
+        return self.probabilities.data.argmax(axis=1)
 
 
 def encode(model, features) -> Matrix:
@@ -172,22 +173,13 @@ def predict(similarity, model) -> Prediction:
             f"similarity has {s.cols} concepts, classifier expects {params.num_concepts}"
         )
     logits = ad.add(ad.matmul(s, mats["classifier.weight"]), mats["classifier.bias"])
-    probs = ad.softmax_rows(logits)
-    return Prediction(probabilities=probs, predicted_class=probs.data.argmax(axis=1))
+    return Prediction(logits)
 
 
 def cross_entropy(pred, labels) -> Matrix:
-    """Mean negative log-probability of the true class."""
-    probs = pred.probabilities if isinstance(pred, Prediction) else ad.as_matrix(pred)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.shape[0] != probs.rows:
-        raise ValueError(f"labels must be 1-D of length {probs.rows}")
-    if labels.min() < 0 or labels.max() >= probs.cols:
-        raise ValueError(f"label outside [0, {probs.cols})")
-    onehot = np.zeros(probs.shape)
-    onehot[np.arange(len(labels)), labels] = 1.0
-    picked = ad.mul(Matrix(onehot), ad.log(ad.clamp_min(probs, EPS_LOG)))
-    return ad.scale(ad.sum_all(picked), -1.0 / probs.rows)
+    """Mean negative log-probability of the true class, from a prediction or its logits."""
+    logits = pred.logits if isinstance(pred, Prediction) else pred
+    return ad.softmax_cross_entropy(logits, labels)
 
 
 def forward(model, features, pool: ConceptPool):

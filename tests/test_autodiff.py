@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,13 +152,8 @@ class TestBackward:
 
     def test_softmax_cross_entropy_matches_fd(self):
         rng = np.random.default_rng(0)
-        onehot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-
-        def build(x):
-            p = ad.softmax_rows(x)
-            return ad.scale(ad.sum_all(ad.mul(onehot, ad.log(p))), -0.5)
-
-        check_against_fd(build, rng.uniform(-2, 2, (2, 3)))
+        check_against_fd(lambda x: ad.softmax_cross_entropy(x, [0, 2]),
+                         rng.uniform(-2, 2, (2, 3)))
 
 
 class TestFiniteDiff:
@@ -185,11 +182,10 @@ OP_CASES = {
     "mul": lambda rng: _binary_case(rng, ad.mul),
     "mul_col_broadcast": lambda rng: _col_broadcast_case(rng, ad.mul),
     "scale": lambda rng: _unary_case(rng, lambda x: ad.scale(x, 1.7)),
-    "log": lambda rng: _unary_case(rng, ad.log, low=0.1, high=2.0),
     "tanh": lambda rng: _unary_case(rng, ad.tanh),
-    "clamp_min": lambda rng: _unary_case(rng, lambda x: ad.clamp_min(x, 0.3)),
     "l2_normalize_rows": lambda rng: _unary_case(rng, ad.l2_normalize_rows, low=0.2, high=2.0),
     "softmax_rows": lambda rng: _unary_case(rng, ad.softmax_rows),
+    "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
     "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
     "supcon_loss_others": lambda rng: _supcon_case(rng, tracked="others"),
 }
@@ -241,6 +237,15 @@ def _matmul_case(rng):
     return (lambda x: ad.sum_all(ad.mul(w, ad.matmul(x, other)))), x0
 
 
+def _cross_entropy_case(rng):
+    n = int(rng.integers(1, 9))
+    c = int(rng.integers(2, 9))
+    x0 = rng.uniform(-2, 2, (n, c))
+    labels = rng.integers(0, c, n)
+    w = float(rng.uniform(0.5, 2.0))  # an upstream adjoint other than 1
+    return (lambda x: ad.scale(ad.softmax_cross_entropy(x, labels), w)), x0
+
+
 def _supcon_case(rng, tracked):
     n, k = _random_shape(rng)
     m = int(rng.integers(2, 6))  # every anchor has two candidates or more
@@ -261,7 +266,7 @@ def _supcon_case(rng, tracked):
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_backward_matches_finite_differences(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(100):
         build, x0 = OP_CASES[name](rng)
         check_against_fd(build, x0)
@@ -275,10 +280,6 @@ class TestValidation:
     def test_rejects_inf_result(self):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             ad.scale(Matrix([[1e300]]), 1e10)
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ad.log([[0.0]])
 
     def test_broadcast_shape_mismatch(self):
         with pytest.raises(ShapeError):

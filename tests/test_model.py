@@ -162,29 +162,39 @@ class TestPredict:
 
 
 class TestCrossEntropy:
+    # inputs are logits; log(p) gives probabilities p, and -50 stands in for p = 0
     def test_probability_one_gives_zero(self):
-        p = Matrix([[1.0, 0.0]])
-        assert cross_entropy(p, [0]).item() == pytest.approx(0.0, abs=1e-10)
+        logits = Matrix([[0.0, -50.0]])
+        assert cross_entropy(logits, [0]).item() == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_two_classes(self):
-        assert cross_entropy(Matrix([[0.5, 0.5]]), [0]).item() == pytest.approx(np.log(2))
+        logits = Matrix(np.log([[0.5, 0.5]]))
+        assert cross_entropy(logits, [0]).item() == pytest.approx(np.log(2))
 
     def test_hand_computed_batch(self):
-        p = Matrix([[0.7, 0.3], [0.4, 0.6]])
+        logits = Matrix(np.log([[0.7, 0.3], [0.4, 0.6]]))
         want = -(np.log(0.7) + np.log(0.6)) / 2.0
-        assert cross_entropy(p, [0, 1]).item() == pytest.approx(want)
+        assert cross_entropy(logits, [0, 1]).item() == pytest.approx(want)
         assert want == pytest.approx(0.4338, abs=5e-5)
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
-            cross_entropy(Matrix([[0.5, 0.5]]), [2])
+            cross_entropy(Matrix(np.log([[0.5, 0.5]])), [2])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.dirichlet(np.ones(3), size=4)
             labels = rng.integers(0, 3, 4)
-            assert cross_entropy(Matrix(p), labels).item() >= 0.0
+            assert cross_entropy(Matrix(np.log(p)), labels).item() >= 0.0
+
+    def test_confidently_wrong_row_keeps_gradient(self):
+        # the true class's probability underflows to 0; the row must still learn
+        tape = Tape()
+        logits = tape.leaf([[1000.0, 0.0]])
+        loss = cross_entropy(logits, [1])
+        assert loss.item() == pytest.approx(1000.0)
+        np.testing.assert_allclose(backward(tape, loss)[logits.slot], [[1.0, -1.0]])
 
 
 class TestEndToEndGradient:
