@@ -9,17 +9,27 @@ of every concept or no amount of guidance could transfer it.
 
 In memory a dataset is columnar: one (features, labels) array pair per
 (modality, split), rows in generation order. On disk it is a directory of
-``meta.json`` plus one JSONL file per split, one record per row. A record's
-``index`` is its position in generation order (modality, then split, then
-class), counted across the whole dataset; reading sorts each split back
-into that order. Reading rejects an index found in two splits, a feature
-vector whose length is not ``feature_dim``, and a split whose per-class row
-counts differ from the config's ``counts``.
+two files. ``meta.json`` holds the config and ``teacher_dominant``.
+``arrays.npz``, written by ``np.savez`` (uncompressed, byte-identical
+across writes), holds ``{modality}.{split}.x`` (float64, rows x
+``feature_dim``) and ``{modality}.{split}.y`` (int64) for every pair, plus
+the ground-truth matrices ``class_profiles``, ``mixing_student`` and
+``mixing_teacher``. Rows are positional: a split's row i is its i-th
+generated row.
+
+Reading loads the arrays with ``allow_pickle=False`` and rejects, naming
+the file and the (modality, split): a missing file, an unreadable or
+truncated ``.npz``, a missing array or one of the wrong dtype or rank, a
+feature width other than ``feature_dim``, feature rows and labels of
+different lengths, non-finite features, a label outside
+``[0, num_classes)``, and per-class row counts that differ from the
+config's ``counts``.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,115 +223,78 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
 
 # --- directory format -------------------------------------------------------
 
+_GROUND_TRUTH_ARRAYS = ("class_profiles", "mixing_student", "mixing_teacher")
+
 
 def write_dataset(ds: SyntheticDataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "config": ds.config.to_dict(),
-        "ground_truth": {
-            "class_profiles": ds.ground_truth.class_profiles.tolist(),
-            "teacher_dominant": ds.ground_truth.teacher_dominant,
-            "mixing_student": ds.ground_truth.mixing_student.tolist(),
-            "mixing_teacher": ds.ground_truth.mixing_teacher.tolist(),
-        },
+        "teacher_dominant": ds.ground_truth.teacher_dominant,
     }
     with open(directory / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    first, n = {}, 0  # index of each block's first row; modalities, then splits
-    for modality in MODALITIES:
-        for split in SPLITS:
-            first[modality, split] = n
-            n += len(ds.arrays[modality, split][1])
-    for split in SPLITS:
-        with open(directory / f"{split}.jsonl", "w", encoding="utf-8") as f:
-            for modality in MODALITIES:
-                x, y = ds.arrays[modality, split]
-                for index, (row, label) in enumerate(zip(x, y.tolist()), first[modality, split]):
-                    f.write(json.dumps({
-                        "modality": modality, "features": row.tolist(), "label": label,
-                        "index": index,
-                    }))
-                    f.write("\n")
+    columns = {name: getattr(ds.ground_truth, name) for name in _GROUND_TRUTH_ARRAYS}
+    for (modality, split), (x, y) in ds.arrays.items():
+        columns[f"{modality}.{split}.x"] = x
+        columns[f"{modality}.{split}.y"] = y
+    np.savez(directory / "arrays.npz", **columns)
 
 
-def _parse_record(line: str, lineno: int, path: Path) -> tuple[str, np.ndarray, int, int | None]:
-    """(modality, features, label, index) of one JSONL line; index is None if absent."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}:{lineno}: malformed JSONL record: {e}") from e
-    try:
-        modality = payload["modality"]
-        features = np.asarray(payload["features"], dtype=np.float64)
-        label = int(payload["label"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}:{lineno}: record violates schema: {e}") from e
-    if modality not in MODALITIES:
-        raise ValueError(f"{path}:{lineno}: unknown modality {modality!r}")
-    if features.ndim != 1 or not np.all(np.isfinite(features)):
-        raise ValueError(f"{path}:{lineno}: features must be a finite 1-D vector")
-    index = payload.get("index")
-    return modality, features, label, int(index) if index is not None else None
+def _column(columns: dict, key: str, dtype, ndim: int, where: str) -> np.ndarray:
+    if key not in columns:
+        raise ValueError(f"{where}: missing array {key!r}")
+    a = columns[key]
+    if a.dtype != dtype or a.ndim != ndim:
+        raise ValueError(
+            f"{where}: {key!r} is {a.ndim}-D {a.dtype}, expected {ndim}-D {np.dtype(dtype)}"
+        )
+    return a
 
 
 def read_dataset(directory) -> SyntheticDataset:
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise FileNotFoundError(f"missing dataset file: {meta_path}")
+    meta_path, arrays_path = directory / "meta.json", directory / "arrays.npz"
+    for path in (meta_path, arrays_path):
+        if not path.exists():
+            raise FileNotFoundError(f"missing dataset file: {path}")
     with open(meta_path, encoding="utf-8") as f:
         meta = json.load(f)
     cfg = GeneratorConfig.from_dict(meta["config"])
-    gt = meta["ground_truth"]
+    try:
+        with np.load(arrays_path, allow_pickle=False) as npz:
+            columns = {key: npz[key] for key in npz.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise ValueError(f"{arrays_path}: unreadable array file: {e}") from e
+
     ground_truth = GroundTruth(
-        class_profiles=np.asarray(gt["class_profiles"], dtype=np.float64),
-        teacher_dominant=[[int(i) for i in row] for row in gt["teacher_dominant"]],
-        mixing_student=np.asarray(gt["mixing_student"], dtype=np.float64),
-        mixing_teacher=np.asarray(gt["mixing_teacher"], dtype=np.float64),
+        teacher_dominant=[[int(i) for i in row] for row in meta["teacher_dominant"]],
+        **{name: _column(columns, name, np.float64, 2, f"{arrays_path} (ground truth)")
+           for name in _GROUND_TRUTH_ARRAYS},
     )
-    rows = {(m, s): [] for m in MODALITIES for s in SPLITS}  # -> [(index, features, label)]
-    seen: dict[int, str] = {}
-    for split in SPLITS:
-        path = directory / f"{split}.jsonl"
-        if not path.exists():
-            raise FileNotFoundError(f"missing dataset file: {path}")
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                modality, features, label, index = _parse_record(line, lineno, path)
-                if label < 0 or label >= cfg.num_classes:
-                    raise ValueError(f"{path}:{lineno}: label outside [0, {cfg.num_classes})")
-                if len(features) != cfg.feature_dim:
-                    raise ValueError(
-                        f"{path}:{lineno}: {len(features)} features, "
-                        f"meta.json feature_dim is {cfg.feature_dim}"
-                    )
-                if index is not None:
-                    if index in seen and seen[index] != split:
-                        raise ValueError(
-                            f"record index {index} appears in splits "
-                            f"{seen[index]!r} and {split!r}"
-                        )
-                    seen[index] = split
-                rows[modality, split].append((index, features, label))
-    if all(r[0] is not None for group in rows.values() for r in group):
-        for group in rows.values():
-            group.sort(key=lambda r: r[0])  # restore generation order
-    arrays = {
-        key: (
-            np.stack([r[1] for r in group]) if group else np.zeros((0, cfg.feature_dim)),
-            np.array([r[2] for r in group], dtype=np.int64),
-        )
-        for key, group in rows.items()
-    }
-    for (modality, split), (_, y) in arrays.items():
-        per_class = np.bincount(y, minlength=cfg.num_classes).tolist()
-        if per_class != cfg.counts[modality][split]:
-            raise ValueError(
-                f"{directory / f'{split}.jsonl'}: {modality} rows per class {per_class}, "
-                f"meta.json counts {cfg.counts[modality][split]}"
-            )
+    arrays = {}
+    for modality in MODALITIES:
+        for split in SPLITS:
+            where = f"{arrays_path} ({modality}, {split})"
+            x = _column(columns, f"{modality}.{split}.x", np.float64, 2, where)
+            y = _column(columns, f"{modality}.{split}.y", np.int64, 1, where)
+            if x.shape[1] != cfg.feature_dim:
+                raise ValueError(
+                    f"{where}: {x.shape[1]} features, meta.json feature_dim is {cfg.feature_dim}"
+                )
+            if len(x) != len(y):
+                raise ValueError(f"{where}: {len(x)} feature rows, {len(y)} labels")
+            if not np.isfinite(x).all():
+                raise ValueError(f"{where}: features must be finite")
+            if y.size and (y.min() < 0 or y.max() >= cfg.num_classes):
+                raise ValueError(f"{where}: label outside [0, {cfg.num_classes})")
+            per_class = np.bincount(y, minlength=cfg.num_classes).tolist()
+            if per_class != cfg.counts[modality][split]:
+                raise ValueError(
+                    f"{where}: rows per class {per_class}, "
+                    f"meta.json counts {cfg.counts[modality][split]}"
+                )
+            arrays[modality, split] = (x, y)
     return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth)

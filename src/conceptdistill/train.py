@@ -150,17 +150,30 @@ class EpochStream:
 
 
 class JsonlLogger:
+    """One JSON record per line, to a file held open from ``with`` to its exit.
+
+    Without a path it writes nothing. Leaving the ``with`` block, by return
+    or by raise, closes and so flushes the file.
+    """
+
     def __init__(self, path=None):
         self.path = Path(path) if path else None
+        self._file = None
+
+    def __enter__(self) -> "JsonlLogger":
         if self.path:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
+            self._file = open(self.path, "w", encoding="utf-8")
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._file is not None:
+            self._file.close()
 
     def write(self, record: dict) -> None:
-        if self.path:
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(json.dumps(record, sort_keys=True))
-                f.write("\n")
+        if self._file is not None:
+            self._file.write(json.dumps(record, sort_keys=True))
+            self._file.write("\n")
 
 
 def evaluate_macro_pr_f1(params: ModelParams, pool: ConceptPool,
@@ -223,7 +236,6 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
         # the teacher is frozen, so its rows are computed once and indexed per batch
         teacher_rows = forward(teacher, xt, pool)[0].data
     teacher_hash = teacher.params_hash() if teacher is not None else None
-    logger = JsonlLogger(log_path)
     steps_per_epoch = max(1, len(y) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
     state = OptimizerState.for_params(params, config.weight_decay)
@@ -232,57 +244,58 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     track_best = keep_best and len(yv) > 0
     best_score, best_params = -np.inf, params.copy()
     step = 0
-    for epoch in range(config.epochs):
-        for _ in range(steps_per_epoch):
-            idx = stream.batch(step, config.batch_size)
-            lr_t = cosine_lr(step, total_steps, config.learning_rate)
-            tape = Tape()
-            binding = ModelBinding(params, tape)
-            sims, pred = forward(binding, x[idx], pool)
-            cls = cross_entropy(pred, y[idx])
-            cls_v = cls.item()
-            gpd_v, lcd_v = 0.0, 0.0
-            gpd_shared = lcd_skipped = None
-            loss = cls
-            if teacher_stream is not None:
-                t_idx = teacher_stream.batch(step, config.batch_size)
-                t_sims = Matrix(teacher_rows[t_idx])
-                gpd = lcd = Matrix([[0.0]])
-                if cfg_d.alpha > 0:
-                    t_protos = class_prototypes(t_sims, yt[t_idx], num_classes)
-                    s_protos = class_prototypes(sims, y[idx], num_classes)
-                    gpd = gpd_loss(t_protos, s_protos)
-                    gpd_v = gpd.item()
-                    gpd_shared = int((t_protos.present & s_protos.present).sum())
-                if cfg_d.beta > 0:
-                    lcd, lcd_skipped = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
-                    lcd_v = lcd.item()
-                loss = total_loss(cls, gpd, lcd, cfg_d)
-            total_v = loss.item()
-            grads = backward(tape, loss)
-            named = {
-                name: grads.get(leaf.slot, np.zeros(leaf.shape))
-                for name, leaf in binding.leaves.items()
-            }
-            adamw_step(params, named, state, lr_t)
-            logger.write({
-                "step": step, "lr": lr_t, "loss_cls": cls_v,
-                "loss_gpd": gpd_v, "loss_lcd": lcd_v, "loss_total": total_v,
-                "gpd_shared_classes": gpd_shared, "lcd_skipped": lcd_skipped,
-            })
-            if step_hook is not None:
-                step_hook(step, params)
-            step += 1
-        if teacher is not None and teacher.params_hash() != teacher_hash:
-            raise RuntimeError("teacher parameters changed during distillation")
-        val = evaluate_macro_pr_f1(params, pool, xv, yv) if len(yv) else None
-        if track_best:
-            selected = val > best_score
-            if selected:
-                best_score, best_params = val, params.copy()
-        else:
-            selected = epoch == config.epochs - 1
-        logger.write({"epoch": epoch, "val_macro_prf1": val, "selected": selected})
+    with JsonlLogger(log_path) as logger:
+        for epoch in range(config.epochs):
+            for _ in range(steps_per_epoch):
+                idx = stream.batch(step, config.batch_size)
+                lr_t = cosine_lr(step, total_steps, config.learning_rate)
+                tape = Tape()
+                binding = ModelBinding(params, tape)
+                sims, pred = forward(binding, x[idx], pool)
+                cls = cross_entropy(pred, y[idx])
+                cls_v = cls.item()
+                gpd_v, lcd_v = 0.0, 0.0
+                gpd_shared = lcd_skipped = None
+                loss = cls
+                if teacher_stream is not None:
+                    t_idx = teacher_stream.batch(step, config.batch_size)
+                    t_sims = Matrix(teacher_rows[t_idx])
+                    gpd = lcd = None
+                    if cfg_d.alpha > 0:
+                        t_protos = class_prototypes(t_sims, yt[t_idx], num_classes)
+                        s_protos = class_prototypes(sims, y[idx], num_classes)
+                        gpd = gpd_loss(t_protos, s_protos)
+                        gpd_v = gpd.item()
+                        gpd_shared = int((t_protos.present & s_protos.present).sum())
+                    if cfg_d.beta > 0:
+                        lcd, lcd_skipped = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
+                        lcd_v = lcd.item()
+                    loss = total_loss(cls, gpd, lcd, cfg_d)
+                total_v = loss.item()
+                grads = backward(tape, loss)
+                named = {
+                    name: grads.get(leaf.slot, np.zeros(leaf.shape))
+                    for name, leaf in binding.leaves.items()
+                }
+                adamw_step(params, named, state, lr_t)
+                logger.write({
+                    "step": step, "lr": lr_t, "loss_cls": cls_v,
+                    "loss_gpd": gpd_v, "loss_lcd": lcd_v, "loss_total": total_v,
+                    "gpd_shared_classes": gpd_shared, "lcd_skipped": lcd_skipped,
+                })
+                if step_hook is not None:
+                    step_hook(step, params)
+                step += 1
+            if teacher is not None and teacher.params_hash() != teacher_hash:
+                raise RuntimeError("teacher parameters changed during distillation")
+            val = evaluate_macro_pr_f1(params, pool, xv, yv) if len(yv) else None
+            if track_best:
+                selected = val > best_score
+                if selected:
+                    best_score, best_params = val, params.copy()
+            else:
+                selected = epoch == config.epochs - 1
+            logger.write({"epoch": epoch, "val_macro_prf1": val, "selected": selected})
     return best_params if track_best else params
 
 

@@ -369,6 +369,13 @@ class TestTotalLoss:
             got = total_loss(Matrix([[c]]), Matrix([[g]]), Matrix([[l]]), cfg).item()
             assert got == pytest.approx(c + 0.3 * g + 0.7 * l, abs=1e-12)
 
+    def test_single_term_records_scale_and_add_only(self):
+        tape = Tape()
+        cls, lcd = tape.leaf(Matrix([[0.4]])), tape.leaf(Matrix([[2.0]]))
+        loss = total_loss(cls, None, lcd, DistillConfig(alpha=0.0, beta=0.5))
+        assert loss.item() == 1.4
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["scale", "add"]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DistillConfig(tau=0.0)

@@ -1,4 +1,4 @@
-import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,114 +113,111 @@ class TestGenerate:
         b, _ = generate(small_config(seed=2))
         assert a != b
 
-    def test_indices_unique_across_splits(self, tmp_path):
-        # the written indices number every row of every split exactly once
-        cfg = small_config()
-        ds, _ = generate(cfg)
-        write_dataset(ds, tmp_path / "data")
-        indices = [json.loads(line)["index"]
-                   for split in ("train", "val", "test")
-                   for line in (tmp_path / "data" / f"{split}.jsonl").read_text().splitlines()]
-        total = sum(sum(c) for by_split in cfg.counts.values() for c in by_split.values())
-        assert sorted(indices) == list(range(total))
+
+def written(tmp_path) -> tuple[SyntheticDataset, Path]:
+    ds, _ = generate(small_config())
+    write_dataset(ds, tmp_path / "data")
+    return ds, tmp_path / "data"
+
+
+def rewrite_arrays(directory: Path, changes: dict) -> None:
+    """Save arrays.npz again with some arrays replaced; a value of None drops one."""
+    path = directory / "arrays.npz"
+    with np.load(path) as npz:
+        columns = {key: npz[key] for key in npz.files}
+    for key, value in changes.items():
+        if value is None:
+            del columns[key]
+        else:
+            columns[key] = value
+    np.savez(path, **columns)
 
 
 class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        again = read_dataset(tmp_path / "data")
-        assert again == ds
-
-    def test_shuffled_lines_read_back_in_generation_order(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        rng = np.random.default_rng(0)
-        for split in ("train", "val", "test"):
-            path = tmp_path / "data" / f"{split}.jsonl"
-            lines = path.read_text().splitlines()
-            path.write_text("\n".join(lines[i] for i in rng.permutation(len(lines))) + "\n")
-        assert read_dataset(tmp_path / "data") == ds
-
-    def test_truncated_line_reports_lineno(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        path = tmp_path / "data" / "val.jsonl"
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"val\.jsonl:3"):
-            read_dataset(tmp_path / "data")
-
-    def test_feature_width_checked_against_meta(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        path = tmp_path / "data" / "test.jsonl"
-        lines = path.read_text().splitlines()
-        short = json.loads(lines[4])
-        short["features"] = short["features"][:-2]
-        lines[4] = json.dumps(short)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"test\.jsonl:5: 6 features, meta.json feature_dim is 8"):
-            read_dataset(tmp_path / "data")
-
-    def test_row_counts_checked_against_meta(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        path = tmp_path / "data" / "val.jsonl"
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-        with pytest.raises(ValueError, match=r"val\.jsonl: teacher rows per class \[5, 4, 2\]"):
-            read_dataset(tmp_path / "data")
-
-    def test_missing_split_file(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        (tmp_path / "data" / "test.jsonl").unlink()
-        with pytest.raises(FileNotFoundError, match="test.jsonl"):
-            read_dataset(tmp_path / "data")
-
-    def test_split_overlap_detected(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        train = (tmp_path / "data" / "train.jsonl").read_text().splitlines()
-        val_path = tmp_path / "data" / "val.jsonl"
-        val_path.write_text(train[0] + "\n" + val_path.read_text())
-        with pytest.raises(ValueError, match="appears in splits"):
-            read_dataset(tmp_path / "data")
-
-    def test_external_schema_without_index_loads(self, tmp_path):
-        # records carrying only modality/features/label must load fine
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        for split in ("train", "val", "test"):
-            path = tmp_path / "data" / f"{split}.jsonl"
-            rows = []
-            for line in path.read_text().splitlines():
-                payload = json.loads(line)
-                payload.pop("index")
-                rows.append(json.dumps(payload))
-            path.write_text("\n".join(rows) + "\n")
-        again = read_dataset(tmp_path / "data")
-        x_a, y_a = again.split_arrays("student", "train")
-        x_b, y_b = ds.split_arrays("student", "train")
-        np.testing.assert_array_equal(x_a, x_b)
-        np.testing.assert_array_equal(y_a, y_b)
-
-    def test_schema_violation_reported(self, tmp_path):
-        ds, _ = generate(small_config())
-        write_dataset(ds, tmp_path / "data")
-        path = tmp_path / "data" / "train.jsonl"
-        lines = path.read_text().splitlines()
-        bad = json.loads(lines[0])
-        del bad["label"]
-        lines[0] = json.dumps(bad)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="schema"):
-            read_dataset(tmp_path / "data")
+        ds, directory = written(tmp_path)
+        assert read_dataset(directory) == ds  # columns and ground truth
 
     def test_write_is_deterministic(self, tmp_path):
         ds, _ = generate(small_config())
         write_dataset(ds, tmp_path / "a")
         write_dataset(ds, tmp_path / "b")
-        for name in ("meta.json", "train.jsonl", "val.jsonl", "test.jsonl"):
+        for name in ("meta.json", "arrays.npz"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_missing_meta_file(self, tmp_path):
+        _, directory = written(tmp_path)
+        (directory / "meta.json").unlink()
+        with pytest.raises(FileNotFoundError, match="meta.json"):
+            read_dataset(directory)
+
+    def test_missing_split_file(self, tmp_path):
+        _, directory = written(tmp_path)
+        (directory / "arrays.npz").unlink()
+        with pytest.raises(FileNotFoundError, match="arrays.npz"):
+            read_dataset(directory)
+
+    def test_truncated_arrays_rejected(self, tmp_path):
+        _, directory = written(tmp_path)
+        path = directory / "arrays.npz"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match=r"arrays\.npz: unreadable array file"):
+            read_dataset(directory)
+
+    def test_schema_violation_reported(self, tmp_path):
+        # a missing array is named with its (modality, split)
+        _, directory = written(tmp_path)
+        rewrite_arrays(directory, {"teacher.val.y": None})
+        with pytest.raises(ValueError,
+                           match=r"\(teacher, val\): missing array 'teacher\.val\.y'"):
+            read_dataset(directory)
+
+    def test_wrong_dtype_rejected(self, tmp_path):
+        ds, directory = written(tmp_path)
+        _, y = ds.split_arrays("student", "test")
+        rewrite_arrays(directory, {"student.test.y": y.astype(np.float64)})
+        with pytest.raises(ValueError, match=r"\(student, test\): 'student\.test\.y' is 1-D "
+                                             r"float64, expected 1-D int64"):
+            read_dataset(directory)
+
+    def test_feature_width_checked_against_meta(self, tmp_path):
+        ds, directory = written(tmp_path)
+        x, _ = ds.split_arrays("student", "test")
+        rewrite_arrays(directory, {"student.test.x": x[:, :-2]})
+        with pytest.raises(ValueError, match=r"\(student, test\): 6 features, "
+                                             r"meta.json feature_dim is 8"):
+            read_dataset(directory)
+
+    def test_row_counts_checked_against_meta(self, tmp_path):
+        ds, directory = written(tmp_path)
+        x, y = ds.split_arrays("teacher", "val")
+        rewrite_arrays(directory, {"teacher.val.x": x[:-1], "teacher.val.y": y[:-1]})
+        with pytest.raises(ValueError, match=r"\(teacher, val\): rows per class \[5, 4, 2\]"):
+            read_dataset(directory)
+
+    def test_label_out_of_range_rejected(self, tmp_path):
+        ds, directory = written(tmp_path)
+        _, y = ds.split_arrays("student", "train")
+        bad = y.copy()
+        bad[3] = 3
+        rewrite_arrays(directory, {"student.train.y": bad})
+        with pytest.raises(ValueError, match=r"\(student, train\): label outside \[0, 3\)"):
+            read_dataset(directory)
+
+    def test_nan_feature_rejected(self, tmp_path):
+        ds, directory = written(tmp_path)
+        x, _ = ds.split_arrays("teacher", "train")
+        bad = x.copy()
+        bad[2, 5] = np.nan
+        rewrite_arrays(directory, {"teacher.train.x": bad})
+        with pytest.raises(ValueError, match=r"\(teacher, train\): features must be finite"):
+            read_dataset(directory)
+
+    def test_object_array_rejected(self, tmp_path):
+        # loading never unpickles: an object array is refused, not executed
+        _, directory = written(tmp_path)
+        labels = np.array([{"label": 0}] * 20, dtype=object)
+        rewrite_arrays(directory, {"student.train.y": labels})
+        with pytest.raises(ValueError, match="unreadable array file.*allow_pickle"):
+            read_dataset(directory)

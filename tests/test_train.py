@@ -230,6 +230,23 @@ class TestDistillStudent:
         epochs = [l for l in lines if "epoch" in l]
         assert sum(l["selected"] for l in epochs) >= 1
 
+    def test_run_that_raises_keeps_its_log(self, tmp_path):
+        ds, pool = tiny_dataset()  # 38 student train rows: 2 steps per epoch
+        log = tmp_path / "student.jsonl"
+
+        def fail_at_step_2(step, params):
+            if step == 2:
+                raise RuntimeError("stop mid-epoch")
+
+        with pytest.raises(RuntimeError, match="stop mid-epoch"):
+            train_student(quick_train_config(epochs=3), ds, pool, log_path=log,
+                          step_hook=fail_at_step_2)
+        text = log.read_text()
+        assert text.endswith("\n")
+        lines = [json.loads(l) for l in text.splitlines()]
+        assert [l.get("step", l.get("epoch")) for l in lines] == [0, 1, 0, 2]
+        assert "epoch" in lines[2]
+
     def test_full_run_determinism(self):
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
