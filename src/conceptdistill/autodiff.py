@@ -296,15 +296,21 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     each positive pair (i, j) scores candidate j against every other
     candidate of anchor i. ``positive`` is an n x (n + m) boolean mask,
     false on the diagonal of its first n columns; an anchor with a positive
-    needs two candidates or more.
+    needs two candidates or more, so a positive with n + m < 3 is rejected.
 
     The sums are taken in log space after a shift by each row's largest
-    logit. Leaving out a column other than the row's argmax keeps the
-    argmax's term of 1 in the shifted sum, so it stays >= 1 and nothing
-    cancels; the sum without the argmax column is taken afresh, shifted by
-    the second-largest logit. Only the positive pairs are visited after the
-    exponentials. The gradient is written out by hand; it flows to
-    ``anchors`` and, when tracked, to ``others``.
+    logit, with one pass of exponentials. ``rest_i``, the shifted sum over
+    the candidates other than the argmax, is summed directly with the
+    argmax column zeroed, so nothing cancels. A positive j other than the
+    argmax uses ``rest_i + 1 - exp z_ij``, which keeps the argmax's term of
+    1 and so is >= 1; an argmax positive uses ``log rest_i``. Only a row
+    whose ``rest_i`` is below 1e-290 or underflows (every other candidate
+    ~668 logits or more below the argmax) sums its other candidates again,
+    shifted by the second-largest logit. Only the positive pairs are
+    visited after the exponentials. The gradient is written out by hand as
+    one row-scaled sweep over the exponentials, with the argmax column set
+    rather than corrected; it flows to ``anchors`` and, when tracked, to
+    ``others``.
     """
     s, t = as_matrix(anchors), as_matrix(others)
     if tau <= 0:
@@ -319,41 +325,56 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     rows = np.arange(n)
     if positive[rows, rows].any():
         raise ValueError("supcon_loss: an anchor cannot be its own positive")
+    if width < 3 and positive.any():
+        raise ValueError("supcon_loss: an anchor with a positive needs two candidates or more")
     sd, td = s.data, t.data
     z = (sd / tau) @ np.concatenate([sd, td]).T
     z[rows, rows] = -np.inf
     top = z.argmax(axis=1)
     z -= z[rows, top][:, None]  # shifted: row maxima are 0
     e = np.exp(z)  # 0 on the self column
+    e[rows, top] = 0.0
+    rest = e.sum(axis=1)  # shifted sum without the argmax column
+    e[rows, top] = 1.0
 
     flat = np.flatnonzero(positive)  # positive pairs, row-major
     pi = flat // width
     wp = weight[pi]
     ep = e.ravel()[flat]
     at_top = flat - pi * width == top[pi]
-    rest = e.sum(axis=1)[pi] - ep  # shifted sum without column j, >= 1
-    rest[at_top] = 1.0  # the argmax column's sum is taken below
-    loss = np.dot(wp, np.log(rest) - z.ravel()[flat])
-    inv = wp / rest
+    den = (rest + 1.0)[pi] - ep  # shifted sum without column j, >= 1
+    den[at_top] = 1.0  # the argmax column's sum is rest, taken below
+    loss = np.dot(wp, np.log(den) - z.ravel()[flat])
+    inv = wp / den
     inv[at_top] = 0.0
 
     hard, w_hard = pi[at_top], wp[at_top]  # rows whose argmax column is positive
-    if hard.size:
-        zh = z[hard]
-        zh[np.arange(hard.size), top[hard]] = -np.inf
-        second = zh.max(axis=1, keepdims=True)
-        eh = np.exp(zh - second)
-        sum_h = eh.sum(axis=1, keepdims=True)
-        loss += np.dot(w_hard, second[:, 0] + np.log(sum_h[:, 0]))
-        soft_h = eh / sum_h  # softmax over the candidates without the argmax
+    # rest underflowed, or sums subnormal terms: shift by the second-largest logit
+    gone = rest[hard] < 1e-290
+    easy, w_easy = hard[~gone], w_hard[~gone]
+    loss += np.dot(w_easy, np.log(rest[easy]))
+    fall, w_fall = hard[gone], w_hard[gone]
+    if fall.size:
+        zf = z[fall]
+        zf[np.arange(fall.size), top[fall]] = -np.inf
+        second = zf.max(axis=1, keepdims=True)
+        ef = np.exp(zf - second)
+        sum_f = ef.sum(axis=1, keepdims=True)
+        loss += np.dot(w_fall, second[:, 0] + np.log(sum_f[:, 0]))
+        soft_f = ef / sum_f  # softmax over the candidates without the argmax
 
     t_tracked = t.tracked
 
     def vjp(g):
-        grad = e * np.bincount(pi, weights=inv, minlength=n)[:, None]
+        soft = np.bincount(pi, weights=inv, minlength=n)
+        coef = soft.copy()
+        coef[easy] += w_easy / rest[easy]
+        grad = e * coef[:, None]
+        # set, not e*coef - w/rest: that difference cancels when rest is tiny
+        grad[rows, top] = soft
         grad.ravel()[flat] -= ep * inv + wp
-        if hard.size:
-            grad[hard] += w_hard[:, None] * soft_h
+        if fall.size:
+            grad[fall] += w_fall[:, None] * soft_f
         c = g[0, 0] / tau
         g_ss, g_st = grad[:, :n], grad[:, n:]
         # anchors meet anchors twice, as rows and as candidates

@@ -7,7 +7,14 @@ modality. Teacher rows always enter as constants; gradients flow only
 through the student's tape. GPD is composed from tape operations; LCD builds
 its positive-pair mask and anchor weights here and hands them to one
 autodiff operation, ``autodiff.supcon_loss``, which works in log space and
-has a hand-written gradient.
+has a hand-written gradient. That operation takes one pass of exponentials
+per call. When an anchor's most similar candidate is itself a positive (on
+real batches, nearly every anchor), its denominator is the shifted row sum
+with that candidate's column zeroed, summed directly rather than subtracted
+from the full sum. Only when that sum falls below 1e-290, with every other
+candidate ~668 logits or more below the best one (small ``tau``, long
+rows), are the other candidates summed again, shifted by the second-largest
+logit.
 """
 
 from __future__ import annotations

@@ -17,20 +17,21 @@ the ground-truth matrices ``class_profiles``, ``mixing_student`` and
 ``mixing_teacher``. Rows are positional: a split's row i is its i-th
 generated row.
 
-Reading loads the arrays with ``allow_pickle=False`` and rejects, naming
-the file and the (modality, split): a missing file, an unreadable or
-truncated ``.npz``, a missing array or one of the wrong dtype or rank, a
-feature width other than ``feature_dim``, feature rows and labels of
-different lengths, non-finite features, a label outside
-``[0, num_classes)``, and per-class row counts that differ from the
-config's ``counts``.
+Reading rejects a ``meta.json`` without ``config`` or ``teacher_dominant``
+or with an unknown config key, naming the file. It loads the arrays with
+``allow_pickle=False`` and rejects, naming the file and the (modality,
+split): a missing file, an unreadable or truncated ``.npz``, a missing
+array or one of the wrong dtype or rank, a feature width other than
+``feature_dim``, feature rows and labels of different lengths, non-finite
+features, a label outside ``[0, num_classes)``, and per-class row counts
+that differ from the config's ``counts``.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,12 @@ def read_dataset(directory) -> SyntheticDataset:
             raise FileNotFoundError(f"missing dataset file: {path}")
     with open(meta_path, encoding="utf-8") as f:
         meta = json.load(f)
+    missing = [key for key in ("config", "teacher_dominant") if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(GeneratorConfig)})
+    if unknown:
+        raise ValueError(f"{meta_path}: unknown config keys {', '.join(unknown)}")
     cfg = GeneratorConfig.from_dict(meta["config"])
     try:
         with np.load(arrays_path, allow_pickle=False) as npz:

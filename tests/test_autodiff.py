@@ -300,3 +300,8 @@ class TestValidation:
             ad.supcon_loss(rows, rows, mask, np.ones(3), 1.0)
         with pytest.raises(ValueError, match="tau"):
             ad.supcon_loss(rows, rows, mask, weight, 0.0)
+
+    def test_supcon_positive_needs_two_candidates(self):
+        # one anchor, one other row: the positive has nothing to be scored against
+        with pytest.raises(ValueError, match="two candidates or more"):
+            ad.supcon_loss([[1.0, 0.0]], [[1.0, 0.0]], [[False, True]], [1.0], 1.0)

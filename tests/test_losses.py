@@ -310,6 +310,33 @@ class TestLcdLoss:
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
 
 
+def assert_matches_oracles(sims_s, ls, sims_t, lt, tau):
+    """LCD's loss equals oracle_lcd_logspace and its gradient equals finite differences."""
+    def run(x):
+        tape = Tape()
+        leaf = tape.leaf(x)
+        loss, skipped = lcd_loss(leaf, ls, sims_t, lt, tau)
+        return tape, leaf, loss, skipped
+
+    tape, leaf, loss, skipped = run(sims_s)
+    want, want_skipped = oracle_lcd_logspace(sims_s, ls, sims_t, lt, tau)
+    assert skipped == want_skipped
+    assert math.isfinite(loss.item())
+    # logits reach 100 / tau; rounding grows with them
+    z_max = 100.0 / tau
+    assert loss.item() == pytest.approx(want, rel=1e-10, abs=1e-12 * (1.0 + z_max))
+    if not loss.tracked:  # no active anchor: a constant zero
+        assert loss.item() == 0.0
+        return
+    analytic = backward(tape, loss)[leaf.slot]
+    assert np.all(np.isfinite(analytic))
+    # step so that no logit moves by more than 1e-4
+    scale = max(1.0, float(np.abs(np.concatenate([sims_s, sims_t])).max())) / tau
+    fd = finite_diff_grad(lambda m: run(m.data)[2].item(), Matrix(sims_s),
+                          h=1e-4 / scale).data
+    assert np.linalg.norm(analytic - fd) <= 1e-5 * np.linalg.norm(fd) + 1e-6 * scale
+
+
 class TestLcdRobustness:
     def test_dominant_candidate_does_not_cancel(self):
         # the only other candidate is 180 logits below the positive
@@ -317,34 +344,40 @@ class TestLcdRobustness:
         assert skipped == 0
         assert loss.item() == pytest.approx(-180.0, abs=1e-12)
 
+    @staticmethod
+    def argmax_positive_case(others):
+        """One anchor whose argmax candidate is a positive at logit 900, tau 0.01.
+
+        ``others`` are the teacher rows besides the argmax: the first is a
+        second positive, the rest are negatives. Returns the case and how far
+        each of them sits below the argmax, in logits.
+        """
+        tau = 0.01
+        sims_s = np.array([[3.0, 0.0]])
+        sims_t = np.array([[3.0, 0.0]] + others)
+        lt = np.array([0, 0] + [1] * (len(others) - 1))
+        gaps = (sims_s @ sims_t.T)[0, 0] / tau - (sims_s @ sims_t[1:].T)[0] / tau
+        return (sims_s, np.array([0]), sims_t, lt, tau), gaps
+
+    def test_argmax_positive_with_tiny_rest(self):
+        # the other candidates sit ~600 logits below the argmax: their shifted
+        # sum is ~1e-258, tiny but normal, and is taken directly; the argmax
+        # column's adjoint must not come from a difference of two ~1e258 terms
+        case, gaps = self.argmax_positive_case([[1.0, 0.5], [0.9, -1.0], [1.02, 2.0]])
+        assert 590 < gaps.min() and gaps.max() < 700
+        assert_matches_oracles(*case)
+
+    def test_argmax_positive_with_underflowed_rest(self):
+        # the other candidates sit more than 745 logits below the argmax, so
+        # their exponentials underflow to 0 and the second-max shift runs
+        case, gaps = self.argmax_positive_case([[0.5, 0.2], [-1.0, 0.0], [0.4, 1.0]])
+        assert gaps.min() > 745
+        assert_matches_oracles(*case)
+
     @given(lcd_cases())
     @settings(max_examples=150, deadline=None)
     def test_finite_and_matches_oracles(self, case):
-        sims_s, ls, sims_t, lt, tau = case
-
-        def run(x):
-            tape = Tape()
-            leaf = tape.leaf(x)
-            loss, skipped = lcd_loss(leaf, ls, sims_t, lt, tau)
-            return tape, leaf, loss, skipped
-
-        tape, leaf, loss, skipped = run(sims_s)
-        want, want_skipped = oracle_lcd_logspace(sims_s, ls, sims_t, lt, tau)
-        assert skipped == want_skipped
-        assert math.isfinite(loss.item())
-        # logits reach 100 / tau; rounding grows with them
-        z_max = 100.0 / tau
-        assert loss.item() == pytest.approx(want, rel=1e-10, abs=1e-12 * (1.0 + z_max))
-        if not loss.tracked:  # no active anchor: a constant zero
-            assert loss.item() == 0.0
-            return
-        analytic = backward(tape, loss)[leaf.slot]
-        assert np.all(np.isfinite(analytic))
-        # step so that no logit moves by more than 1e-4
-        scale = max(1.0, float(np.abs(np.concatenate([sims_s, sims_t])).max())) / tau
-        fd = finite_diff_grad(lambda m: run(m.data)[2].item(), Matrix(sims_s),
-                              h=1e-4 / scale).data
-        assert np.linalg.norm(analytic - fd) <= 1e-5 * np.linalg.norm(fd) + 1e-6 * scale
+        assert_matches_oracles(*case)
 
 
 class TestTotalLoss:

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,14 @@ def rewrite_arrays(directory: Path, changes: dict) -> None:
     np.savez(path, **columns)
 
 
+def rewrite_meta(directory: Path, edit) -> None:
+    """Save meta.json again after ``edit`` has changed its parsed dict in place."""
+    path = directory / "meta.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
 class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):
         ds, directory = written(tmp_path)
@@ -155,6 +164,19 @@ class TestRoundTrip:
         _, directory = written(tmp_path)
         (directory / "arrays.npz").unlink()
         with pytest.raises(FileNotFoundError, match="arrays.npz"):
+            read_dataset(directory)
+
+    @pytest.mark.parametrize("key", ["config", "teacher_dominant"])
+    def test_meta_without_key_rejected(self, tmp_path, key):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, lambda meta: meta.pop(key))
+        with pytest.raises(ValueError, match=rf"meta\.json: missing {key}"):
+            read_dataset(directory)
+
+    def test_meta_unknown_config_key_rejected(self, tmp_path):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, lambda meta: meta["config"].update(mixing_rank=4))
+        with pytest.raises(ValueError, match=r"meta\.json: unknown config keys mixing_rank"):
             read_dataset(directory)
 
     def test_truncated_arrays_rejected(self, tmp_path):
