@@ -297,6 +297,7 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     candidate of anchor i. ``positive`` is an n x (n + m) boolean mask,
     false on the diagonal of its first n columns; an anchor with a positive
     needs two candidates or more, so a positive with n + m < 3 is rejected.
+    With no positive at all the loss is 0 and no gradient flows.
 
     The sums are taken in log space after a shift by each row's largest
     logit, with one pass of exponentials. ``rest_i``, the shifted sum over
@@ -325,7 +326,9 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     rows = np.arange(n)
     if positive[rows, rows].any():
         raise ValueError("supcon_loss: an anchor cannot be its own positive")
-    if width < 3 and positive.any():
+    if not positive.any():  # nothing to score; a lone anchor's row would be all -inf
+        return _finish("supcon_loss", np.zeros((1, 1)), (s, t), lambda g: (None, None))
+    if width < 3:
         raise ValueError("supcon_loss: an anchor with a positive needs two candidates or more")
     sd, td = s.data, t.data
     z = (sd / tau) @ np.concatenate([sd, td]).T

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -94,24 +94,6 @@ class GeneratorConfig:
                 if any(c < 0 for c in counts):
                     raise ValueError("negative sample count")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "concepts_per_class": self.concepts_per_class,
-            "feature_dim": self.feature_dim,
-            "embed_dim": self.embed_dim,
-            "teacher_dominance": self.teacher_dominance,
-            "attenuation": self.attenuation,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "class_names": list(self.class_names),
-            "counts": self.counts,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GeneratorConfig":
-        return cls(**payload)
-
 
 @dataclass(eq=False)
 class GroundTruth:
@@ -152,7 +134,7 @@ class SyntheticDataset:
         pairs += [(a, b) for key in self.arrays
                   for a, b in zip(self.arrays[key], other.arrays[key])]
         return (
-            self.config.to_dict() == other.config.to_dict()
+            self.config == other.config
             and gt.teacher_dominant == other_gt.teacher_dominant
             and all(np.array_equal(a, b) for a, b in pairs)
         )
@@ -231,7 +213,7 @@ def write_dataset(ds: SyntheticDataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "config": ds.config.to_dict(),
+        "config": asdict(ds.config),
         "teacher_dominant": ds.ground_truth.teacher_dominant,
     }
     with open(directory / "meta.json", "w", encoding="utf-8") as f:
@@ -269,7 +251,7 @@ def read_dataset(directory) -> SyntheticDataset:
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(GeneratorConfig)})
     if unknown:
         raise ValueError(f"{meta_path}: unknown config keys {', '.join(unknown)}")
-    cfg = GeneratorConfig.from_dict(meta["config"])
+    cfg = GeneratorConfig(**meta["config"])
     try:
         with np.load(arrays_path, allow_pickle=False) as npz:
             columns = {key: npz[key] for key in npz.files}

@@ -67,10 +67,9 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: ModelParams, weight_decay: float) -> "OptimizerState":
-        arrays = params.named_arrays()
         return cls(
-            first_moment={k: np.zeros_like(v) for k, v in arrays.items()},
-            second_moment={k: np.zeros_like(v) for k, v in arrays.items()},
+            first_moment={k: np.zeros_like(v) for k, v in params.arrays.items()},
+            second_moment={k: np.zeros_like(v) for k, v in params.arrays.items()},
             step=0,
             weight_decay=weight_decay,
         )
@@ -90,7 +89,7 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
     t = state.step
     correction1 = 1.0 - ADAM_BETA1 ** t
     correction2 = 1.0 - ADAM_BETA2 ** t
-    for name, arr in params.named_arrays().items():
+    for name, arr in params.arrays.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(arr)
@@ -273,10 +272,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                     loss = total_loss(cls, gpd, lcd, cfg_d)
                 total_v = loss.item()
                 grads = backward(tape, loss)
-                named = {
-                    name: grads.get(leaf.slot, np.zeros(leaf.shape))
-                    for name, leaf in binding.leaves.items()
-                }
+                named = {name: grads[leaf.slot] for name, leaf in binding.leaves.items()
+                         if leaf.slot in grads}
                 adamw_step(params, named, state, lr_t)
                 logger.write({
                     "step": step, "lr": lr_t, "loss_cls": cls_v,

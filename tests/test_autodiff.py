@@ -305,3 +305,11 @@ class TestValidation:
         # one anchor, one other row: the positive has nothing to be scored against
         with pytest.raises(ValueError, match="two candidates or more"):
             ad.supcon_loss([[1.0, 0.0]], [[1.0, 0.0]], [[False, True]], [1.0], 1.0)
+
+    def test_supcon_no_positive_is_zero(self):
+        # a lone anchor with no other rows has no candidate at all
+        tape = Tape()
+        s = tape.leaf([[1.0, 0.0]])
+        loss = ad.supcon_loss(s, np.zeros((0, 2)), [[False]], [1.0], 1.0)
+        assert loss.item() == 0.0
+        assert s.slot not in backward(tape, loss)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -28,24 +31,23 @@ def simple_params(feature_dim=3, pool=None, num_classes=2, seed=0, hidden=()):
 class TestEncode:
     def test_zero_weights_give_zero_rows(self):
         pool, params = simple_params()
-        for w in params.encoder_weights:
-            w[:] = 0.0
+        params.arrays["encoder.0.weight"][:] = 0.0
         out = encode(params, np.ones((2, 3)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
     def test_identity_on_unit_features(self):
         pool = make_pool({"a": 2}, dim=3)
         params = init_params("student", 3, pool, 2, seed=0)
-        params.encoder_weights[0][:] = np.eye(3)
-        params.encoder_biases[0][:] = 0.0
+        params.arrays["encoder.0.weight"][:] = np.eye(3)
+        params.arrays["encoder.0.bias"][:] = 0.0
         feats = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(encode(params, feats).data, feats, atol=1e-12)
 
     def test_frozen_regression_fixture(self):
         pool = make_pool({"a": 2}, dim=2)
         params = init_params("student", 3, pool, 2, seed=0)
-        params.encoder_weights[0][:] = np.array([[0.5, -0.2], [0.1, 0.4], [-0.3, 0.2]])
-        params.encoder_biases[0][:] = np.array([[0.05, -0.05]])
+        params.arrays["encoder.0.weight"][:] = np.array([[0.5, -0.2], [0.1, 0.4], [-0.3, 0.2]])
+        params.arrays["encoder.0.bias"][:] = np.array([[0.05, -0.05]])
         feats = np.array([[0.2, -1.0, 0.5], [1.5, 0.3, -0.7]])
         out = encode(params, feats).data
         # computed once with this module and pinned
@@ -119,7 +121,7 @@ class TestConceptSimilarity:
 class TestPredict:
     def test_zero_classifier_uniform(self):
         pool, params = simple_params(num_classes=4)
-        params.classifier_weight[:] = 0.0
+        params.arrays["classifier.weight"][:] = 0.0
         sims = np.random.default_rng(0).uniform(-1, 1, (3, len(pool)))
         pred = predict(sims, params)
         np.testing.assert_allclose(pred.probabilities.data, 0.25, atol=1e-12)
@@ -127,8 +129,8 @@ class TestPredict:
     def test_strong_weight_dominates(self):
         pool = make_pool({"a": 3}, dim=4)
         params = init_params("student", 4, pool, 3, seed=0)
-        params.classifier_weight[:] = 0.0
-        params.classifier_weight[1, 2] = 20.0  # concept 1 votes class 2
+        params.arrays["classifier.weight"][:] = 0.0
+        params.arrays["classifier.weight"][1, 2] = 20.0  # concept 1 votes class 2
         sims = np.zeros((1, 3))
         sims[0, 1] = 1.0
         pred = predict(sims, params)
@@ -143,7 +145,7 @@ class TestPredict:
         base = predict(sims, params).probabilities.data
         perm = rng.permutation(n)
         permuted = params.copy()
-        permuted.classifier_weight = params.classifier_weight[perm]
+        permuted.arrays["classifier.weight"] = params.arrays["classifier.weight"][perm]
         shuffled = predict(sims[:, perm], permuted).probabilities.data
         np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
@@ -156,7 +158,7 @@ class TestPredict:
 
     def test_argmax_tie_breaks_low(self):
         pool, params = simple_params(num_classes=2)
-        params.classifier_weight[:] = 0.0
+        params.arrays["classifier.weight"][:] = 0.0
         pred = predict(np.zeros((1, len(pool))), params)
         assert pred.predicted_class[0] == 0
 
@@ -218,27 +220,100 @@ class TestEndToEndGradient:
 
             def f(m, name=name):
                 trial = params.copy()
-                arrays = trial.named_arrays()
-                arrays[name][:] = m.data
+                trial.arrays[name][:] = m.data
                 _, _, l = loss_fn(trial)
                 return l.item()
 
-            fd = finite_diff_grad(f, Matrix(params.named_arrays()[name])).data
+            fd = finite_diff_grad(f, Matrix(params.arrays[name])).data
             err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
             assert err < 1e-4, name
 
 
+def _corrupt(payload: dict, case: str) -> None:
+    """Edit a saved teacher's payload (hidden=(4,), pool of 8 concepts of dim 6)."""
+    arrays = payload["arrays"]
+
+    def resize(name, shape):
+        arrays[name] = {"shape": shape, "values": arrays[name]["values"][: shape[0] * shape[1]]}
+
+    if case == "nan_value":
+        arrays["classifier.weight"]["values"][0] = float("nan")
+    elif case == "string_value":
+        arrays["encoder.0.bias"]["values"][1] = "0.5"
+    elif case == "bool_value":
+        arrays["encoder.0.bias"]["values"][1] = True
+    elif case in ("missing_frozen", "missing_arrays"):
+        del payload[case.removeprefix("missing_")]
+    elif case == "frozen_not_bool":
+        payload["frozen"] = "yes"
+    elif case == "missing_array":
+        del arrays["classifier.bias"]
+    elif case == "extra_array":
+        arrays["encoder.5.weight"] = arrays["encoder.1.weight"]
+    elif case == "no_encoder":
+        for name in [n for n in arrays if n.startswith("encoder.")]:
+            del arrays[name]
+    elif case == "short_values":
+        arrays["encoder.1.weight"]["values"].pop()
+    elif case == "bad_shape":
+        arrays["classifier.bias"]["shape"] = [2]
+    elif case == "unchained_widths":
+        arrays["encoder.1.weight"]["shape"] = [6, 4]  # same count, rows != 4
+    elif case == "bias_width":
+        resize("classifier.bias", [1, 1])
+    elif case == "pool_dim":  # chains, but ends at width 5, not the pool's 6
+        resize("encoder.1.weight", [4, 5])
+        resize("encoder.1.bias", [1, 5])
+    elif case == "pool_size":  # 7 classifier rows for 8 concepts
+        resize("classifier.weight", [7, 2])
+    else:
+        raise AssertionError(case)
+
+
 class TestCheckpoints:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("modality,hidden,frozen", [
+        ("teacher", (4,), True),
+        ("student", (5, 7), False),
+    ], ids=["frozen_teacher", "unfrozen_student"])
+    def test_round_trip(self, tmp_path, modality, hidden, frozen):
         pool = make_pool({"a": 4, "b": 4}, dim=6)
-        params = init_params("teacher", 7, pool, 2, seed=5, hidden=(4,))
-        params.freeze()
+        params = init_params(modality, 7, pool, 2, seed=5, hidden=hidden)
+        if frozen:
+            params.freeze()
         path = tmp_path / "model.json"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path, pool)
-        assert loaded.frozen
-        assert loaded.modality == "teacher"
+        assert loaded.frozen is frozen
+        assert loaded.modality == modality
+        assert list(loaded.arrays) == list(params.arrays)  # layer order, not sorted
+        for name, arr in params.arrays.items():
+            np.testing.assert_array_equal(loaded.arrays[name], arr)
+            assert loaded.arrays[name].flags.writeable is not frozen
         assert loaded.params_hash() == params.params_hash()
+
+    @pytest.mark.parametrize("case", [
+        "nan_value", "string_value", "bool_value", "missing_frozen", "missing_arrays",
+        "frozen_not_bool", "missing_array", "extra_array", "no_encoder", "short_values",
+        "bad_shape", "unchained_widths", "bias_width", "pool_dim", "pool_size",
+    ])
+    def test_malformed_file_rejected(self, tmp_path, case):
+        pool = make_pool({"a": 4, "b": 4}, dim=6)
+        path = tmp_path / "model.json"
+        save_checkpoint(init_params("teacher", 7, pool, 2, seed=5, hidden=(4,)), path)
+        payload = json.loads(path.read_text())
+        _corrupt(payload, case)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path, pool)
+        if not case.startswith("pool_"):  # these fit some other pool
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(path)
+
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{ not json")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def test_pool_mismatch_rejected(self, tmp_path):
         pool = make_pool({"a": 4}, dim=6)
@@ -266,6 +341,6 @@ class TestCheckpoints:
         pool = make_pool({"a": 2}, dim=4)
         params = init_params("teacher", 3, pool, 2, seed=0).freeze()
         with pytest.raises(ValueError):
-            params.classifier_weight[0, 0] = 1.0
+            params.arrays["classifier.weight"][0, 0] = 1.0
         with pytest.raises(ValueError):
             ModelBinding(params, Tape())

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ class TestGeneratorConfig:
 
     def test_round_trip_dict(self):
         cfg = small_config()
-        assert GeneratorConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert GeneratorConfig(**asdict(cfg)) == cfg
 
 
 class TestGenerate:

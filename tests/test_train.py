@@ -43,10 +43,10 @@ class TestAdamW:
     def test_first_step_is_signed_lr(self):
         params = self._params()
         state = OptimizerState.for_params(params, weight_decay=0.0)
-        g = np.ones_like(params.classifier_weight) * 0.37
-        before = params.classifier_weight.copy()
+        g = np.ones_like(params.arrays["classifier.weight"]) * 0.37
+        before = params.arrays["classifier.weight"].copy()
         adamw_step(params, {"classifier.weight": g}, state, lr_t=0.01)
-        moved = params.classifier_weight - before
+        moved = params.arrays["classifier.weight"] - before
         # bias-corrected first step: -lr * g / (|g| + eps) == -lr * sign(g)
         np.testing.assert_allclose(moved, -0.01 * np.sign(g), rtol=1e-6)
 
@@ -54,9 +54,9 @@ class TestAdamW:
         params = self._params()
         lam, lr = 0.1, 0.05
         state = OptimizerState.for_params(params, weight_decay=lam)
-        before = params.classifier_weight.copy()
+        before = params.arrays["classifier.weight"].copy()
         adamw_step(params, {}, state, lr_t=lr)
-        np.testing.assert_allclose(params.classifier_weight, before * (1 - lr * lam), atol=1e-15)
+        np.testing.assert_allclose(params.arrays["classifier.weight"], before * (1 - lr * lam), atol=1e-15)
 
     def test_frozen_rejected(self):
         params = self._params().freeze()
