@@ -8,6 +8,15 @@ is the part of its id before the first "." (``DR.concept3`` is a DR concept).
 The pool also holds ``embeddings_t``, the transposed matrix as a constant
 autodiff operand, built once so a similarity product does not copy it.
 
+``basis`` is the N x k matrix Q of the reduced QR factorization
+``embeddings = Q R``, k = min(N, dim), with orthonormal columns and
+read-only data. A similarity row is ``E u`` for an embedding ``u``, so it
+lies in the column span of Q: for rows S, ``S Q Q^T = S``. Mapping rows to
+their coordinates ``S Q`` therefore keeps every inner product, class mean
+and squared distance between rows, in k columns instead of N. The losses
+that use rows only through those quantities (GPD and LCD) are trained on
+these coordinates.
+
 ``select_by_similarity`` keeps the k concepts per class that are closest on
 average to a set of image embeddings; the experiment does not call it yet.
 """
@@ -38,6 +47,8 @@ class ConceptPool:
         # C-contiguous, so products equal those against embeddings.T.copy() bit for bit
         self.embeddings_t = Matrix(np.ascontiguousarray(self.embedding_matrix().T))
         self.embeddings_t.data.flags.writeable = False
+        self.basis = Matrix(np.linalg.qr(self.embeddings)[0])
+        self.basis.data.flags.writeable = False
 
     @property
     def dim(self) -> int:

@@ -4,10 +4,18 @@ Two cross-modal signals drive the student: a prototype loss (GPD) that
 aligns per-class mean similarity rows between modalities, and a contrastive
 loss (LCD) that pulls each student row toward same-class rows from either
 modality. Teacher rows always enter as constants; gradients flow only
-through the student's tape. GPD is composed from tape operations; LCD builds
-its positive-pair mask and anchor weights here and hands them to one
-autodiff operation, ``autodiff.supcon_loss``, which works in log space and
-has a hand-written gradient. That operation takes one pass of exponentials
+through the student's tape.
+
+Both losses see rows only through inner products, class means and squared
+distances, so they accept any rows of a common width. Training passes
+coordinates on the pool's orthonormal ``basis`` (``rows @ pool.basis``, see
+``concepts``): 16 columns instead of 90 for the generator's default pool,
+with the same loss values up to rounding.
+
+GPD is composed from tape operations; LCD builds its positive-pair mask
+and anchor weights here and hands them to one autodiff operation,
+``autodiff.supcon_loss``, which works in log space and has a hand-written
+gradient. That operation takes one pass of exponentials
 per call. When an anchor's most similar candidate is itself a positive (on
 real batches, nearly every anchor), its denominator is the shifted row sum
 with that candidate's column zeroed, summed directly rather than subtracted

@@ -50,18 +50,13 @@ def confusion_counts(predicted, actual, num_classes: int) -> ConfusionCounts:
     for name, v in (("predicted", predicted), ("actual", actual)):
         if v.min() < 0 or v.max() >= num_classes:
             raise ValueError(f"{name} labels outside [0, {num_classes})")
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    tn = np.zeros(num_classes, dtype=np.int64)
-    fn = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        pred_c = predicted == c
-        act_c = actual == c
-        tp[c] = np.sum(pred_c & act_c)
-        fp[c] = np.sum(pred_c & ~act_c)
-        fn[c] = np.sum(~pred_c & act_c)
-        tn[c] = np.sum(~pred_c & ~act_c)
-    return ConfusionCounts(tp, fp, tn, fn)
+    # confusion matrix, rows actual and columns predicted
+    matrix = np.bincount(actual * num_classes + predicted, minlength=num_classes ** 2)
+    matrix = matrix.reshape(num_classes, num_classes)
+    tp = np.diagonal(matrix).copy()
+    fp = matrix.sum(axis=0) - tp
+    fn = matrix.sum(axis=1) - tp
+    return ConfusionCounts(tp, fp, predicted.size - tp - fp - fn, fn)
 
 
 def _ratio(num, den):

@@ -1,11 +1,12 @@
 """Concept-decoupled classifier for one modality.
 
 Features pass through a small trainable projection (optionally with tanh
-hidden layers), get L2-normalized, and are scored against the frozen
-concept embeddings by cosine similarity. A linear concept classifier maps
-the similarity row to class logits. The training loss is cross-entropy taken
-from the logits in one autodiff op; the predicted probabilities are a softmax
-of the logits' values, off the tape. The classifier stays linear so each
+hidden layers) and are scored against the frozen concept embeddings by
+cosine similarity, the one place the projected rows are L2-normalized. A
+linear concept classifier maps the similarity row to class logits. The
+training loss is cross-entropy taken from the logits in one autodiff op;
+the predicted probabilities are a softmax of the logits' values, off the
+tape. The classifier stays linear so each
 (concept, class) weight remains readable as a direct contribution.
 
 A model's parameters are one name -> array mapping, ``ModelParams.arrays``,
@@ -134,7 +135,7 @@ class Prediction:
 
 
 def encode(model, features) -> Matrix:
-    """Project raw features to unit-norm embedding rows."""
+    """Project raw features to embedding rows, not normalized: ``concept_similarity`` does that."""
     params, mats = _arrays_of(model)
     x = ad.as_matrix(features)
     if x.cols != params.feature_dim:
@@ -146,7 +147,7 @@ def encode(model, features) -> Matrix:
         x = ad.add(ad.matmul(x, mats[f"encoder.{i}.weight"]), mats[f"encoder.{i}.bias"])
         if i < n_layers - 1:
             x = ad.tanh(x)
-    return ad.l2_normalize_rows(x)
+    return x
 
 
 def concept_similarity(embeddings, pool: ConceptPool) -> Matrix:

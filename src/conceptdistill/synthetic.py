@@ -244,7 +244,12 @@ def read_dataset(directory) -> SyntheticDataset:
         if not path.exists():
             raise FileNotFoundError(f"missing dataset file: {path}")
     with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
+        try:
+            meta = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{meta_path}: not valid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     missing = [key for key in ("config", "teacher_dominant") if key not in meta]
     if missing:
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")

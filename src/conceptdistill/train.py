@@ -3,13 +3,15 @@
 ``pretrain_teacher`` and ``train_student`` both call ``_fit``: seeded
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
-frozen teacher when their weights are non-zero. The teacher's similarity
-rows for its whole train split are computed once per run and indexed per
-batch; its parameter hash is checked after every epoch. The teacher keeps
-its last epoch; the student keeps the epoch with the best validation macro
-P-R F1. Each step record carries the loss terms, the learning rate, the
-number of classes GPD compared and the number of anchors LCD skipped (null
-when the term is off).
+frozen teacher when their weights are non-zero. Both losses take
+similarity rows as coordinates on the concept pool's orthonormal ``basis``
+(see ``concepts``), which keep every inner product and distance between
+rows in fewer columns. The teacher's coordinates for its whole train split
+are computed once per run and indexed per batch; its parameter hash is
+checked after every epoch. The teacher keeps its last epoch; the student
+keeps the epoch with the best validation macro P-R F1. Each step record
+carries the loss terms, the learning rate, the number of classes GPD
+compared and the number of anchors LCD skipped (null when the term is off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -28,10 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Matrix, Tape, backward
+from .autodiff import Matrix, Tape, backward, matmul
 from .concepts import ConceptPool
 from .losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
-from .metrics import macro_report
+from .metrics import confusion_counts, per_class_metrics
 from .model import ModelBinding, ModelParams, cross_entropy, forward, init_params
 from .synthetic import SyntheticDataset
 
@@ -177,11 +179,10 @@ class JsonlLogger:
 
 def evaluate_macro_pr_f1(params: ModelParams, pool: ConceptPool,
                          features: np.ndarray, labels: np.ndarray) -> float:
+    """Macro P-R F1 on one split; equals ``macro_report(...).macro["pr_f1"]``."""
     _, pred = forward(params, features, pool)
-    report = macro_report(
-        pred.probabilities.data, pred.predicted_class, labels, params.num_classes
-    )
-    return report.macro["pr_f1"]
+    counts = confusion_counts(pred.predicted_class, labels, params.num_classes)
+    return float(np.mean(per_class_metrics(counts)["pr_f1"]))
 
 
 def pretrain_teacher(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool,
@@ -215,7 +216,11 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     Each step minimises cross-entropy. With a teacher and a non-zero alpha or
     beta it also draws an independent teacher batch, whose rows come from one
     teacher forward over the whole split made before the first step, and
-    adds the GPD and LCD terms through ``total_loss``; otherwise the teacher
+    adds the GPD and LCD terms through ``total_loss``. Both terms take the
+    student's and the teacher's rows times ``pool.basis``: k coordinates per
+    row instead of N similarities, with the same inner products, class means
+    and distances, so each loss is the same function of the parameters up to
+    rounding. Without a teacher or with both weights zero the teacher
     path is skipped entirely, which makes alpha == beta == 0 bit-identical
     to the plain baseline by construction. ``keep_best`` returns the epoch
     snapshot with the best validation macro P-R F1; without it, or without a
@@ -232,8 +237,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     if teacher is not None and (cfg_d.alpha > 0 or cfg_d.beta > 0):
         xt, yt = dataset.split_arrays("teacher", "train")
         teacher_stream = EpochStream(len(yt), config.seed, "teacher")
-        # the teacher is frozen, so its rows are computed once and indexed per batch
-        teacher_rows = forward(teacher, xt, pool)[0].data
+        # the teacher is frozen, so its coordinates are computed once and indexed per batch
+        teacher_coords = forward(teacher, xt, pool)[0].data @ pool.basis.data
     teacher_hash = teacher.params_hash() if teacher is not None else None
     steps_per_epoch = max(1, len(y) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -258,16 +263,18 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                 loss = cls
                 if teacher_stream is not None:
                     t_idx = teacher_stream.batch(step, config.batch_size)
-                    t_sims = Matrix(teacher_rows[t_idx])
+                    t_coords = Matrix(teacher_coords[t_idx])
+                    coords = matmul(sims, pool.basis)
                     gpd = lcd = None
                     if cfg_d.alpha > 0:
-                        t_protos = class_prototypes(t_sims, yt[t_idx], num_classes)
-                        s_protos = class_prototypes(sims, y[idx], num_classes)
+                        t_protos = class_prototypes(t_coords, yt[t_idx], num_classes)
+                        s_protos = class_prototypes(coords, y[idx], num_classes)
                         gpd = gpd_loss(t_protos, s_protos)
                         gpd_v = gpd.item()
                         gpd_shared = int((t_protos.present & s_protos.present).sum())
                     if cfg_d.beta > 0:
-                        lcd, lcd_skipped = lcd_loss(sims, y[idx], t_sims, yt[t_idx], cfg_d.tau)
+                        lcd, lcd_skipped = lcd_loss(coords, y[idx], t_coords, yt[t_idx],
+                                                    cfg_d.tau)
                         lcd_v = lcd.item()
                     loss = total_loss(cls, gpd, lcd, cfg_d)
                 total_v = loss.item()

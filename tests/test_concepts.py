@@ -81,6 +81,42 @@ class TestLoadPool:
         assert pool_0.fingerprint() != pool_1.fingerprint()
 
 
+def basis_pools() -> dict[str, ConceptPool]:
+    """Pools with fewer concepts than dims, more, and two equal embedding rows."""
+    twin = make_pool({"a": 12}, dim=8, seed=4).embeddings.copy()
+    twin[5] = twin[2]
+    return {
+        "n_below_dim": make_pool({"a": 3, "b": 4}, dim=16, seed=1),
+        "n_above_dim": make_pool({"a": 20, "b": 20}, dim=16, seed=2),
+        "equal_rows": ConceptPool([f"a.concept{i}" for i in range(12)], twin),
+    }
+
+
+class TestBasis:
+    """``pool.basis``: orthonormal coordinates that keep similarity-row geometry."""
+
+    @pytest.mark.parametrize("name", basis_pools())
+    def test_orthonormal_and_read_only(self, name):
+        pool = basis_pools()[name]
+        q = pool.basis.data
+        assert q.shape == (len(pool), min(len(pool), pool.dim))
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
+        assert not pool.basis.tracked
+        with pytest.raises(ValueError):
+            q[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", basis_pools())
+    def test_coordinates_keep_inner_products(self, name):
+        pool = basis_pools()[name]
+        u = np.random.default_rng(7).standard_normal((30, pool.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        sims = u @ pool.embeddings.T
+        coords = sims @ pool.basis.data
+        assert np.abs(coords @ coords.T - sims @ sims.T).max() <= 1e-13
+        # every row lies in the basis span
+        assert np.abs(coords @ pool.basis.data.T - sims).max() <= 1e-13
+
+
 class TestSelectBySimilarity:
     def test_image_equal_to_concept_ranks_first(self):
         pool = make_pool({"a": 8}, dim=8)

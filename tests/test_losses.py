@@ -15,6 +15,8 @@ from conceptdistill.losses import (
     total_loss,
 )
 
+from test_concepts import basis_pools
+
 
 # ---------------------------------------------------------------------------
 # Independent oracles: direct loops over the loss definitions.
@@ -435,3 +437,48 @@ class TestGpdGradient:
         analytic = backward(tape, loss)[leaf.slot]
         fd = finite_diff_grad(lambda m: run(m.data)[2].item(), Matrix(x0)).data
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-4
+
+
+class TestPoolCoordinates:
+    """GPD and LCD on ``rows @ pool.basis`` equal their values on the rows themselves."""
+
+    REL = 1e-12
+    STUDENT_LABELS = np.arange(24) % 4
+    TEACHER_LABELS = np.arange(20) % 5
+
+    @staticmethod
+    def rows(pool, n, seed):
+        u = np.random.default_rng(seed).standard_normal((n, pool.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        return u @ pool.embeddings.T
+
+    def check(self, pool, loss_of, seed):
+        """Loss and student adjoint on rows vs on coordinates mapped back through Q^T."""
+        q = pool.basis.data
+        s, t = self.rows(pool, 24, seed), self.rows(pool, 20, seed + 1)
+        results = []
+        for student, teacher in ((s, t), (s @ q, t @ q)):
+            tape = Tape()
+            leaf = tape.leaf(student)
+            loss = loss_of(leaf, Matrix(teacher))
+            results.append((loss.item(), backward(tape, loss)[leaf.slot]))
+        (want, grad_rows), (got, grad_coords) = results
+        assert got == pytest.approx(want, rel=self.REL)
+        back = grad_coords @ q.T
+        assert np.linalg.norm(back - grad_rows) <= self.REL * np.linalg.norm(grad_rows)
+
+    @pytest.mark.parametrize("name", basis_pools())
+    @pytest.mark.parametrize("tau", [10.0, 0.5])
+    def test_lcd(self, name, tau):
+        def loss_of(s, t):
+            return lcd_loss(s, self.STUDENT_LABELS, t, self.TEACHER_LABELS, tau)[0]
+
+        self.check(basis_pools()[name], loss_of, seed=11)
+
+    @pytest.mark.parametrize("name", basis_pools())
+    def test_gpd(self, name):
+        def loss_of(s, t):
+            return gpd_loss(class_prototypes(t, self.TEACHER_LABELS, 6),
+                            class_prototypes(s, self.STUDENT_LABELS, 6))
+
+        self.check(basis_pools()[name], loss_of, seed=13)

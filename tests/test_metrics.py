@@ -89,6 +89,19 @@ class TestConfusionCounts:
         np.testing.assert_array_equal(c.tp + c.fp + c.tn + c.fn, 50)
 
 
+    def test_matches_masked_counts(self):
+        # classes 4 and 5 never predicted, class 2 never actual
+        rng = np.random.default_rng(8)
+        pred = rng.integers(0, 4, 200)
+        act = rng.choice([0, 1, 3, 4, 5], 200)
+        c = confusion_counts(pred, act, 6)
+        for k in range(6):
+            p, a = pred == k, act == k
+            assert (c.tp[k], c.fp[k], c.tn[k], c.fn[k]) == (
+                np.sum(p & a), np.sum(p & ~a), np.sum(~p & ~a), np.sum(~p & a))
+        assert c.tp.dtype == np.int64 and c.tn.dtype == np.int64
+
+
 class TestPerClassMetrics:
     def test_balanced_example(self):
         c = ConfusionCounts(*(np.array([v]) for v in (40, 10, 40, 10)))

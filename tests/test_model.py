@@ -49,13 +49,19 @@ class TestEncode:
         params.arrays["encoder.0.weight"][:] = np.array([[0.5, -0.2], [0.1, 0.4], [-0.3, 0.2]])
         params.arrays["encoder.0.bias"][:] = np.array([[0.05, -0.05]])
         feats = np.array([[0.2, -1.0, 0.5], [1.5, 0.3, -0.7]])
-        out = encode(params, feats).data
-        # computed once with this module and pinned
+        out = encode(params, feats)
+        # computed once with this module and pinned; features @ weight + bias
         expected = np.array([
+            [-0.09999999999999999, -0.39000000000000007],
+            [1.04, -0.37000000000000005],
+        ])
+        np.testing.assert_allclose(out.data, expected, atol=1e-15)
+        # the unit rows concept_similarity scores
+        unit = np.array([
             [-0.24837535026770377, -0.968663866044045],
             [0.9421511282491905, -0.33518838216557745],
         ])
-        np.testing.assert_allclose(out, expected, atol=1e-15)
+        np.testing.assert_allclose(ad.l2_normalize_rows(out).data, unit, atol=1e-15)
 
     def test_dimension_mismatch(self):
         pool, params = simple_params(feature_dim=3)

@@ -174,6 +174,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=rf"meta\.json: missing {key}"):
             read_dataset(directory)
 
+    @pytest.mark.parametrize("text, message", [
+        ("{", r"meta\.json: not valid JSON"),
+        ("[]", r"meta\.json: expected a JSON object, got list"),
+    ], ids=["truncated", "list"])
+    def test_meta_not_an_object_rejected(self, tmp_path, text, message):
+        _, directory = written(tmp_path)
+        (directory / "meta.json").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_dataset(directory)
+
     def test_meta_unknown_config_key_rejected(self, tmp_path):
         _, directory = written(tmp_path)
         rewrite_meta(directory, lambda meta: meta["config"].update(mixing_rank=4))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conceptdistill import train as train_module
+from conceptdistill.autodiff import Matrix
 from conceptdistill.losses import DistillConfig
 from conceptdistill.metrics import macro_report
-from conceptdistill.model import forward, init_params
+from conceptdistill.model import Prediction, forward, init_params
 from conceptdistill.synthetic import GeneratorConfig, generate
 from conceptdistill.train import (
     EpochStream,
@@ -287,8 +288,9 @@ class TestFrozenTeacherRows:
         for step, (rows, labels) in enumerate(seen):
             idx = stream.batch(step, config.batch_size)
             np.testing.assert_array_equal(labels, yt[idx])
-            want, _ = forward(teacher, xt[idx], pool)
-            assert np.abs(rows - want.data).max() <= self.TOL
+            # LCD receives the teacher's rows as coordinates on the pool basis
+            want = forward(teacher, xt[idx], pool)[0].data @ pool.basis.data
+            assert np.abs(rows - want).max() <= self.TOL
 
 
 class TestValidationSelection:
@@ -309,6 +311,20 @@ class TestValidationSelection:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_score_equals_macro_report(self, seed, monkeypatch):
+        # random predictions; class 7 never predicted, class 2 never actual
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((60, 9))
+        logits[:, 7] = -50.0
+        labels = rng.choice([0, 1, 3, 4, 5, 6, 7, 8], 60)
+        pred = Prediction(Matrix(logits))
+        monkeypatch.setattr(train_module, "forward", lambda *args: (None, pred))
+        params = init_params("student", 4, make_pool({"a": 3}, dim=4), 9, seed=0)
+        score = evaluate_macro_pr_f1(params, None, np.zeros((60, 4)), labels)
+        report = macro_report(pred.probabilities.data, pred.predicted_class, labels, 9)
+        assert score == report.macro["pr_f1"]
+
     def test_macro_report_shapes(self):
         ds, pool = tiny_dataset()
         student = train_student(quick_train_config(epochs=1), ds, pool)
