@@ -27,6 +27,7 @@ logit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class DistillConfig:
     tau: float = 10.0  # contrastive temperature
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0 or self.beta < 0:

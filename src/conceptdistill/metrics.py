@@ -5,11 +5,13 @@ recall, specificity, precision-recall F1, sensitivity-specificity F1,
 accuracy, kappa, and average precision. Macro values are unweighted means
 over classes. Division conventions: 0/0 yields 0 everywhere except
 specificity, which yields 1 when there are no actual negatives.
+
+``macro_report`` returns the values as plain float dicts, per class and
+macro; the report has no text or JSON form of its own.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,38 +138,7 @@ class MetricsReport:
     class_names: list[str]
     per_class: dict[str, dict[str, float]]
     macro: dict[str, float]
-    counts: dict[str, dict[str, int]]
     skipped_classes: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_class": {
-                name: {**self.per_class[name], "counts": self.counts[name]}
-                for name in self.class_names
-            },
-            "macro": self.macro,
-            "skipped_classes": self.skipped_classes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    def render_table(self) -> str:
-        """Class-per-column text table with a trailing macro-average column."""
-        headers = ["metric"] + self.class_names + ["Average"]
-        rows = []
-        for metric in METRIC_NAMES:
-            cells = [f"{100.0 * self.per_class[name][metric]:.2f}" for name in self.class_names]
-            cells.append(f"{100.0 * self.macro[metric]:.2f}")
-            rows.append([metric] + cells)
-        widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for r in rows:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-        return "\n".join(lines)
 
 
 def macro_report(probabilities, predicted, actual, num_classes: int,
@@ -178,21 +149,13 @@ def macro_report(probabilities, predicted, actual, num_classes: int,
         class_names = [f"class_{c}" for c in range(num_classes)]
     if len(class_names) != num_classes:
         raise ValueError("class_names length must equal num_classes")
-    counts = confusion_counts(predicted, actual, num_classes)
-    rates = per_class_metrics(counts)
+    rates = per_class_metrics(confusion_counts(predicted, actual, num_classes))
     aps, skipped = per_class_average_precision(probabilities, actual)
 
     per_class: dict[str, dict[str, float]] = {}
-    count_dict: dict[str, dict[str, int]] = {}
     for c, name in enumerate(class_names):
         per_class[name] = {m: float(rates[m][c]) for m in rates}
         per_class[name]["average_precision"] = float(aps.get(c, 0.0))
-        count_dict[name] = {
-            "tp": int(counts.tp[c]),
-            "fp": int(counts.fp[c]),
-            "tn": int(counts.tn[c]),
-            "fn": int(counts.fn[c]),
-        }
     macro = {
         m: float(np.mean([per_class[name][m] for name in class_names]))
         for m in METRIC_NAMES
@@ -204,6 +167,5 @@ def macro_report(probabilities, predicted, actual, num_classes: int,
         class_names=list(class_names),
         per_class=per_class,
         macro=macro,
-        counts=count_dict,
         skipped_classes=[class_names[c] for c in skipped],
     )

@@ -169,10 +169,9 @@ def predict(similarity, model) -> Prediction:
     return Prediction(logits)
 
 
-def cross_entropy(pred, labels) -> Matrix:
-    """Mean negative log-probability of the true class, from a prediction or its logits."""
-    logits = pred.logits if isinstance(pred, Prediction) else pred
-    return ad.softmax_cross_entropy(logits, labels)
+def cross_entropy(pred: Prediction, labels) -> Matrix:
+    """Mean negative log-probability of the true class, from the prediction's logits."""
+    return ad.softmax_cross_entropy(pred.logits, labels)
 
 
 def forward(model, features, pool: ConceptPool):

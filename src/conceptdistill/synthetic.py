@@ -7,6 +7,9 @@ only, so the teacher stream carries signal the student sees faintly. The
 attenuation is 0.1 rather than 0: the student must retain a weak correlate
 of every concept or no amount of guidance could transfer it.
 
+The class count is not a setting of its own: ``GeneratorConfig.num_classes``
+is ``len(class_names)``, and every ``counts`` list must have that length.
+
 In memory a dataset is columnar: one (features, labels) array pair per
 (modality, split), rows in generation order. On disk it is a directory of
 two files. ``meta.json`` holds the config and ``teacher_dominant``.
@@ -17,8 +20,10 @@ the ground-truth matrices ``class_profiles``, ``mixing_student`` and
 ``mixing_teacher``. Rows are positional: a split's row i is its i-th
 generated row.
 
-Reading rejects a ``meta.json`` without ``config`` or ``teacher_dominant``
-or with an unknown config key, naming the file. It loads the arrays with
+Reading rejects, naming ``meta.json``: a missing ``config`` or
+``teacher_dominant``, a config that is not an object, has an unknown key or
+a value the config refuses, and a ``teacher_dominant`` that is not a list
+of integer lists. It loads the arrays with
 ``allow_pickle=False`` and rejects, naming the file and the (modality,
 split): a missing file, an unreadable or truncated ``.npz``, a missing
 array or one of the wrong dtype or rank, a feature width other than
@@ -30,6 +35,7 @@ that differ from the config's ``counts``.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -62,7 +68,6 @@ DEFAULT_COUNTS = {
 
 @dataclass
 class GeneratorConfig:
-    num_classes: int = 9
     concepts_per_class: int = 10
     feature_dim: int = 32
     embed_dim: int = 16
@@ -73,22 +78,28 @@ class GeneratorConfig:
     class_names: list[str] = field(default_factory=lambda: list(DEFAULT_CLASS_NAMES))
     counts: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COUNTS)))
 
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_names)
+
     def __post_init__(self):
+        for name in ("attenuation", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+            raise ValueError("need at least 2 class names")
         if self.concepts_per_class < 1:
             raise ValueError("concepts_per_class must be >= 1")
         if not 0.0 <= self.teacher_dominance <= 1.0:
             raise ValueError("teacher_dominance must lie in [0, 1]")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if len(self.class_names) != self.num_classes:
-            raise ValueError(
-                f"{len(self.class_names)} class names for {self.num_classes} classes"
-            )
         for modality in MODALITIES:
             for split in SPLITS:
-                counts = self.counts[modality][split]
+                try:
+                    counts = self.counts[modality][split]
+                except (KeyError, TypeError) as e:
+                    raise ValueError(f"counts has no [{modality}][{split}] entry") from e
                 if len(counts) != self.num_classes:
                     raise ValueError(f"counts[{modality}][{split}] must list every class")
                 if any(c < 0 for c in counts):
@@ -253,18 +264,28 @@ def read_dataset(directory) -> SyntheticDataset:
     missing = [key for key in ("config", "teacher_dominant") if key not in meta]
     if missing:
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(GeneratorConfig)})
+    config, dominant = meta["config"], meta["teacher_dominant"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{meta_path}: config must be an object, got {type(config).__name__}")
+    unknown = sorted(set(config) - {f.name for f in fields(GeneratorConfig)})
     if unknown:
         raise ValueError(f"{meta_path}: unknown config keys {', '.join(unknown)}")
-    cfg = GeneratorConfig(**meta["config"])
     try:
-        with np.load(arrays_path, allow_pickle=False) as npz:
+        cfg = GeneratorConfig(**config)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{meta_path}: invalid config: {e}") from e
+    if not (isinstance(dominant, list) and all(
+            isinstance(row, list) and all(type(i) is int for i in row) for row in dominant)):
+        raise ValueError(f"{meta_path}: teacher_dominant must be a list of integer lists")
+    try:
+        # np.load does not close a handle it opened when the zip is rejected
+        with open(arrays_path, "rb") as f, np.load(f, allow_pickle=False) as npz:
             columns = {key: npz[key] for key in npz.files}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
         raise ValueError(f"{arrays_path}: unreadable array file: {e}") from e
 
     ground_truth = GroundTruth(
-        teacher_dominant=[[int(i) for i in row] for row in meta["teacher_dominant"]],
+        teacher_dominant=dominant,
         **{name: _column(columns, name, np.float64, 2, f"{arrays_path} (ground truth)")
            for name in _GROUND_TRUTH_ARRAYS},
     )

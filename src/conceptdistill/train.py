@@ -51,12 +51,13 @@ class TrainConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if isinstance(self.distill, dict):
-            self.distill = DistillConfig(**self.distill)
         self.encoder_hidden = tuple(self.encoder_hidden)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conceptdistill.concepts import ConceptPool, select_by_similarity
+from conceptdistill.concepts import ConceptPool
 from conceptdistill.synthetic import GeneratorConfig, generate
 
 
@@ -9,11 +9,6 @@ def make_pool(per_class: dict[str, int], dim: int = 16, seed: int = 0) -> Concep
     ids = [f"{hint}.concept{j}" for hint, n in per_class.items() for j in range(n)]
     emb = np.random.default_rng(seed).standard_normal((len(ids), dim))
     return ConceptPool(ids, [v / np.linalg.norm(v) for v in emb])
-
-
-def axis_pool(rows: list[int], dim: int = 4, hint: str = "a") -> ConceptPool:
-    """Concepts on coordinate axes; rows[i] names the axis of concept i."""
-    return ConceptPool([f"{hint}.concept{i}" for i in range(len(rows))], np.eye(dim)[rows])
 
 
 class TestLoadPool:
@@ -116,40 +111,3 @@ class TestBasis:
         # every row lies in the basis span
         assert np.abs(coords @ pool.basis.data.T - sims).max() <= 1e-13
 
-
-class TestSelectBySimilarity:
-    def test_image_equal_to_concept_ranks_first(self):
-        pool = make_pool({"a": 8}, dim=8)
-        target = pool.embeddings[5]
-        out = select_by_similarity(pool, 1, target.reshape(1, -1))
-        assert out.ids == ("a.concept5",)
-
-    def test_empty_image_set_rejected(self):
-        pool = make_pool({"a": 3})
-        with pytest.raises(ValueError, match="non-empty"):
-            select_by_similarity(pool, 1, np.zeros((0, 16)))
-
-    def test_dimension_mismatch(self):
-        pool = make_pool({"a": 3}, dim=16)
-        with pytest.raises(ValueError, match="dim"):
-            select_by_similarity(pool, 1, np.ones((2, 8)))
-
-    def test_ranked_means(self):
-        # concepts on axes 0,1,2; one image with controlled weights
-        pool = axis_pool([0, 1, 2], dim=3)
-        images = np.array([
-            [0.9, 0.5, 0.1],
-        ])
-        out = select_by_similarity(pool, 2, images)
-        assert out.ids == ("a.concept0", "a.concept1")
-
-    def test_k_per_class_in_pool_order(self):
-        pool = make_pool({"x": 7, "y": 7, "z": 7}, dim=8, seed=2)
-        images = np.random.default_rng(0).standard_normal((5, 8))
-        out = select_by_similarity(pool, 3, images)
-        assert [cid.split(".")[0] for cid in out.ids] == ["x"] * 3 + ["y"] * 3 + ["z"] * 3
-        rows = [pool.ids.index(cid) for cid in out.ids]
-        assert rows == sorted(rows)
-        np.testing.assert_array_equal(out.embeddings, pool.embeddings[rows])
-        with pytest.raises(ValueError, match="need 8"):
-            select_by_similarity(pool, 8, images)

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptdistill.metrics import (
+    METRIC_NAMES,
     ConfusionCounts,
     average_precision,
     confusion_counts,
@@ -265,10 +265,7 @@ class TestMacroReport:
         actual = rng.integers(0, 9, 90)
         probs = rng.dirichlet(np.ones(9), size=90)
         report = macro_report(probs, probs.argmax(axis=1), actual, 9, class_names=names)
-        table = report.render_table()
-        for name in names + ["Average"]:
-            assert name in table
-        payload = json.loads(report.to_json())
-        assert set(payload) == {"per_class", "macro", "skipped_classes"}
-        assert set(payload["per_class"]) == set(names)
-        assert "counts" in payload["per_class"]["CSC"]
+        assert report.class_names == names
+        assert list(report.per_class) == names
+        assert all(set(row) == set(METRIC_NAMES) for row in report.per_class.values())
+        assert set(report.macro) == set(METRIC_NAMES)

@@ -10,6 +10,7 @@ from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
     ModelBinding,
     ModelParams,
+    Prediction,
     concept_similarity,
     cross_entropy,
     encode,
@@ -172,35 +173,35 @@ class TestPredict:
 class TestCrossEntropy:
     # inputs are logits; log(p) gives probabilities p, and -50 stands in for p = 0
     def test_probability_one_gives_zero(self):
-        logits = Matrix([[0.0, -50.0]])
-        assert cross_entropy(logits, [0]).item() == pytest.approx(0.0, abs=1e-10)
+        pred = Prediction(Matrix([[0.0, -50.0]]))
+        assert cross_entropy(pred, [0]).item() == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_two_classes(self):
-        logits = Matrix(np.log([[0.5, 0.5]]))
-        assert cross_entropy(logits, [0]).item() == pytest.approx(np.log(2))
+        pred = Prediction(Matrix(np.log([[0.5, 0.5]])))
+        assert cross_entropy(pred, [0]).item() == pytest.approx(np.log(2))
 
     def test_hand_computed_batch(self):
-        logits = Matrix(np.log([[0.7, 0.3], [0.4, 0.6]]))
+        pred = Prediction(Matrix(np.log([[0.7, 0.3], [0.4, 0.6]])))
         want = -(np.log(0.7) + np.log(0.6)) / 2.0
-        assert cross_entropy(logits, [0, 1]).item() == pytest.approx(want)
+        assert cross_entropy(pred, [0, 1]).item() == pytest.approx(want)
         assert want == pytest.approx(0.4338, abs=5e-5)
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError):
-            cross_entropy(Matrix(np.log([[0.5, 0.5]])), [2])
+            cross_entropy(Prediction(Matrix(np.log([[0.5, 0.5]]))), [2])
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.dirichlet(np.ones(3), size=4)
             labels = rng.integers(0, 3, 4)
-            assert cross_entropy(Matrix(np.log(p)), labels).item() >= 0.0
+            assert cross_entropy(Prediction(Matrix(np.log(p))), labels).item() >= 0.0
 
     def test_confidently_wrong_row_keeps_gradient(self):
         # the true class's probability underflows to 0; the row must still learn
         tape = Tape()
         logits = tape.leaf([[1000.0, 0.0]])
-        loss = cross_entropy(logits, [1])
+        loss = cross_entropy(Prediction(logits), [1])
         assert loss.item() == pytest.approx(1000.0)
         np.testing.assert_allclose(backward(tape, loss)[logits.slot], [[1.0, -1.0]])
 

@@ -17,7 +17,6 @@ from conceptdistill.synthetic import (
 
 def small_config(**overrides) -> GeneratorConfig:
     base = dict(
-        num_classes=3,
         concepts_per_class=4,
         feature_dim=8,
         embed_dim=6,
@@ -38,20 +37,23 @@ class TestGeneratorConfig:
     def test_default_shape(self):
         cfg = GeneratorConfig()
         assert cfg.num_classes == 9
+        assert "num_classes" not in asdict(cfg)  # derived from class_names, not stored
         assert cfg.class_names == DEFAULT_CLASS_NAMES
         assert sum(cfg.counts["student"]["train"]) > 1000
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            small_config(num_classes=1, class_names=["a"],
+        with pytest.raises(ValueError, match="at least 2 class names"):
+            small_config(class_names=["a"],
                          counts={"student": {"train": [1], "val": [1], "test": [1]},
                                  "teacher": {"train": [1], "val": [1], "test": [1]}})
         with pytest.raises(ValueError):
             small_config(teacher_dominance=1.5)
         with pytest.raises(ValueError):
             small_config(noise_sigma=-0.1)
-        with pytest.raises(ValueError):
-            small_config(class_names=["a", "b"])
+        counts = small_config().counts
+        counts["teacher"]["val"].pop()
+        with pytest.raises(ValueError, match=r"counts\[teacher\]\[val\] must list every class"):
+            small_config(counts=counts)
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -188,6 +190,22 @@ class TestRoundTrip:
         _, directory = written(tmp_path)
         rewrite_meta(directory, lambda meta: meta["config"].update(mixing_rank=4))
         with pytest.raises(ValueError, match=r"meta\.json: unknown config keys mixing_rank"):
+            read_dataset(directory)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.update(config=5), "config must be an object, got int"),
+        (lambda meta: meta["config"]["counts"].pop("teacher"),
+         r"invalid config: counts has no \[teacher\]\[train\] entry"),
+        (lambda meta: meta["config"].update(noise_sigma="0.2"),
+         "invalid config: must be real number, not str"),
+        (lambda meta: meta.update(teacher_dominant=3),
+         "teacher_dominant must be a list of integer lists"),
+    ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
+            "teacher_dominant_not_list"])
+    def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, edit)
+        with pytest.raises(ValueError, match=rf"meta\.json: {message}"):
             read_dataset(directory)
 
     def test_truncated_arrays_rejected(self, tmp_path):

@@ -248,12 +248,23 @@ class TestDistillStudent:
         assert [l.get("step", l.get("epoch")) for l in lines] == [0, 1, 0, 2]
         assert "epoch" in lines[2]
 
-    def test_full_run_determinism(self):
+    def test_full_run_determinism(self, tmp_path):
+        # every distilled student, run twice in one process, repeats its
+        # parameters and its log byte for byte, as the benchmark's repetitions need
         ds, pool = tiny_dataset()
-        teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
-        a = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
-        b = train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
-        assert a.params_hash() == b.params_hash()
+        students = {"gpd": DistillConfig(beta=0.0), "lcd": DistillConfig(alpha=0.0),
+                    "combined": DistillConfig()}
+        for hidden in [(), (4,)]:
+            teacher = pretrain_teacher(
+                quick_train_config(epochs=1, encoder_hidden=hidden), ds, pool)
+            for name, distill in students.items():
+                config = quick_train_config(epochs=2, encoder_hidden=hidden, distill=distill)
+                runs = []
+                for i in range(2):
+                    log = tmp_path / f"{name}-{len(hidden)}-{i}.jsonl"
+                    params = train_student(config, ds, pool, teacher=teacher, log_path=log)
+                    runs.append((params.params_hash(), log.read_bytes()))
+                assert runs[0] == runs[1], (name, hidden)
 
 
 class TestFrozenTeacherRows:
@@ -333,3 +344,20 @@ class TestEvaluate:
         report = macro_report(pred.probabilities.data, pred.predicted_class, y,
                               ds.config.num_classes, class_names=ds.config.class_names)
         assert set(report.per_class) == set(ds.config.class_names)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("make, name", [
+        (DistillConfig, "alpha"),
+        (DistillConfig, "beta"),
+        (DistillConfig, "tau"),
+        (TrainConfig, "learning_rate"),
+        (TrainConfig, "weight_decay"),
+        (small_config, "noise_sigma"),
+        (small_config, "attenuation"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(**{name: value})
