@@ -5,10 +5,11 @@ are recorded on a :class:`Tape` whenever at least one operand is tracked,
 and :func:`backward` replays the record in reverse to accumulate exact
 adjoints. A tape is meant to live for one forward/backward pass.
 
-The operations are ``matmul``, ``add``, ``sub``, ``mul``, ``scale``,
-``tanh``, ``sum_all``, ``l2_normalize_rows`` and ``softmax_rows``, plus two
-losses with hand-written gradients: ``softmax_cross_entropy`` (from logits)
-and ``supcon_loss``. Every one ends in ``_finish``, which rejects a
+The operations are the ones a training step records: ``matmul``, ``add``
+(of an equal-shaped matrix or of one bias row), ``scale``, ``tanh`` and
+``l2_normalize_rows``, plus three losses with hand-written gradients:
+``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
+``mean_sq_row_distance``. Every one ends in ``_finish``, which rejects a
 non-finite result.
 """
 
@@ -132,21 +133,6 @@ def _finish(op: str, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable)
     return tape._record(out, inputs, vjp)
 
 
-def _broadcast_check(op: str, a: Matrix, b: Matrix) -> None:
-    for da, db in zip(a.shape, b.shape):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    out = grad
-    if shape[0] == 1 and out.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
-    return out
-
-
 def matmul(a, b) -> Matrix:
     a, b = as_matrix(a), as_matrix(b)
     if a.cols != b.rows:
@@ -162,37 +148,16 @@ def matmul(a, b) -> Matrix:
 
 
 def add(a, b) -> Matrix:
+    """``a + b`` for ``b`` of ``a``'s shape, or ``b`` one row of ``a``'s width (a bias)."""
     a, b = as_matrix(a), as_matrix(b)
-    _broadcast_check("add", a, b)
-    sa, sb = a.shape, b.shape
+    if b.shape != a.shape and b.shape != (1, a.cols):
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    bias_row = b.rows != a.rows
 
     def vjp(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return g, (g.sum(axis=0, keepdims=True) if bias_row else g)
 
     return _finish("add", a.data + b.data, (a, b), vjp)
-
-
-def sub(a, b) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
-    _broadcast_check("sub", a, b)
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
-
-    return _finish("sub", a.data - b.data, (a, b), vjp)
-
-
-def mul(a, b) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
-    _broadcast_check("mul", a, b)
-    ad, bd = a.data, b.data
-    sa, sb = a.shape, b.shape
-
-    def vjp(g):
-        return _unbroadcast(g * bd, sa), _unbroadcast(g * ad, sb)
-
-    return _finish("mul", ad * bd, (a, b), vjp)
 
 
 def scale(a, c: float) -> Matrix:
@@ -215,16 +180,6 @@ def tanh(a) -> Matrix:
     return _finish("tanh", out, (a,), vjp)
 
 
-def sum_all(a) -> Matrix:
-    a = as_matrix(a)
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, g[0, 0]),)
-
-    return _finish("sum_all", a.data.sum().reshape(1, 1), (a,), vjp)
-
-
 def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
     """Scale each row to unit length; rows with norm <= eps pass through as zero.
 
@@ -243,19 +198,6 @@ def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
         return (live * (g - out * dot) / safe,)
 
     return _finish("l2_normalize_rows", out, (a,), vjp)
-
-
-def softmax_rows(a) -> Matrix:
-    a = as_matrix(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _finish("softmax_rows", out, (a,), vjp)
 
 
 def softmax_cross_entropy(logits, labels) -> Matrix:
@@ -385,6 +327,35 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
         return d_s, (c * (g_st.T @ sd) if t_tracked else None)
 
     return _finish("supcon_loss", np.array([[loss]]), (s, t), vjp)
+
+
+def mean_sq_row_distance(a, b, rows) -> Matrix:
+    """Mean over the listed ``rows`` of ``||a_r - b_r||^2``, the squared row distance.
+
+    ``a`` and ``b`` have one shape, and ``rows`` holds strictly increasing
+    row indices, at least one. The gradient is written out by hand:
+    ``2 (a_r - b_r) / len(rows)`` on the listed rows of ``a``, its negative
+    on those of ``b``, and zero on every other row.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"mean_sq_row_distance: shapes {a.shape} and {b.shape} differ")
+    rows = np.asarray(rows, dtype=np.int64)
+    if (rows.ndim != 1 or rows.size == 0 or rows[0] < 0 or rows[-1] >= a.rows
+            or (rows[1:] <= rows[:-1]).any()):
+        raise ValueError(f"mean_sq_row_distance: rows must be strictly increasing "
+                         f"indices in [0, {a.rows}), at least one")
+    c = 1.0 / len(rows)
+    d = a.data[rows] - b.data[rows]
+    shape, a_tracked, b_tracked = a.shape, a.tracked, b.tracked
+
+    def vjp(g):
+        half = (g[0, 0] * c) * d
+        grad = np.zeros(shape)
+        grad[rows] = half + half
+        return (grad if a_tracked else None), (-grad if b_tracked else None)
+
+    return _finish("mean_sq_row_distance", ((d * d).sum() * c).reshape(1, 1), (a, b), vjp)
 
 
 def backward(tape: Tape, loss: Matrix) -> dict[int, np.ndarray]:

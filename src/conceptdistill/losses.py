@@ -12,17 +12,17 @@ coordinates on the pool's orthonormal ``basis`` (``rows @ pool.basis``, see
 ``concepts``): 16 columns instead of 90 for the generator's default pool,
 with the same loss values up to rounding.
 
-GPD is composed from tape operations; LCD builds its positive-pair mask
-and anchor weights here and hands them to one autodiff operation,
-``autodiff.supcon_loss``, which works in log space and has a hand-written
-gradient. That operation takes one pass of exponentials
-per call. When an anchor's most similar candidate is itself a positive (on
-real batches, nearly every anchor), its denominator is the shifted row sum
-with that candidate's column zeroed, summed directly rather than subtracted
-from the full sum. Only when that sum falls below 1e-290, with every other
-candidate ~668 logits or more below the best one (small ``tau``, long
-rows), are the other candidates summed again, shifted by the second-largest
-logit.
+Each loss is one autodiff operation with a hand-written gradient. GPD
+takes the classes present in both prototype sets and hands their rows to
+``autodiff.mean_sq_row_distance``. LCD builds its positive-pair mask and
+anchor weights here and hands them to ``autodiff.supcon_loss``, which works
+in log space with one pass of exponentials per call. When an anchor's
+most similar candidate is itself a positive (on real batches, nearly every
+anchor), its denominator is the shifted row sum with that candidate's
+column zeroed, summed directly rather than subtracted from the full sum.
+Only when that sum falls below 1e-290, with every other candidate ~668
+logits or more below the best one (small ``tau``, long rows), are the other
+candidates summed again, shifted by the second-largest logit.
 """
 
 from __future__ import annotations
@@ -91,11 +91,7 @@ def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> Matrix:
     common = np.flatnonzero(a.present & b.present)
     if len(common) == 0:
         return Matrix([[0.0]])
-    selector = np.zeros((len(common), a.num_classes))
-    selector[np.arange(len(common)), common] = 1.0
-    sel = Matrix(selector)
-    diff = ad.sub(ad.matmul(sel, a.vectors), ad.matmul(sel, b.vectors))
-    return ad.scale(ad.sum_all(ad.mul(diff, diff)), 1.0 / len(common))
+    return ad.mean_sq_row_distance(a.vectors, b.vectors, common)
 
 
 def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,

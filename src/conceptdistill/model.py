@@ -125,8 +125,10 @@ class Prediction:
 
     @cached_property
     def probabilities(self) -> Matrix:
-        """B x C rows on the simplex, computed off the tape."""
-        return ad.softmax_rows(self.logits.data)
+        """B x C rows on the simplex: a max-shifted softmax of the logits, off the tape."""
+        z = self.logits.data
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return Matrix(e / e.sum(axis=1, keepdims=True))
 
     @cached_property
     def predicted_class(self) -> np.ndarray:

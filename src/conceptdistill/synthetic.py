@@ -22,8 +22,9 @@ generated row.
 
 Reading rejects, naming ``meta.json``: a missing ``config`` or
 ``teacher_dominant``, a config that is not an object, has an unknown key or
-a value the config refuses, and a ``teacher_dominant`` that is not a list
-of integer lists. It loads the arrays with
+a value the config refuses, and a ``teacher_dominant`` that is not one list
+of distinct integers per class, each inside that class's concept block
+``[d * k, (d + 1) * k)``. It loads the arrays with
 ``allow_pickle=False`` and rejects, naming the file and the (modality,
 split): a missing file, an unreadable or truncated ``.npz``, a missing
 array or one of the wrong dtype or rank, a feature width other than
@@ -102,6 +103,9 @@ class GeneratorConfig:
                     raise ValueError(f"counts has no [{modality}][{split}] entry") from e
                 if len(counts) != self.num_classes:
                     raise ValueError(f"counts[{modality}][{split}] must list every class")
+                if any(type(c) is not int for c in counts):
+                    raise ValueError(
+                        f"counts[{modality}][{split}] must hold integers, got {counts!r}")
                 if any(c < 0 for c in counts):
                     raise ValueError("negative sample count")
 
@@ -277,6 +281,14 @@ def read_dataset(directory) -> SyntheticDataset:
     if not (isinstance(dominant, list) and all(
             isinstance(row, list) and all(type(i) is int for i in row) for row in dominant)):
         raise ValueError(f"{meta_path}: teacher_dominant must be a list of integer lists")
+    if len(dominant) != cfg.num_classes:
+        raise ValueError(f"{meta_path}: teacher_dominant has {len(dominant)} rows, "
+                         f"expected one per class ({cfg.num_classes})")
+    k = cfg.concepts_per_class
+    for d, row in enumerate(dominant):
+        if len(set(row)) != len(row) or not all(d * k <= i < (d + 1) * k for i in row):
+            raise ValueError(f"{meta_path}: teacher_dominant row {d} must hold distinct "
+                             f"indices of class {d}'s concepts, [{d * k}, {(d + 1) * k})")
     try:
         # np.load does not close a handle it opened when the zip is rejected
         with open(arrays_path, "rb") as f, np.load(f, allow_pickle=False) as npz:

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -193,9 +192,7 @@ def pretrain_teacher(config: TrainConfig, dataset: SyntheticDataset, pool: Conce
 
 
 def train_student(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool,
-                  teacher: ModelParams | None = None, log_path=None,
-                  step_hook: Callable[[int, ModelParams], None] | None = None
-                  ) -> ModelParams:
+                  teacher: ModelParams | None = None, log_path=None) -> ModelParams:
     """Student training; with a frozen teacher and non-zero weights it distills.
 
     Validation macro P-R F1 picks the returned epoch snapshot.
@@ -205,13 +202,11 @@ def train_student(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptP
             raise ValueError("teacher must be frozen before distillation")
         if teacher.pool_fingerprint != pool.fingerprint():
             raise ValueError("teacher was trained against a different concept pool")
-    return _fit(config, dataset, pool, "student", log_path, keep_best=True,
-                teacher=teacher, step_hook=step_hook)
+    return _fit(config, dataset, pool, "student", log_path, keep_best=True, teacher=teacher)
 
 
 def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, modality: str,
-         log_path, keep_best: bool, teacher: ModelParams | None = None,
-         step_hook: Callable[[int, ModelParams], None] | None = None) -> ModelParams:
+         log_path, keep_best: bool, teacher: ModelParams | None = None) -> ModelParams:
     """The one training loop: a fresh ``modality`` model on its train split.
 
     Each step minimises cross-entropy. With a teacher and a non-zero alpha or
@@ -288,8 +283,6 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                     "loss_gpd": gpd_v, "loss_lcd": lcd_v, "loss_total": total_v,
                     "gpd_shared_classes": gpd_shared, "lcd_skipped": lcd_skipped,
                 })
-                if step_hook is not None:
-                    step_hook(step, params)
                 step += 1
             if teacher is not None and teacher.params_hash() != teacher_hash:
                 raise RuntimeError("teacher parameters changed during distillation")
@@ -303,7 +296,3 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
             logger.write({"epoch": epoch, "val_macro_prf1": val, "selected": selected})
     return best_params if track_best else params
 
-
-def baseline_config(config: TrainConfig) -> TrainConfig:
-    """Same run with both distillation weights off."""
-    return replace(config, distill=replace(config.distill, alpha=0.0, beta=0.0))

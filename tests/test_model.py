@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptdistill import autodiff as ad
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
@@ -168,6 +170,34 @@ class TestPredict:
         params.arrays["classifier.weight"][:] = 0.0
         pred = predict(np.zeros((1, len(pool))), params)
         assert pred.predicted_class[0] == 0
+
+
+class TestPredictionProbabilities:
+    @staticmethod
+    def probabilities(logits) -> np.ndarray:
+        return Prediction(Matrix(logits)).probabilities.data
+
+    def test_symmetry(self):
+        np.testing.assert_allclose(self.probabilities([[0.0, 0.0]]), [[0.5, 0.5]])
+
+    def test_large_inputs_no_overflow(self):
+        out = self.probabilities([[1000.0, 0.0]])
+        assert out[0, 0] > 1.0 - 1e-12
+        assert out[0, 1] < 1e-12
+
+    def test_direct_evaluation(self):
+        out = self.probabilities([[1.0, 2.0, 3.0]])
+        e = np.exp([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(out, (e / e.sum()).reshape(1, 3), atol=1e-12)
+        np.testing.assert_allclose(out, [[0.0900, 0.2447, 0.6652]], atol=5e-5)
+
+    @given(st.lists(st.lists(st.floats(-50, 50), min_size=1, max_size=6), min_size=1, max_size=5)
+           .filter(lambda rows: len({len(r) for r in rows}) == 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_sum_to_one_and_positive(self, rows):
+        out = self.probabilities(rows)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(out > 0)
 
 
 class TestCrossEntropy:

@@ -54,6 +54,12 @@ class TestGeneratorConfig:
         counts["teacher"]["val"].pop()
         with pytest.raises(ValueError, match=r"counts\[teacher\]\[val\] must list every class"):
             small_config(counts=counts)
+        for value in (2.5, True):
+            counts = small_config().counts
+            counts["student"]["test"][1] = value
+            with pytest.raises(ValueError,
+                               match=r"counts\[student\]\[test\] must hold integers"):
+                small_config(counts=counts)
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -150,6 +156,11 @@ class TestRoundTrip:
         ds, directory = written(tmp_path)
         assert read_dataset(directory) == ds  # columns and ground truth
 
+    def test_default_config_reads_back(self, tmp_path):
+        ds, _ = generate(GeneratorConfig())
+        write_dataset(ds, tmp_path / "data")
+        assert read_dataset(tmp_path / "data") == ds
+
     def test_write_is_deterministic(self, tmp_path):
         ds, _ = generate(small_config())
         write_dataset(ds, tmp_path / "a")
@@ -198,10 +209,24 @@ class TestRoundTrip:
          r"invalid config: counts has no \[teacher\]\[train\] entry"),
         (lambda meta: meta["config"].update(noise_sigma="0.2"),
          "invalid config: must be real number, not str"),
+        (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, 2.5),
+         r"invalid config: counts\[teacher\]\[val\] must hold integers"),
+        (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, True),
+         r"invalid config: counts\[teacher\]\[val\] must hold integers"),
         (lambda meta: meta.update(teacher_dominant=3),
          "teacher_dominant must be a list of integer lists"),
+        (lambda meta: meta.update(teacher_dominant=[[999]]),
+         r"teacher_dominant has 1 rows, expected one per class \(3\)"),
+        (lambda meta: meta["teacher_dominant"][1].__setitem__(0, 999),
+         r"teacher_dominant row 1 must hold distinct indices of class 1's concepts, \[4, 8\)"),
+        (lambda meta: meta["teacher_dominant"][2].__setitem__(0, 4),
+         r"teacher_dominant row 2 must hold distinct indices"),
+        (lambda meta: meta["teacher_dominant"][0].__setitem__(1, meta["teacher_dominant"][0][0]),
+         r"teacher_dominant row 0 must hold distinct indices"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
-            "teacher_dominant_not_list"])
+            "float_count", "bool_count", "teacher_dominant_not_list",
+            "teacher_dominant_row_count", "teacher_dominant_past_block",
+            "teacher_dominant_other_block", "teacher_dominant_repeat"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)

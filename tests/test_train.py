@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from conceptdistill import autodiff as ad
 from conceptdistill import train as train_module
 from conceptdistill.autodiff import Matrix
 from conceptdistill.losses import DistillConfig
@@ -14,7 +16,6 @@ from conceptdistill.train import (
     OptimizerState,
     TrainConfig,
     adamw_step,
-    baseline_config,
     cosine_lr,
     evaluate_macro_pr_f1,
     pretrain_teacher,
@@ -125,6 +126,18 @@ class TestUnpairedSampling:
             np.testing.assert_array_equal(stream.batch(step, batch), want)
 
 
+def spy_on_steps(monkeypatch, after_step):
+    """Call ``after_step(n, params)`` after the n-th real optimizer step of every run (n from 1)."""
+    calls = []
+
+    def spy(params, grads, state, lr_t):
+        adamw_step(params, grads, state, lr_t)
+        calls.append(None)
+        after_step(len(calls), params)
+
+    monkeypatch.setattr(train_module, "adamw_step", spy)
+
+
 def quick_train_config(**overrides):
     base = dict(learning_rate=5e-3, batch_size=16, epochs=3, seed=0)
     base.update(overrides)
@@ -200,18 +213,18 @@ class TestDistillStudent:
         train_student(quick_train_config(epochs=2), ds, pool, teacher=teacher)
         assert teacher.params_hash() == before
 
-    def test_alpha_beta_zero_matches_baseline_trajectory(self):
+    def test_alpha_beta_zero_matches_baseline_trajectory(self, monkeypatch):
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
         config = quick_train_config(
             epochs=2, distill=DistillConfig(alpha=0.0, beta=0.0)
         )
-        traj_a, traj_b = [], []
-        train_student(config, ds, pool, teacher=teacher,
-                      step_hook=lambda s, p: traj_a.append(p.params_hash()))
-        train_student(baseline_config(config), ds, pool,
-                      step_hook=lambda s, p: traj_b.append(p.params_hash()))
-        assert traj_a == traj_b != []
+        trajectory = []
+        spy_on_steps(monkeypatch, lambda n, params: trajectory.append(params.params_hash()))
+        train_student(config, ds, pool, teacher=teacher)
+        distilled, trajectory[:] = trajectory[:], []
+        train_student(config, ds, pool)  # the plain baseline: no teacher at all
+        assert distilled == trajectory != []
 
     def test_distillation_runs_with_defaults(self, tmp_path):
         ds, pool = tiny_dataset()
@@ -231,17 +244,17 @@ class TestDistillStudent:
         epochs = [l for l in lines if "epoch" in l]
         assert sum(l["selected"] for l in epochs) >= 1
 
-    def test_run_that_raises_keeps_its_log(self, tmp_path):
+    def test_run_that_raises_keeps_its_log(self, tmp_path, monkeypatch):
         ds, pool = tiny_dataset()  # 38 student train rows: 2 steps per epoch
         log = tmp_path / "student.jsonl"
 
-        def fail_at_step_2(step, params):
-            if step == 2:
+        def fail_at_step_3(n, params):  # steps 0-2 are logged; step 3 raises before its record
+            if n == 4:
                 raise RuntimeError("stop mid-epoch")
 
+        spy_on_steps(monkeypatch, fail_at_step_3)
         with pytest.raises(RuntimeError, match="stop mid-epoch"):
-            train_student(quick_train_config(epochs=3), ds, pool, log_path=log,
-                          step_hook=fail_at_step_2)
+            train_student(quick_train_config(epochs=3), ds, pool, log_path=log)
         text = log.read_text()
         assert text.endswith("\n")
         lines = [json.loads(l) for l in text.splitlines()]
@@ -304,6 +317,28 @@ class TestFrozenTeacherRows:
             assert np.abs(rows - want).max() <= self.TOL
 
 
+class TestOpsRecorded:
+    def test_training_records_every_public_op(self, monkeypatch):
+        # every public autodiff op is recorded on a tape by some training step
+        public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                      if fn.__module__ == ad.__name__ and not name.startswith("_")}
+        public_ops -= {"as_matrix", "backward", "finite_diff_grad"}
+        recorded = set()
+        real_finish = ad._finish
+
+        def spy_finish(op, out, inputs, vjp):
+            if any(m.tracked for m in inputs):
+                recorded.add(op)
+            return real_finish(op, out, inputs, vjp)
+
+        ds, pool = tiny_dataset()
+        teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
+        monkeypatch.setattr(ad, "_finish", spy_finish)
+        train_student(quick_train_config(epochs=1, encoder_hidden=(4,)), ds, pool)
+        train_student(quick_train_config(epochs=1), ds, pool, teacher=teacher)
+        assert recorded == public_ops
+
+
 class TestValidationSelection:
     def test_best_epoch_snapshot_returned(self):
         ds, pool = tiny_dataset()
@@ -314,7 +349,7 @@ class TestValidationSelection:
         # retrace the run and confirm the returned score is the per-epoch max
         scores = []
         cfg2 = quick_train_config(epochs=4)
-        current = train_student(cfg2, ds, pool, step_hook=None)
+        current = train_student(cfg2, ds, pool)
         assert returned == pytest.approx(
             evaluate_macro_pr_f1(current, pool, xv, yv)
         )
