@@ -5,12 +5,14 @@ are recorded on a :class:`Tape` whenever at least one operand is tracked,
 and :func:`backward` replays the record in reverse to accumulate exact
 adjoints. A tape is meant to live for one forward/backward pass.
 
-The operations are the ones a training step records: ``matmul``, ``add``
-(of an equal-shaped matrix or of one bias row), ``scale``, ``tanh`` and
-``l2_normalize_rows``, plus three losses with hand-written gradients:
-``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
-``mean_sq_row_distance``. Every one ends in ``_finish``, which rejects a
-non-finite result.
+The operations are the ones a training step records, one per model layer
+or loss, each with a hand-written gradient: ``affine`` (``x @ w + b``, an
+encoder or classifier layer), ``tanh``, ``cosine_similarity`` (rows
+L2-normalized, then scored against constant unit columns), ``matmul``
+(class means and basis coordinates), the losses ``softmax_cross_entropy``
+(from logits), ``supcon_loss`` and ``mean_sq_row_distance``, and
+``loss_sum``, the weighted total of the loss terms. Every one ends in
+``_finish``, which rejects a non-finite result.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class ShapeError(ValueError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{op} produced non-finite entries")
 
 
@@ -147,27 +149,19 @@ def matmul(a, b) -> Matrix:
     return _finish("matmul", ad @ bd, (a, b), vjp)
 
 
-def add(a, b) -> Matrix:
-    """``a + b`` for ``b`` of ``a``'s shape, or ``b`` one row of ``a``'s width (a bias)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if b.shape != a.shape and b.shape != (1, a.cols):
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    bias_row = b.rows != a.rows
+def affine(x, w, b) -> Matrix:
+    """``x @ w + b`` for a bias ``b`` of one row of ``w``'s width: one layer, one op."""
+    x, w, b = as_matrix(x), as_matrix(w), as_matrix(b)
+    if x.cols != w.rows or b.shape != (1, w.cols):
+        raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    x_tracked, w_tracked, b_tracked = x.tracked, w.tracked, b.tracked
 
     def vjp(g):
-        return g, (g.sum(axis=0, keepdims=True) if bias_row else g)
+        return ((g @ wd.T if x_tracked else None), (xd.T @ g if w_tracked else None),
+                (g.sum(axis=0, keepdims=True) if b_tracked else None))
 
-    return _finish("add", a.data + b.data, (a, b), vjp)
-
-
-def scale(a, c: float) -> Matrix:
-    a = as_matrix(a)
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return _finish("scale", a.data * c, (a,), vjp)
+    return _finish("affine", xd @ wd + b.data, (x, w, b), vjp)
 
 
 def tanh(a) -> Matrix:
@@ -180,24 +174,33 @@ def tanh(a) -> Matrix:
     return _finish("tanh", out, (a,), vjp)
 
 
-def l2_normalize_rows(a, eps: float = 1e-12) -> Matrix:
-    """Scale each row to unit length; rows with norm <= eps pass through as zero.
+def cosine_similarity(u, unit_t) -> Matrix:
+    """``normalize(u) @ unit_t``: each row of ``u`` scaled to unit length, then scored.
 
-    The guarded rows are treated as constants in the backward pass: a true
-    zero row has no preferred direction, and an exploding 1/eps adjoint
-    would poison early training steps.
+    ``unit_t`` holds unit vectors as columns and is a constant: a tracked
+    ``unit_t`` is rejected rather than given no adjoint. Rows of ``u`` with
+    norm <= 1e-12 normalize to zero and are treated as constants in the
+    backward pass: a true zero row has no preferred direction, and an
+    exploding 1/eps adjoint would poison early training steps.
     """
-    a = as_matrix(a)
-    norms = np.linalg.norm(a.data, axis=1, keepdims=True)
+    u, unit_t = as_matrix(u), as_matrix(unit_t)
+    if unit_t.tracked:
+        raise ValueError("cosine_similarity: unit_t must be a constant")
+    if u.cols != unit_t.rows:
+        raise ShapeError(f"cosine_similarity: {u.shape} x {unit_t.shape}")
+    eps = 1e-12
+    norms = np.linalg.norm(u.data, axis=1, keepdims=True)
     safe = np.maximum(norms, eps)
     live = (norms > eps).astype(np.float64)
-    out = a.data / safe * live
+    unit = u.data / safe * live
+    td = unit_t.data
 
     def vjp(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (live * (g - out * dot) / safe,)
+        g = g @ td.T
+        dot = (g * unit).sum(axis=1, keepdims=True)
+        return live * (g - unit * dot) / safe, None
 
-    return _finish("l2_normalize_rows", out, (a,), vjp)
+    return _finish("cosine_similarity", unit @ td, (u, unit_t), vjp)
 
 
 def softmax_cross_entropy(logits, labels) -> Matrix:
@@ -356,6 +359,28 @@ def mean_sq_row_distance(a, b, rows) -> Matrix:
         return (grad if a_tracked else None), (-grad if b_tracked else None)
 
     return _finish("mean_sq_row_distance", ((d * d).sum() * c).reshape(1, 1), (a, b), vjp)
+
+
+def loss_sum(base, terms) -> Matrix:
+    """``base + (w_1 * t_1 + ... + w_n * t_n)`` of 1x1 losses, for ``terms`` of ``(t_i, w_i)``.
+
+    The weighted terms are summed left to right before ``base`` is added.
+    """
+    base = as_matrix(base)
+    terms = [(as_matrix(t), float(w)) for t, w in terms]
+    if not terms:
+        raise ValueError("loss_sum: no terms")
+    if any(m.shape != (1, 1) for m in (base, *(t for t, _ in terms))):
+        raise ShapeError("loss_sum: every operand must be a 1x1 loss")
+    weighted = terms[0][0].data * terms[0][1]
+    for t, w in terms[1:]:
+        weighted = weighted + t.data * w
+    weights = [w for _, w in terms]  # not the matrices: the tape would then hold itself
+
+    def vjp(g):
+        return (g, *(g * w for w in weights))
+
+    return _finish("loss_sum", base.data + weighted, (base, *(t for t, _ in terms)), vjp)
 
 
 def backward(tape: Tape, loss: Matrix) -> dict[int, np.ndarray]:

@@ -137,10 +137,8 @@ def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
 
 
 def total_loss(cls, gpd, lcd, cfg: DistillConfig) -> Matrix:
-    """cls + (alpha * gpd + beta * lcd); a term passed as None is left out."""
+    """cls + (alpha * gpd + beta * lcd) as one op; a term passed as None is left out."""
     cls = ad.as_matrix(cls)
-    weighted = [ad.scale(term, weight)
-                for term, weight in ((gpd, cfg.alpha), (lcd, cfg.beta)) if term is not None]
-    if not weighted:
-        return cls
-    return ad.add(cls, weighted[0] if len(weighted) == 1 else ad.add(*weighted))
+    terms = [(term, weight) for term, weight in ((gpd, cfg.alpha), (lcd, cfg.beta))
+             if term is not None]
+    return ad.loss_sum(cls, terms) if terms else cls

@@ -1,13 +1,15 @@
 """Concept-decoupled classifier for one modality.
 
 Features pass through a small trainable projection (optionally with tanh
-hidden layers) and are scored against the frozen concept embeddings by
-cosine similarity, the one place the projected rows are L2-normalized. A
-linear concept classifier maps the similarity row to class logits. The
-training loss is cross-entropy taken from the logits in one autodiff op;
-the predicted probabilities are a softmax of the logits' values, off the
-tape. The classifier stays linear so each
-(concept, class) weight remains readable as a direct contribution.
+hidden layers), one ``autodiff.affine`` op per layer, and are scored
+against the frozen concept embeddings by cosine similarity. The projected
+rows are L2-normalized in one place only: inside the single
+``autodiff.cosine_similarity`` op that ``concept_similarity`` records. A
+linear concept classifier, one more ``affine``, maps the similarity row to
+class logits. The training loss is cross-entropy taken from the logits in
+one autodiff op; the predicted probabilities are a softmax of the logits'
+values, off the tape. The classifier stays linear so each (concept, class)
+weight remains readable as a direct contribution.
 
 A model's parameters are one name -> array mapping, ``ModelParams.arrays``,
 in layer order: ``encoder.{i}.weight`` (fan_in x fan_out) and
@@ -146,7 +148,7 @@ def encode(model, features) -> Matrix:
         )
     n_layers = len(params.arrays) // 2 - 1
     for i in range(n_layers):
-        x = ad.add(ad.matmul(x, mats[f"encoder.{i}.weight"]), mats[f"encoder.{i}.bias"])
+        x = ad.affine(x, mats[f"encoder.{i}.weight"], mats[f"encoder.{i}.bias"])
         if i < n_layers - 1:
             x = ad.tanh(x)
     return x
@@ -157,7 +159,7 @@ def concept_similarity(embeddings, pool: ConceptPool) -> Matrix:
     emb = ad.as_matrix(embeddings)
     if emb.cols != pool.dim:
         raise ShapeError(f"embedding dim {emb.cols} does not match pool dim {pool.dim}")
-    return ad.matmul(ad.l2_normalize_rows(emb), pool.embeddings_t)
+    return ad.cosine_similarity(emb, pool.embeddings_t)
 
 
 def predict(similarity, model) -> Prediction:
@@ -167,7 +169,7 @@ def predict(similarity, model) -> Prediction:
         raise ShapeError(
             f"similarity has {s.cols} concepts, classifier expects {params.num_concepts}"
         )
-    logits = ad.add(ad.matmul(s, mats["classifier.weight"]), mats["classifier.bias"])
+    logits = ad.affine(s, mats["classifier.weight"], mats["classifier.bias"])
     return Prediction(logits)
 
 

@@ -24,13 +24,16 @@ Reading rejects, naming ``meta.json``: a missing ``config`` or
 ``teacher_dominant``, a config that is not an object, has an unknown key or
 a value the config refuses, and a ``teacher_dominant`` that is not one list
 of distinct integers per class, each inside that class's concept block
-``[d * k, (d + 1) * k)``. It loads the arrays with
-``allow_pickle=False`` and rejects, naming the file and the (modality,
-split): a missing file, an unreadable or truncated ``.npz``, a missing
-array or one of the wrong dtype or rank, a feature width other than
-``feature_dim``, feature rows and labels of different lengths, non-finite
-features, a label outside ``[0, num_classes)``, and per-class row counts
-that differ from the config's ``counts``.
+``[d * k, (d + 1) * k)`` and ``round(teacher_dominance * k)`` long. It
+loads the arrays with ``allow_pickle=False`` and rejects, naming the file
+and the (modality, split): a missing file, an unreadable or truncated
+``.npz``, a missing array or one of the wrong dtype or rank, mixing
+matrices that are not ``num_classes * k`` x ``feature_dim``, a
+``mixing_student`` other than ``mixing_teacher`` with exactly the
+``teacher_dominant`` rows times ``attenuation``, a feature width other
+than ``feature_dim``, feature rows and labels of different lengths,
+non-finite features, a label outside ``[0, num_classes)``, and per-class
+row counts that differ from the config's ``counts``.
 """
 
 from __future__ import annotations
@@ -285,10 +288,14 @@ def read_dataset(directory) -> SyntheticDataset:
         raise ValueError(f"{meta_path}: teacher_dominant has {len(dominant)} rows, "
                          f"expected one per class ({cfg.num_classes})")
     k = cfg.concepts_per_class
+    n_dom = int(round(cfg.teacher_dominance * k))
     for d, row in enumerate(dominant):
         if len(set(row)) != len(row) or not all(d * k <= i < (d + 1) * k for i in row):
             raise ValueError(f"{meta_path}: teacher_dominant row {d} must hold distinct "
                              f"indices of class {d}'s concepts, [{d * k}, {(d + 1) * k})")
+        if len(row) != n_dom:
+            raise ValueError(f"{meta_path}: teacher_dominant row {d} has {len(row)} indices, "
+                             f"expected round(teacher_dominance * {k}) = {n_dom}")
     try:
         # np.load does not close a handle it opened when the zip is rejected
         with open(arrays_path, "rb") as f, np.load(f, allow_pickle=False) as npz:
@@ -301,6 +308,17 @@ def read_dataset(directory) -> SyntheticDataset:
         **{name: _column(columns, name, np.float64, 2, f"{arrays_path} (ground truth)")
            for name in _GROUND_TRUTH_ARRAYS},
     )
+    for name in ("mixing_student", "mixing_teacher"):
+        shape = getattr(ground_truth, name).shape
+        if shape != (cfg.num_classes * k, cfg.feature_dim):
+            raise ValueError(f"{arrays_path} (ground truth): {name} is {shape}, expected "
+                             f"{(cfg.num_classes * k, cfg.feature_dim)}")
+    attenuated = ground_truth.mixing_teacher.copy()
+    for rows in dominant:
+        attenuated[rows] *= cfg.attenuation
+    if not np.array_equal(ground_truth.mixing_student, attenuated):
+        raise ValueError(f"{arrays_path} (ground truth): mixing_student is not mixing_teacher "
+                         f"with the teacher_dominant rows of {meta_path} times attenuation")
     arrays = {}
     for modality in MODALITIES:
         for split in SPLITS:

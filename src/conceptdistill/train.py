@@ -62,19 +62,18 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    """AdamW moments as flat vectors: ``params.arrays`` raveled and joined in order."""
+
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int
     weight_decay: float
 
     @classmethod
     def for_params(cls, params: ModelParams, weight_decay: float) -> "OptimizerState":
-        return cls(
-            first_moment={k: np.zeros_like(v) for k, v in params.arrays.items()},
-            second_moment={k: np.zeros_like(v) for k, v in params.arrays.items()},
-            step=0,
-            weight_decay=weight_decay,
-        )
+        size = sum(arr.size for arr in params.arrays.values())
+        return cls(first_moment=np.zeros(size), second_moment=np.zeros(size), step=0,
+                   weight_decay=weight_decay)
 
 
 ADAM_BETA1 = 0.9
@@ -84,30 +83,45 @@ ADAM_EPS = 1e-8
 
 def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
                state: OptimizerState, lr_t: float) -> None:
-    """Decoupled-weight-decay Adam update with bias correction, in place."""
+    """Decoupled-weight-decay Adam update with bias correction, in place.
+
+    ``grads`` maps parameter names to gradients; a parameter without one
+    gets a zero gradient, and a name that is not a parameter is rejected.
+    The moment and update arithmetic runs once over all parameters as flat
+    vectors; each element goes through the same expressions as a
+    per-array update would.
+    """
     if params.frozen:
         raise ValueError("cannot update frozen parameters")
+    unknown = sorted(grads.keys() - params.arrays.keys())
+    if unknown:
+        raise ValueError(f"gradients for unknown parameters: {', '.join(unknown)}")
+    flat = []
+    for name, arr in params.arrays.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros(arr.size)
+        elif g.shape != arr.shape:
+            raise ValueError(f"gradient shape {g.shape} does not match {name} {arr.shape}")
+        flat.append(g.ravel())
+    g = np.concatenate(flat)
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1 ** t
     correction2 = 1.0 - ADAM_BETA2 ** t
-    for name, arr in params.arrays.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(arr)
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name} {arr.shape}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / correction1
-        v_hat = v / correction2
+    m, v = state.first_moment, state.second_moment
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    update = lr_t * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+    start = 0
+    for arr in params.arrays.values():
+        stop = start + arr.size
         if state.weight_decay:
             arr *= 1.0 - lr_t * state.weight_decay
-        arr -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        arr -= update[start:stop].reshape(arr.shape)
+        start = stop
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:

@@ -1,3 +1,6 @@
+import gc
+import inspect
+import weakref
 import zlib
 
 import numpy as np
@@ -62,19 +65,27 @@ class TestMatmul:
             assert rel_err(left, right) < 1e-9
 
 
+def normalize_rows(rows) -> Matrix:
+    """Row L2 normalization: ``cosine_similarity`` against identity columns."""
+    rows = np.asarray(rows.data if isinstance(rows, Matrix) else rows, dtype=np.float64)
+    return ad.cosine_similarity(rows, np.eye(rows.shape[1]))
+
+
 class TestL2NormalizeRows:
+    """The row normalization inside ``cosine_similarity``, read through an identity ``unit_t``."""
+
     def test_three_four_five(self):
-        out = ad.l2_normalize_rows([[3.0, 4.0]])
+        out = normalize_rows([[3.0, 4.0]])
         np.testing.assert_allclose(out.data, [[0.6, 0.8]])
 
     def test_zero_row_guard(self):
         # rows with norm <= eps come out as zero, including a tiny non-zero row
         for rows in ([[0.0, 0.0]], [[0.0, 1e-15]]):
-            out = ad.l2_normalize_rows(rows)
+            out = normalize_rows(rows)
             np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_direct_norms(self):
-        out = ad.l2_normalize_rows([[1.0, 1.0], [2.0, 0.0]])
+        out = normalize_rows([[1.0, 1.0], [2.0, 0.0]])
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(out.data, [[s, s], [1.0, 0.0]], atol=1e-12)
 
@@ -82,9 +93,95 @@ class TestL2NormalizeRows:
         lambda rows: len({len(r) for r in rows}) == 1))
     @settings(max_examples=60, deadline=None)
     def test_idempotent(self, rows):
-        once = ad.l2_normalize_rows(rows)
-        twice = ad.l2_normalize_rows(once)
+        once = normalize_rows(rows)
+        twice = normalize_rows(once)
         np.testing.assert_allclose(twice.data, once.data, atol=1e-12)
+
+
+def recorded_vjp(out: Matrix):
+    """The hand-written VJP of the op that produced ``out``."""
+    slot, _, vjp = out.tape._ops[-1]
+    assert slot == out.slot
+    return vjp
+
+
+class TestFusedOpsExact:
+    """Each fused op's value and adjoints equal, bit for bit, the NumPy expressions it replaces."""
+
+    def test_affine(self):
+        rng = np.random.default_rng(0)
+        x0, w0, b0 = (rng.standard_normal(shape) for shape in ((5, 3), (3, 4), (1, 4)))
+        g = rng.standard_normal((5, 4))
+        tape = Tape()
+        x, w, b = tape.leaf(x0), tape.leaf(w0), tape.leaf(b0)
+        out = ad.affine(x, w, b)
+        np.testing.assert_array_equal(out.data, x0 @ w0 + b0)
+        dx, dw, db = recorded_vjp(out)(g)
+        np.testing.assert_array_equal(dx, g @ w0.T)
+        np.testing.assert_array_equal(dw, x0.T @ g)
+        np.testing.assert_array_equal(db, g.sum(axis=0, keepdims=True))
+
+    def test_affine_skips_untracked_adjoints(self):
+        tape = Tape()
+        w = tape.leaf(np.ones((2, 3)))
+        out = ad.affine(np.ones((4, 2)), w, np.zeros((1, 3)))
+        dx, dw, db = recorded_vjp(out)(np.ones((4, 3)))
+        assert dx is None and db is None
+        np.testing.assert_array_equal(dw, np.full((2, 3), 4.0))
+
+    def test_cosine_similarity(self):
+        rng = np.random.default_rng(1)
+        u0 = rng.standard_normal((6, 4))
+        u0[2] = 0.0  # a zero row: output zero, adjoint zero
+        u0[4] = [0.0, 1e-13, 0.0, 0.0]  # below eps: guarded like a zero row
+        unit_t = rng.standard_normal((4, 7))
+        unit_t /= np.linalg.norm(unit_t, axis=0)
+        g = rng.standard_normal((6, 7))
+        tape = Tape()
+        out = ad.cosine_similarity(tape.leaf(u0), unit_t)
+
+        norms = np.linalg.norm(u0, axis=1, keepdims=True)
+        safe = np.maximum(norms, 1e-12)
+        live = (norms > 1e-12).astype(np.float64)
+        unit = u0 / safe * live
+        np.testing.assert_array_equal(out.data, unit @ unit_t)
+        du, d_unit_t = recorded_vjp(out)(g)
+        gn = g @ unit_t.T
+        dot = (gn * unit).sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
+        assert d_unit_t is None
+        np.testing.assert_array_equal(out.data[[2, 4]], 0.0)
+        np.testing.assert_array_equal(du[[2, 4]], 0.0)
+
+    def test_cosine_similarity_rejects_tracked_unit_t(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="unit_t must be a constant"):
+            ad.cosine_similarity(np.ones((2, 3)), tape.leaf(np.eye(3)))
+        with pytest.raises(ShapeError):
+            ad.cosine_similarity(np.ones((2, 3)), np.eye(4))
+
+    def test_loss_sum(self):
+        cls0, gpd0, lcd0, alpha, beta = 0.7310585786, 0.123456789, 2.718281828, 0.6, 0.05
+        g = np.array([[1.3]])
+        for terms in ([(gpd0, alpha), (lcd0, beta)], [(gpd0, alpha)], [(lcd0, beta)]):
+            tape = Tape()
+            cls = tape.leaf([[cls0]])
+            leaves = [(tape.leaf([[t]]), w) for t, w in terms]
+            out = ad.loss_sum(cls, leaves)
+            weighted = terms[0][0] * terms[0][1]
+            if len(terms) == 2:
+                weighted = weighted + terms[1][0] * terms[1][1]
+            assert out.item() == cls0 + weighted
+            adjoints = recorded_vjp(out)(g)
+            np.testing.assert_array_equal(adjoints[0], g)
+            for adjoint, (_, w) in zip(adjoints[1:], terms):
+                np.testing.assert_array_equal(adjoint, g * w)
+
+    def test_loss_sum_inputs_checked(self):
+        with pytest.raises(ShapeError, match="1x1"):
+            ad.loss_sum([[1.0]], [(np.ones((1, 2)), 0.5)])
+        with pytest.raises(ValueError, match="no terms"):
+            ad.loss_sum([[1.0]], [])
 
 
 class TestBackward:
@@ -98,7 +195,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = tape.leaf(np.ones((2, 2)))
-        y = ad.scale(x, 2.0)
+        y = ad.tanh(x)
         with pytest.raises(ShapeError):
             backward(tape, y)
 
@@ -111,7 +208,7 @@ class TestBackward:
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
-            ad.add(t1.leaf([[1.0]]), t2.leaf([[1.0]]))
+            ad.matmul(t1.leaf([[1.0]]), t2.leaf([[1.0]]))
 
     def test_untracked_leaf_absent_from_gradients(self):
         tape = Tape()
@@ -146,17 +243,44 @@ def _random_shape(rng):
 
 OP_CASES = {
     "matmul": lambda rng: _matmul_case(rng),
-    "add": lambda rng: _binary_case(rng, ad.add),
-    "add_row_broadcast": lambda rng: _broadcast_case(rng, ad.add),
-    "scale": lambda rng: _unary_case(rng, lambda x: ad.scale(x, 1.7)),
+    "affine": lambda rng: _affine_case(rng, tracked="x"),
+    "affine_w": lambda rng: _affine_case(rng, tracked="w"),
+    "affine_b": lambda rng: _affine_case(rng, tracked="b"),
     "tanh": lambda rng: _unary_case(rng, ad.tanh),
-    "l2_normalize_rows": lambda rng: _unary_case(rng, ad.l2_normalize_rows, low=0.2, high=2.0),
+    "cosine_similarity": lambda rng: _cosine_case(rng),
     "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
     "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
     "supcon_loss_others": lambda rng: _supcon_case(rng, tracked="others"),
     "mean_sq_row_distance": lambda rng: _row_distance_case(rng, tracked="a"),
     "mean_sq_row_distance_b": lambda rng: _row_distance_case(rng, tracked="b"),
+    "loss_sum": lambda rng: _loss_sum_case(rng),
 }
+
+
+def test_tapes_hold_no_reference_cycle():
+    # a VJP that captured a tracked Matrix would keep its tape alive until the
+    # cycle collector ran, with every array the tape's closures hold
+    rng = np.random.default_rng(5)
+    gc.disable()
+    try:
+        for name, case in OP_CASES.items():
+            build, x0 = case(rng)
+            tape = Tape()
+            backward(tape, build(tape.leaf(x0)))
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None, name
+    finally:
+        gc.enable()
+
+
+def test_every_public_op_has_a_gradient_case():
+    public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                  if fn.__module__ == ad.__name__ and not name.startswith("_")}
+    public_ops -= {"as_matrix", "backward", "finite_diff_grad"}
+    covered = {op for op in public_ops for case in OP_CASES
+               if case == op or case.startswith(op + "_")}
+    assert covered == public_ops
 
 
 def _reduce(shape, rng):
@@ -171,20 +295,50 @@ def _unary_case(rng, op, low=-2.0, high=2.0):
     return (lambda x: reduce(op(x))), x0
 
 
-def _binary_case(rng, op):
-    shape = _random_shape(rng)
-    x0 = rng.uniform(-2, 2, shape)
-    other = rng.uniform(-2, 2, shape)
-    reduce = _reduce(shape, rng)
-    return (lambda x: reduce(op(x, other))), x0
+def _affine_case(rng, tracked):
+    m, k = _random_shape(rng)
+    n = int(rng.integers(1, 9))
+    operands = {"x": rng.uniform(-2, 2, (m, k)), "w": rng.uniform(-2, 2, (k, n)),
+                "b": rng.uniform(-2, 2, (1, n))}
+    reduce = _reduce((m, n), rng)
+
+    def build(leaf):
+        return reduce(ad.affine(**{**operands, tracked: leaf}))
+
+    return build, operands[tracked]
 
 
-def _broadcast_case(rng, op):
-    rows, cols = _random_shape(rng)
-    x0 = rng.uniform(-2, 2, (1, cols))
-    other = rng.uniform(-2, 2, (rows, cols))
-    reduce = _reduce((rows, cols), rng)
-    return (lambda x: reduce(op(other, x))), x0
+def _cosine_case(rng):
+    """Rows of norm 0.2 to ~3.5, and half the time a zero row that the reduction leaves out.
+
+    A zero row's output and adjoint are zero; a finite difference across it
+    would see the normalized row jump, so only the other rows are scored.
+    """
+    m, k = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+    n = int(rng.integers(1, 9))
+    x0 = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
+    unit_t = rng.standard_normal((k, n))
+    unit_t /= np.linalg.norm(unit_t, axis=0)
+    scored = np.arange(m)
+    if rng.uniform() < 0.5:
+        zero = int(rng.integers(m))
+        x0[zero] = 0.0
+        scored = scored[scored != zero]
+    w = rng.uniform(-1, 1, (m, n))
+    return (lambda x: ad.mean_sq_row_distance(ad.cosine_similarity(x, unit_t), w, scored)), x0
+
+
+def _loss_sum_case(rng):
+    """``base + (w_1 t_1 [+ w_2 t_2])`` with one of its 1x1 operands tracked."""
+    values = rng.uniform(-2, 2, (int(rng.integers(2, 4)), 1, 1))
+    weights = rng.uniform(0, 2, len(values) - 1)
+    tracked = int(rng.integers(len(values)))
+
+    def build(leaf):
+        ops = [leaf if i == tracked else v for i, v in enumerate(values)]
+        return ad.loss_sum(ops[0], list(zip(ops[1:], weights)))
+
+    return build, values[tracked]
 
 
 def _matmul_case(rng):
@@ -214,7 +368,7 @@ def _cross_entropy_case(rng):
     x0 = rng.uniform(-2, 2, (n, c))
     labels = rng.integers(0, c, n)
     w = float(rng.uniform(0.5, 2.0))  # an upstream adjoint other than 1
-    return (lambda x: ad.scale(ad.softmax_cross_entropy(x, labels), w)), x0
+    return (lambda x: ad.loss_sum([[0.0]], [(ad.softmax_cross_entropy(x, labels), w)])), x0
 
 
 def _supcon_case(rng, tracked):
@@ -250,14 +404,16 @@ class TestValidation:
 
     def test_rejects_inf_result(self):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
-            ad.scale(Matrix([[1e300]]), 1e10)
+            ad.matmul(Matrix([[1e300]]), Matrix([[1e10]]))
 
     def test_broadcast_shape_mismatch(self):
-        # add broadcasts only its second operand, and only as one bias row
-        for a_shape, b_shape in [((2, 3), (3, 2)), ((2, 3), (2, 1)), ((2, 3), (1, 1)),
-                                 ((1, 3), (2, 3))]:
-            with pytest.raises(ShapeError, match="do not broadcast"):
-                ad.add(np.ones(a_shape), np.ones(b_shape))
+        # affine's bias is one row of the output's width, never a matrix, column or scalar
+        x, w = np.ones((2, 3)), np.ones((3, 4))
+        for b_shape in [(2, 4), (4, 1), (1, 1), (1, 3)]:
+            with pytest.raises(ShapeError, match="affine"):
+                ad.affine(x, w, np.ones(b_shape))
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(x, np.ones((2, 4)), np.ones((1, 4)))
 
     def test_row_distance_inputs_checked(self):
         a = np.ones((3, 2))

@@ -404,12 +404,19 @@ class TestTotalLoss:
             got = total_loss(Matrix([[c]]), Matrix([[g]]), Matrix([[l]]), cfg).item()
             assert got == pytest.approx(c + 0.3 * g + 0.7 * l, abs=1e-12)
 
-    def test_single_term_records_scale_and_add_only(self):
+    def test_single_term_records_one_op(self):
         tape = Tape()
         cls, lcd = tape.leaf(Matrix([[0.4]])), tape.leaf(Matrix([[2.0]]))
         loss = total_loss(cls, None, lcd, DistillConfig(alpha=0.0, beta=0.5))
         assert loss.item() == 1.4
-        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["scale", "add"]
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["loss_sum"]
+
+    def test_both_terms_record_one_op(self):
+        tape = Tape()
+        cls, gpd, lcd = (tape.leaf(Matrix([[v]])) for v in (0.4, 0.3, 2.0))
+        loss = total_loss(cls, gpd, lcd, DistillConfig(alpha=0.6, beta=0.05))
+        assert loss.item() == 0.4 + (0.3 * 0.6 + 2.0 * 0.05)
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["loss_sum"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

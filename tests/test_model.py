@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistill import autodiff as ad
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
 from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
@@ -64,7 +63,11 @@ class TestEncode:
             [-0.24837535026770377, -0.968663866044045],
             [0.9421511282491905, -0.33518838216557745],
         ])
-        np.testing.assert_allclose(ad.l2_normalize_rows(out).data, unit, atol=1e-15)
+        np.testing.assert_allclose(out.data / np.linalg.norm(out.data, axis=1, keepdims=True),
+                                   unit, atol=1e-15)
+        # concept_similarity scores those rows: against identity columns it returns them
+        identity = ConceptPool(["x", "y"], np.eye(2))
+        np.testing.assert_allclose(concept_similarity(out, identity).data, unit, atol=1e-15)
 
     def test_dimension_mismatch(self):
         pool, params = simple_params(feature_dim=3)

@@ -223,14 +223,50 @@ class TestRoundTrip:
          r"teacher_dominant row 2 must hold distinct indices"),
         (lambda meta: meta["teacher_dominant"][0].__setitem__(1, meta["teacher_dominant"][0][0]),
          r"teacher_dominant row 0 must hold distinct indices"),
+        (lambda meta: meta["teacher_dominant"][1].pop(),
+         r"teacher_dominant row 1 has 1 indices, expected round\(teacher_dominance \* 4\) = 2"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
             "float_count", "bool_count", "teacher_dominant_not_list",
             "teacher_dominant_row_count", "teacher_dominant_past_block",
-            "teacher_dominant_other_block", "teacher_dominant_repeat"])
+            "teacher_dominant_other_block", "teacher_dominant_repeat",
+            "teacher_dominant_row_cut"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)
         with pytest.raises(ValueError, match=rf"meta\.json: {message}"):
+            read_dataset(directory)
+
+    def test_default_dataset_with_cut_dominant_row_rejected(self, tmp_path):
+        ds, _ = generate(GeneratorConfig())
+        write_dataset(ds, tmp_path / "data")
+        rewrite_meta(tmp_path / "data", lambda meta: meta["teacher_dominant"][0].__delitem__(
+            slice(1, None)))
+        with pytest.raises(ValueError, match=r"meta\.json: teacher_dominant row 0 has 1 indices, "
+                                             r"expected round\(teacher_dominance \* 10\) = 6"):
+            read_dataset(tmp_path / "data")
+
+    @pytest.mark.parametrize("case", ["unattenuated", "extra_row", "perturbed_teacher"])
+    def test_mixing_must_match_dominant_rows(self, tmp_path, case):
+        ds, directory = written(tmp_path)
+        gt = ds.ground_truth
+        if case == "unattenuated":
+            change = {"mixing_student": gt.mixing_teacher}
+        elif case == "extra_row":
+            student = gt.mixing_student.copy()
+            free = min(set(range(len(student))) - set(sum(gt.teacher_dominant, [])))
+            student[free] *= ds.config.attenuation
+            change = {"mixing_student": student}
+        else:
+            change = {"mixing_teacher": gt.mixing_teacher + 1e-12}
+        rewrite_arrays(directory, change)
+        with pytest.raises(ValueError, match=r"\(ground truth\): mixing_student is not "
+                                             r"mixing_teacher with the teacher_dominant rows"):
+            read_dataset(directory)
+
+    def test_mixing_shape_checked(self, tmp_path):
+        ds, directory = written(tmp_path)
+        rewrite_arrays(directory, {"mixing_teacher": ds.ground_truth.mixing_teacher[:-1]})
+        with pytest.raises(ValueError, match=r"mixing_teacher is \(11, 8\), expected \(12, 8\)"):
             read_dataset(directory)
 
     def test_truncated_arrays_rejected(self, tmp_path):

@@ -66,6 +66,41 @@ class TestAdamW:
         with pytest.raises(ValueError, match="frozen"):
             adamw_step(params, {}, state, lr_t=1e-3)
 
+    def test_unknown_gradient_name_rejected(self):
+        params = self._params()
+        before = params.params_hash()
+        state = OptimizerState.for_params(params, weight_decay=0.0)
+        g = np.ones_like(params.arrays["classifier.weight"])
+        with pytest.raises(ValueError, match="classifer.weight"):
+            adamw_step(params, {"classifer.weight": g}, state, lr_t=1e-3)
+        assert params.params_hash() == before and state.step == 0
+
+    def test_flat_update_equals_per_array_reference(self):
+        # the per-array AdamW update, element for element
+        params = init_params("student", 5, make_pool({"a": 3}, dim=4), 2, seed=0, hidden=(3,))
+        reference = params.copy()
+        lam = 0.01
+        state = OptimizerState.for_params(params, weight_decay=lam)
+        m = {k: np.zeros_like(v) for k, v in reference.arrays.items()}
+        v = {k: np.zeros_like(a) for k, a in reference.arrays.items()}
+        rng = np.random.default_rng(3)
+        for t in range(1, 6):
+            lr = 1e-2 / t
+            grads = {name: rng.standard_normal(arr.shape) for name, arr in params.arrays.items()
+                     if name != "encoder.1.bias"}  # one parameter without a gradient
+            adamw_step(params, grads, state, lr_t=lr)
+            for name, arr in reference.arrays.items():
+                g = grads.get(name, np.zeros_like(arr))
+                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+                m_hat = m[name] / (1.0 - 0.9 ** t)
+                v_hat = v[name] / (1.0 - 0.999 ** t)
+                arr *= 1.0 - lr * lam
+                arr -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert state.step == 5
+        for name, arr in reference.arrays.items():
+            np.testing.assert_array_equal(params.arrays[name], arr, err_msg=name)
+
 
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
