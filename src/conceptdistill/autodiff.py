@@ -1,9 +1,13 @@
 """Dense float64 matrices with tape-based reverse-mode differentiation.
 
-Every value is a 2-D row-major array; vectors are 1xN matrices. Operations
-are recorded on a :class:`Tape` whenever at least one operand is tracked,
-and :func:`backward` replays the record in reverse to accumulate exact
+Every value is a 2-D float64 array; vectors are 1xN matrices. A
+:class:`Matrix` shares a float64 ndarray's memory and checks it finite; no
+operation writes into an operand. Operations are recorded on a
+:class:`Tape` whenever at least one operand is tracked, and
+:func:`backward` replays the record in reverse to accumulate exact
 adjoints. A tape is meant to live for one forward/backward pass.
+``Tape.leaf`` tracks a checked copy; ``Tape.param`` tracks a parameter's
+own array unchecked, which the optimizer keeps finite.
 
 The operations are the ones a training step records, one per model layer
 or loss, each with a hand-written gradient: ``affine`` (``x @ w + b``, an
@@ -37,7 +41,7 @@ class Matrix:
     __slots__ = ("data", "tape", "slot")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -54,6 +58,15 @@ class Matrix:
         m.tape = tape
         m.slot = slot
         return m
+
+    def take_rows(self, idx) -> "Matrix":
+        """The rows ``idx`` (1-D indices) as a constant: a fresh array, not checked again."""
+        if self.tape is not None:
+            raise ValueError("take_rows: cannot gather rows of a tracked matrix")
+        rows = self.data[idx]
+        if rows.ndim != 2:
+            raise ShapeError(f"take_rows: indices must be 1-D, gave shape {rows.shape}")
+        return Matrix._wrap(rows)
 
     @property
     def rows(self) -> int:
@@ -99,10 +112,16 @@ class Tape:
         return s
 
     def leaf(self, data) -> Matrix:
-        """Register a tracked copy of ``data`` (a trainable parameter or watched value)."""
-        m = Matrix(data.data if isinstance(data, Matrix) else data)
+        """Register a tracked, checked copy of ``data`` (a watched value)."""
+        m = Matrix(np.array(data.data if isinstance(data, Matrix) else data, dtype=np.float64))
         m.tape, m.slot = self, self._alloc()
         return m
+
+    def param(self, arr: np.ndarray) -> Matrix:
+        """Track ``arr`` itself, unchecked: keep it finite and unchanged until ``backward``."""
+        if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.ndim != 2:
+            raise ShapeError("param: needs a 2-D float64 ndarray")
+        return Matrix._wrap(arr, self, self._alloc())
 
     def _record(self, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable) -> Matrix:
         slots = tuple(m.slot if m.tape is self else None for m in inputs)
@@ -189,10 +208,12 @@ def cosine_similarity(u, unit_t) -> Matrix:
     if u.cols != unit_t.rows:
         raise ShapeError(f"cosine_similarity: {u.shape} x {unit_t.shape}")
     eps = 1e-12
-    norms = np.linalg.norm(u.data, axis=1, keepdims=True)
+    ud = u.data
+    # what np.linalg.norm(ud, axis=1) evaluates for real input, without its wrapper
+    norms = np.sqrt(np.add.reduce(ud * ud, axis=1, keepdims=True))
     safe = np.maximum(norms, eps)
     live = (norms > eps).astype(np.float64)
-    unit = u.data / safe * live
+    unit = ud / safe * live
     td = unit_t.data
 
     def vjp(g):

@@ -82,11 +82,23 @@ class ModelParams:
         return h.hexdigest()
 
 
+def check_hidden_sizes(hidden) -> tuple[int, ...]:
+    """``hidden`` as a tuple of at most 2 positive integer widths, else ``ValueError``."""
+    if not isinstance(hidden, (tuple, list)):
+        raise ValueError(f"encoder_hidden must be a tuple of widths, got {hidden!r}")
+    hidden = tuple(hidden)
+    if len(hidden) > 2:
+        raise ValueError("at most 2 hidden layers are supported")
+    if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
+               for h in hidden):
+        raise ValueError(f"encoder_hidden sizes must be positive integers, got {hidden!r}")
+    return hidden
+
+
 def init_params(modality: str, feature_dim: int, pool: ConceptPool, num_classes: int,
                 seed: int, hidden: tuple[int, ...] = ()) -> ModelParams:
     """Seeded initialization; hidden sizes add tanh layers before the projection."""
-    if len(hidden) > 2:
-        raise ValueError("at most 2 hidden layers are supported")
+    check_hidden_sizes(hidden)
     rng = np.random.default_rng([seed, 0 if modality == "student" else 1])
     sizes = [feature_dim, *hidden, pool.dim]
     arrays = {}
@@ -101,17 +113,17 @@ def init_params(modality: str, feature_dim: int, pool: ConceptPool, num_classes:
 
 @dataclass
 class ModelBinding:
-    """Per-step attachment of trainable parameters onto a tape."""
+    """Per-step attachment of trainable parameters onto a tape, by reference (``Tape.param``)."""
 
     params: ModelParams
     tape: Tape
-    leaves: dict[str, Matrix] = field(default_factory=dict)
+    leaves: dict[str, Matrix] = field(init=False)
 
     def __post_init__(self):
         if self.params.frozen:
             raise ValueError("cannot bind a frozen model for training")
-        for name, arr in self.params.arrays.items():
-            self.leaves[name] = self.tape.leaf(arr)
+        param = self.tape.param
+        self.leaves = {name: param(arr) for name, arr in self.params.arrays.items()}
 
 
 def _arrays_of(model) -> tuple[ModelParams, dict[str, Matrix]]:

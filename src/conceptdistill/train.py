@@ -9,7 +9,9 @@ similarity rows as coordinates on the concept pool's orthonormal ``basis``
 rows in fewer columns. The teacher's coordinates for its whole train split
 are computed once per run and indexed per batch; its parameter hash is
 checked after every epoch. The teacher keeps its last epoch; the student
-keeps the epoch with the best validation macro P-R F1. Each step record
+keeps the epoch with the best validation macro P-R F1. Validation runs
+only when its score is read: for the student's epoch choice, or for the
+epoch record of a run that writes a log. Each step record
 carries the loss terms, the learning rate, the number of classes GPD
 compared and the number of anchors LCD skipped (null when the term is off).
 
@@ -33,7 +35,8 @@ from .autodiff import Matrix, Tape, backward, matmul
 from .concepts import ConceptPool
 from .losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
 from .metrics import confusion_counts, per_class_metrics
-from .model import ModelBinding, ModelParams, cross_entropy, forward, init_params
+from .model import (ModelBinding, ModelParams, check_hidden_sizes, cross_entropy, forward,
+                    init_params)
 from .synthetic import SyntheticDataset
 
 _MODALITY_CODE = {"student": 0, "teacher": 1}
@@ -50,6 +53,10 @@ class TrainConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -57,7 +64,7 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        self.encoder_hidden = tuple(self.encoder_hidden)
+        self.encoder_hidden = check_hidden_sizes(self.encoder_hidden)
 
 
 @dataclass
@@ -86,7 +93,9 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
     """Decoupled-weight-decay Adam update with bias correction, in place.
 
     ``grads`` maps parameter names to gradients; a parameter without one
-    gets a zero gradient, and a name that is not a parameter is rejected.
+    gets a zero gradient. An unknown name, a wrong shape or a non-finite
+    gradient is rejected before anything changes: training binds the
+    parameters to the tape unchecked, so they must stay finite.
     The moment and update arithmetic runs once over all parameters as flat
     vectors; each element goes through the same expressions as a
     per-array update would.
@@ -105,6 +114,9 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
             raise ValueError(f"gradient shape {g.shape} does not match {name} {arr.shape}")
         flat.append(g.ravel())
     g = np.concatenate(flat)
+    if not np.isfinite(g).all():
+        bad = [name for name, piece in zip(params.arrays, flat) if not np.isfinite(piece).all()]
+        raise ValueError(f"non-finite gradient for {', '.join(bad)}")
     state.step += 1
     t = state.step
     correction1 = 1.0 - ADAM_BETA1 ** t
@@ -234,7 +246,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     path is skipped entirely, which makes alpha == beta == 0 bit-identical
     to the plain baseline by construction. ``keep_best`` returns the epoch
     snapshot with the best validation macro P-R F1; without it, or without a
-    validation split, the last epoch's parameters are returned.
+    validation split, the last epoch's parameters are returned. Validation
+    runs only when its score is read: with ``keep_best``, or for the log.
     """
     cfg_d = config.distill
     num_classes = dataset.config.num_classes
@@ -242,13 +255,14 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     params = init_params(
         modality, x.shape[1], pool, num_classes, config.seed, config.encoder_hidden
     )
+    x = Matrix(x)  # checked once; each batch is a row gather
     stream = EpochStream(len(y), config.seed, modality)
     teacher_stream = None
     if teacher is not None and (cfg_d.alpha > 0 or cfg_d.beta > 0):
         xt, yt = dataset.split_arrays("teacher", "train")
         teacher_stream = EpochStream(len(yt), config.seed, "teacher")
         # the teacher is frozen, so its coordinates are computed once and indexed per batch
-        teacher_coords = forward(teacher, xt, pool)[0].data @ pool.basis.data
+        teacher_coords = Matrix(forward(teacher, xt, pool)[0].data @ pool.basis.data)
     teacher_hash = teacher.params_hash() if teacher is not None else None
     steps_per_epoch = max(1, len(y) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -259,13 +273,14 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
     best_score, best_params = -np.inf, params.copy()
     step = 0
     with JsonlLogger(log_path) as logger:
+        validate = len(yv) > 0 and (track_best or logger.path is not None)
         for epoch in range(config.epochs):
             for _ in range(steps_per_epoch):
                 idx = stream.batch(step, config.batch_size)
                 lr_t = cosine_lr(step, total_steps, config.learning_rate)
                 tape = Tape()
                 binding = ModelBinding(params, tape)
-                sims, pred = forward(binding, x[idx], pool)
+                sims, pred = forward(binding, x.take_rows(idx), pool)
                 cls = cross_entropy(pred, y[idx])
                 cls_v = cls.item()
                 gpd_v, lcd_v = 0.0, 0.0
@@ -273,7 +288,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                 loss = cls
                 if teacher_stream is not None:
                     t_idx = teacher_stream.batch(step, config.batch_size)
-                    t_coords = Matrix(teacher_coords[t_idx])
+                    t_coords = teacher_coords.take_rows(t_idx)
                     coords = matmul(sims, pool.basis)
                     gpd = lcd = None
                     if cfg_d.alpha > 0:
@@ -300,7 +315,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                 step += 1
             if teacher is not None and teacher.params_hash() != teacher_hash:
                 raise RuntimeError("teacher parameters changed during distillation")
-            val = evaluate_macro_pr_f1(params, pool, xv, yv) if len(yv) else None
+            val = evaluate_macro_pr_f1(params, pool, xv, yv) if validate else None
             if track_best:
                 selected = val > best_score
                 if selected:

@@ -183,6 +183,91 @@ class TestFusedOpsExact:
         with pytest.raises(ValueError, match="no terms"):
             ad.loss_sum([[1.0]], [])
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 1e3, 1e100])
+    def test_cosine_similarity_norms_equal_linalg_norm(self, scale):
+        # the row norms are np.linalg.norm(u, axis=1)'s own expression, bit for bit
+        rng = np.random.default_rng(7)
+        u0 = rng.standard_normal((9, 5)) * scale
+        u0[3] = 0.0
+        unit_t = rng.standard_normal((5, 4))
+        unit_t /= np.linalg.norm(unit_t, axis=0)
+        g = rng.standard_normal((9, 4))
+        tape = Tape()
+        out = ad.cosine_similarity(tape.leaf(u0), unit_t)
+        norms = np.linalg.norm(u0, axis=1, keepdims=True)
+        safe = np.maximum(norms, 1e-12)
+        live = (norms > 1e-12).astype(np.float64)
+        unit = u0 / safe * live
+        np.testing.assert_array_equal(out.data, unit @ unit_t)
+        gn = g @ unit_t.T
+        dot = (gn * unit).sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(recorded_vjp(out)(g)[0], live * (gn - unit * dot) / safe)
+
+
+class TestSharedData:
+    """What is copied and checked when a value enters a matrix or a tape."""
+
+    def test_matrix_shares_a_float64_array(self):
+        a = np.arange(6.0).reshape(2, 3)
+        m = Matrix(a)
+        assert m.data is a
+        v = np.arange(3.0)
+        assert np.shares_memory(Matrix(v).data, v)  # a 1-D array becomes a 1 x n view
+
+    def test_matrix_converts_other_input(self):
+        ints = np.arange(4).reshape(2, 2)
+        m = Matrix(ints)
+        assert m.data.dtype == np.float64 and not np.shares_memory(m.data, ints)
+        np.testing.assert_array_equal(Matrix([[1, 2]]).data, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shared_matrix_still_checked(self, bad):
+        a = np.ones((3, 2))
+        a[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Matrix(a)
+
+    def test_leaf_copies(self):
+        a = np.ones((2, 2))
+        tape = Tape()
+        for value in (a, Matrix(a)):
+            leaf = tape.leaf(value)
+            assert leaf.tracked and not np.shares_memory(leaf.data, a)
+        a[0, 0] = 5.0
+        assert leaf.data[0, 0] == 1.0
+        with pytest.raises(ValueError, match="non-finite"):
+            tape.leaf([[np.nan]])
+
+    def test_param_tracks_the_array_itself(self):
+        a = np.ones((2, 3))
+        tape = Tape()
+        p = tape.param(a)
+        assert p.data is a and p.tape is tape
+        x = tape.leaf(np.ones((1, 2)))
+        assert p.slot != x.slot
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0]], np.ones(3), np.ones((2, 2), dtype=np.float32),
+                                     np.ones((1, 2, 2))], ids=["list", "1-D", "float32", "3-D"])
+    def test_param_needs_a_2d_float64_array(self, bad):
+        with pytest.raises(ShapeError, match="param"):
+            Tape().param(bad)
+
+    def test_take_rows(self):
+        a = np.arange(12.0).reshape(4, 3)
+        m = Matrix(a)
+        idx = np.array([3, 0, 3])
+        rows = m.take_rows(idx)
+        np.testing.assert_array_equal(rows.data, a[idx])
+        assert not rows.tracked and not np.shares_memory(rows.data, a)
+        with pytest.raises(ShapeError, match="take_rows"):
+            m.take_rows(1)
+        with pytest.raises(IndexError):
+            m.take_rows(np.array([4]))
+
+    def test_take_rows_rejects_tracked(self):
+        with pytest.raises(ValueError, match="tracked"):
+            Tape().leaf(np.ones((2, 2))).take_rows(np.array([0]))
+
 
 class TestBackward:
     def test_square_at_three(self):

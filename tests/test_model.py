@@ -82,6 +82,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             init_params("student", 6, pool, 3, seed=1, hidden=(5, 7, 9))
 
+    @pytest.mark.parametrize("hidden", [(0,), (-3,), (4, 0), (2.5,), (4.0,), (True,), ("4",)])
+    def test_hidden_size_must_be_a_positive_int(self, hidden):
+        # a zero-width layer would make every embedding the last bias, silently
+        with pytest.raises(ValueError, match="encoder_hidden"):
+            init_params("student", 6, make_pool({"a": 3}, dim=4), 3, seed=1, hidden=hidden)
+
 
 class TestConceptSimilarity:
     def test_matching_concept_scores_one(self):
@@ -237,6 +243,37 @@ class TestCrossEntropy:
         loss = cross_entropy(Prediction(logits), [1])
         assert loss.item() == pytest.approx(1000.0)
         np.testing.assert_allclose(backward(tape, loss)[logits.slot], [[1.0, -1.0]])
+
+
+class TestBinding:
+    def test_leaves_are_the_parameter_arrays(self):
+        pool, params = simple_params(feature_dim=5, hidden=(4,))
+        binding = ModelBinding(params, Tape())
+        assert list(binding.leaves) == list(params.arrays)
+        for name, leaf in binding.leaves.items():
+            assert leaf.data is params.arrays[name] and leaf.tracked
+
+    def test_gradients_equal_those_of_copied_leaves(self):
+        rng = np.random.default_rng(4)
+        pool, params = simple_params(feature_dim=5, hidden=(4,))
+        feats, labels = rng.standard_normal((6, 5)), rng.integers(0, 2, 6)
+        tape = Tape()
+        binding = ModelBinding(params, tape)
+        grads = backward(tape, cross_entropy(forward(binding, feats, pool)[1], labels))
+
+        copied_tape = Tape()
+        copied = ModelBinding(params, copied_tape)
+        copied.leaves = {name: copied_tape.leaf(arr) for name, arr in params.arrays.items()}
+        copied_loss = cross_entropy(forward(copied, feats, pool)[1], labels)
+        copied_grads = backward(copied_tape, copied_loss)
+        for name in params.arrays:
+            np.testing.assert_array_equal(grads[binding.leaves[name].slot],
+                                          copied_grads[copied.leaves[name].slot], err_msg=name)
+
+    def test_frozen_rejected(self):
+        _, params = simple_params()
+        with pytest.raises(ValueError, match="frozen"):
+            ModelBinding(params.freeze(), Tape())
 
 
 class TestEndToEndGradient:

@@ -75,6 +75,22 @@ class TestAdamW:
             adamw_step(params, {"classifer.weight": g}, state, lr_t=1e-3)
         assert params.params_hash() == before and state.step == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_rejected_before_any_change(self, bad):
+        params = self._params()
+        state = OptimizerState.for_params(params, weight_decay=0.01)
+        ones = np.ones_like(params.arrays["classifier.weight"])
+        adamw_step(params, {"classifier.weight": ones}, state, lr_t=1e-3)
+        before = params.params_hash()
+        moments = state.first_moment.copy(), state.second_moment.copy()
+        g = np.ones_like(params.arrays["encoder.0.bias"])
+        g[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite gradient for encoder.0.bias"):
+            adamw_step(params, {"classifier.weight": ones, "encoder.0.bias": g}, state, lr_t=1e-3)
+        assert params.params_hash() == before and state.step == 1
+        np.testing.assert_array_equal(state.first_moment, moments[0])
+        np.testing.assert_array_equal(state.second_moment, moments[1])
+
     def test_flat_update_equals_per_array_reference(self):
         # the per-array AdamW update, element for element
         params = init_params("student", 5, make_pool({"a": 3}, dim=4), 2, seed=0, hidden=(3,))
@@ -391,6 +407,51 @@ class TestValidationSelection:
         assert returned >= 0.0
 
 
+class TestValidationRunsWhenRead:
+    """Validation runs only when its score is read: by the epoch choice or by the log."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = train_module.evaluate_macro_pr_f1
+
+        def spy(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(train_module, "evaluate_macro_pr_f1", spy)
+        return calls
+
+    def test_teacher_without_log_skips_validation(self, monkeypatch):
+        ds, pool = tiny_dataset()
+        calls = self._count(monkeypatch)
+        pretrain_teacher(quick_train_config(epochs=3), ds, pool)
+        assert calls == []
+
+    def test_teacher_with_log_validates_every_epoch(self, tmp_path, monkeypatch):
+        ds, pool = tiny_dataset()
+        calls = self._count(monkeypatch)
+        log = tmp_path / "teacher.jsonl"
+        teacher = pretrain_teacher(quick_train_config(epochs=3), ds, pool, log_path=log)
+        assert len(calls) == 3
+        epochs = [r for r in map(json.loads, log.read_text().splitlines()) if "epoch" in r]
+        xv, yv = ds.split_arrays("teacher", "val")
+        # the last epoch's logged score is the returned teacher's
+        assert epochs[-1]["val_macro_prf1"] == evaluate_macro_pr_f1(teacher, pool, xv, yv)
+
+    def test_teacher_result_independent_of_log(self, tmp_path):
+        ds, pool = tiny_dataset()
+        silent = pretrain_teacher(quick_train_config(epochs=2), ds, pool)
+        logged = pretrain_teacher(quick_train_config(epochs=2), ds, pool,
+                                  log_path=tmp_path / "t.jsonl")
+        assert silent.params_hash() == logged.params_hash()
+
+    def test_student_validates_every_epoch(self, monkeypatch):
+        ds, pool = tiny_dataset()
+        calls = self._count(monkeypatch)
+        train_student(quick_train_config(epochs=3), ds, pool)
+        assert len(calls) == 3
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("seed", range(5))
     def test_score_equals_macro_report(self, seed, monkeypatch):
@@ -431,3 +492,22 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, make, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(**{name: value})
+
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None],
+                             ids=["float", "fraction", "bool", "str", "none"])
+    def test_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2), seed=np.int64(3))
+        assert (config.batch_size, config.epochs, config.seed) == (8, 2, 3)
+
+    @pytest.mark.parametrize("hidden", [(0,), (-3,), (8, 0), (4.0,), (False,), 16])
+    def test_hidden_sizes_must_be_positive_integers(self, hidden):
+        with pytest.raises(ValueError, match="encoder_hidden"):
+            TrainConfig(encoder_hidden=hidden)
+
+    def test_hidden_sizes_become_a_tuple(self):
+        assert TrainConfig(encoder_hidden=[8, 4]).encoder_hidden == (8, 4)
