@@ -13,10 +13,12 @@ The operations are the ones a training step records, one per model layer
 or loss, each with a hand-written gradient: ``affine`` (``x @ w + b``, an
 encoder or classifier layer), ``tanh``, ``cosine_similarity`` (rows
 L2-normalized, then scored against constant unit columns), ``matmul``
-(class means and basis coordinates), the losses ``softmax_cross_entropy``
-(from logits), ``supcon_loss`` and ``mean_sq_row_distance``, and
-``loss_sum``, the weighted total of the loss terms. Every one ends in
-``_finish``, which rejects a non-finite result.
+(basis coordinates), the losses ``softmax_cross_entropy`` (from logits),
+``supcon_loss`` and ``class_mean_distance`` (two sets of class means and
+their squared distance), and ``loss_sum``, the weighted total of the loss
+terms. Every one ends in ``_finish``, which rejects a non-finite result.
+``supcon_loss`` keeps its pair bookkeeping per anchor, and its VJP scales
+the op's own exponentials in place, so it runs once: a second call raises.
 """
 
 from __future__ import annotations
@@ -273,11 +275,17 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     1 and so is >= 1; an argmax positive uses ``log rest_i``. Only a row
     whose ``rest_i`` is below 1e-290 or underflows (every other candidate
     ~668 logits or more below the argmax) sums its other candidates again,
-    shifted by the second-largest logit. Only the positive pairs are
-    visited after the exponentials. The gradient is written out by hand as
-    one row-scaled sweep over the exponentials, with the argmax column set
-    rather than corrected; it flows to ``anchors`` and, when tracked, to
-    ``others``.
+    shifted by the second-largest logit.
+
+    After the exponentials only the positive pairs are visited, as the
+    mask's flat indices. ``np.searchsorted`` over them finds where each
+    anchor's pairs start and, in one call, which pair, if any, is each
+    anchor's argmax; a pair's weight and row sum are its anchor's, repeated
+    over the anchor's pairs.
+    The gradient is written out by hand as one row-scaled sweep over the
+    exponentials, in place, with the argmax column set rather than
+    corrected; it flows to ``anchors`` and, when tracked, to ``others``.
+    So it can be taken once: a second call of the VJP raises RuntimeError.
     """
     s, t = as_matrix(anchors), as_matrix(others)
     if tau <= 0:
@@ -290,9 +298,10 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     if positive.shape != (n, width) or weight.shape != (n,):
         raise ShapeError(f"supcon_loss: need an {(n, width)} mask and {n} anchor weights")
     rows = np.arange(n)
-    if positive[rows, rows].any():
+    if positive.diagonal().any():
         raise ValueError("supcon_loss: an anchor cannot be its own positive")
-    if not positive.any():  # nothing to score; a lone anchor's row would be all -inf
+    flat = np.flatnonzero(positive)  # positive pairs, row-major
+    if not flat.size:  # nothing to score; a lone anchor's row would be all -inf
         return _finish("supcon_loss", np.zeros((1, 1)), (s, t), lambda g: (None, None))
     if width < 3:
         raise ValueError("supcon_loss: an anchor with a positive needs two candidates or more")
@@ -306,18 +315,21 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     rest = e.sum(axis=1)  # shifted sum without the argmax column
     e[rows, top] = 1.0
 
-    flat = np.flatnonzero(positive)  # positive pairs, row-major
-    pi = flat // width
-    wp = weight[pi]
+    starts = np.searchsorted(flat, np.arange(n + 1) * width)  # anchor i's pairs start
+    count = starts[1:] - starts[:-1]
+    top_cell = rows * width + top
+    at = np.searchsorted(flat, top_cell)
+    hit = flat.take(at, mode="clip") == top_cell
+    at_top, hard, w_hard = at[hit], rows[hit], weight[hit]  # argmax pairs and their anchors
+    pi = rows.repeat(count)  # anchor of each pair
+    wp = weight.repeat(count)
     ep = e.ravel()[flat]
-    at_top = flat - pi * width == top[pi]
-    den = (rest + 1.0)[pi] - ep  # shifted sum without column j, >= 1
+    den = (rest + 1.0).repeat(count) - ep  # shifted sum without column j, >= 1
     den[at_top] = 1.0  # the argmax column's sum is rest, taken below
     loss = np.dot(wp, np.log(den) - z.ravel()[flat])
     inv = wp / den
     inv[at_top] = 0.0
 
-    hard, w_hard = pi[at_top], wp[at_top]  # rows whose argmax column is positive
     # rest underflowed, or sums subnormal terms: shift by the second-largest logit
     gone = rest[hard] < 1e-290
     easy, w_easy = hard[~gone], w_hard[~gone]
@@ -335,10 +347,14 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     t_tracked = t.tracked
 
     def vjp(g):
+        nonlocal e
+        if e is None:
+            raise RuntimeError("supcon_loss: gradient already taken; its exponentials are spent")
+        grad, e = e, None
         soft = np.bincount(pi, weights=inv, minlength=n)
         coef = soft.copy()
         coef[easy] += w_easy / rest[easy]
-        grad = e * coef[:, None]
+        grad *= coef[:, None]
         # set, not e*coef - w/rest: that difference cancels when rest is tiny
         grad[rows, top] = soft
         grad.ravel()[flat] -= ep * inv + wp
@@ -353,33 +369,37 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     return _finish("supcon_loss", np.array([[loss]]), (s, t), vjp)
 
 
-def mean_sq_row_distance(a, b, rows) -> Matrix:
-    """Mean over the listed ``rows`` of ``||a_r - b_r||^2``, the squared row distance.
+def class_mean_distance(a_weight, a, b_weight, b, shared) -> Matrix:
+    """Mean over the ``shared`` classes c of ``||(a_weight @ a)_c - (b_weight @ b)_c||^2``.
 
-    ``a`` and ``b`` have one shape, and ``rows`` holds strictly increasing
-    row indices, at least one. The gradient is written out by hand:
-    ``2 (a_r - b_r) / len(rows)`` on the listed rows of ``a``, its negative
-    on those of ``b``, and zero on every other row.
+    The weights are constant arrays, C x rows of ``a`` and of ``b``: row c
+    of ``a_weight`` averages class c's rows of ``a`` into its mean.
+    ``shared`` is a boolean mask over the C classes; with none shared the
+    result is a constant 0. The gradient is written out by hand:
+    ``2 (m_a - m_b) / |shared|`` on the shared classes' means, mapped back
+    through each side's weights.
     """
     a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mean_sq_row_distance: shapes {a.shape} and {b.shape} differ")
-    rows = np.asarray(rows, dtype=np.int64)
-    if (rows.ndim != 1 or rows.size == 0 or rows[0] < 0 or rows[-1] >= a.rows
-            or (rows[1:] <= rows[:-1]).any()):
-        raise ValueError(f"mean_sq_row_distance: rows must be strictly increasing "
-                         f"indices in [0, {a.rows}), at least one")
-    c = 1.0 / len(rows)
-    d = a.data[rows] - b.data[rows]
-    shape, a_tracked, b_tracked = a.shape, a.tracked, b.tracked
+    wa, wb = np.asarray(a_weight, dtype=np.float64), np.asarray(b_weight, dtype=np.float64)
+    shared = np.asarray(shared)
+    if shared.dtype != bool or shared.ndim != 1:
+        raise ShapeError("class_mean_distance: shared must be a 1-D boolean mask")
+    if wa.shape != (len(shared), a.rows) or wb.shape != (len(shared), b.rows) or a.cols != b.cols:
+        raise ShapeError(f"class_mean_distance: {wa.shape} x {a.shape} vs {wb.shape} x {b.shape}"
+                         f" over {len(shared)} classes")
+    if not shared.any():
+        return Matrix._wrap(np.zeros((1, 1)))
+    c = 1.0 / np.count_nonzero(shared)
+    d = (wa @ a.data)[shared] - (wb @ b.data)[shared]
+    a_tracked, b_tracked = a.tracked, b.tracked
 
     def vjp(g):
         half = (g[0, 0] * c) * d
-        grad = np.zeros(shape)
-        grad[rows] = half + half
-        return (grad if a_tracked else None), (-grad if b_tracked else None)
+        grad = np.zeros((len(shared), d.shape[1]))
+        grad[shared] = half + half
+        return (wa.T @ grad if a_tracked else None), (wb.T @ -grad if b_tracked else None)
 
-    return _finish("mean_sq_row_distance", ((d * d).sum() * c).reshape(1, 1), (a, b), vjp)
+    return _finish("class_mean_distance", ((d * d).sum() * c).reshape(1, 1), (a, b), vjp)
 
 
 def loss_sum(base, terms) -> Matrix:

@@ -12,17 +12,21 @@ coordinates on the pool's orthonormal ``basis`` (``rows @ pool.basis``, see
 ``concepts``): 16 columns instead of 90 for the generator's default pool,
 with the same loss values up to rounding.
 
-Each loss is one autodiff operation with a hand-written gradient. GPD
-takes the classes present in both prototype sets and hands their rows to
-``autodiff.mean_sq_row_distance``. LCD builds its positive-pair mask and
-anchor weights here and hands them to ``autodiff.supcon_loss``, which works
-in log space with one pass of exponentials per call. When an anchor's
-most similar candidate is itself a positive (on real batches, nearly every
-anchor), its denominator is the shifted row sum with that candidate's
-column zeroed, summed directly rather than subtracted from the full sum.
-Only when that sum falls below 1e-290, with every other candidate ~668
-logits or more below the best one (small ``tau``, long rows), are the other
-candidates summed again, shifted by the second-largest logit.
+Each loss is one autodiff operation with a hand-written gradient.
+``class_prototypes`` only builds a batch's constant class-mean weights and
+the mask of classes present, recording nothing; ``gpd_loss`` hands both
+sides' weights and rows, with the classes present in both, to
+``autodiff.class_mean_distance``, which takes the class means and their
+squared distance in one op. ``lcd_loss`` counts each anchor's positives
+once, from the class sizes among the candidates, builds the positive-pair
+mask and anchor weights, and hands them to ``autodiff.supcon_loss``, which
+works in log space with one pass of exponentials per call. When an
+anchor's most similar candidate is itself a positive (on real batches,
+nearly every anchor), its denominator is the shifted row sum with that
+candidate's column zeroed, summed directly rather than subtracted from the
+full sum. Only when that sum falls below 1e-290, with every other candidate
+~668 logits or more below the best one (small ``tau``, long rows), are the
+other candidates summed again, shifted by the second-largest logit.
 """
 
 from __future__ import annotations
@@ -54,16 +58,15 @@ class DistillConfig:
 
 @dataclass
 class ClassPrototypes:
-    vectors: Matrix  # C x N, zero rows where a class is absent
-    present: np.ndarray  # bool per class
+    """A batch's per-class mean rows, kept as constant weights over its rows."""
 
-    @property
-    def num_classes(self) -> int:
-        return self.vectors.rows
+    weights: np.ndarray  # C x B: row c averages class c's rows; zero where c is absent
+    present: np.ndarray  # bool per class
+    rows: Matrix  # the batch's rows, B x N
 
 
 def class_prototypes(similarity, labels, num_classes: int) -> ClassPrototypes:
-    """Mean similarity row per class over the batch; absent classes are masked."""
+    """Per-class mean weights over the batch's rows (no op recorded); absent classes masked."""
     sim = ad.as_matrix(similarity)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.shape[0] != sim.rows:
@@ -73,25 +76,12 @@ def class_prototypes(similarity, labels, num_classes: int) -> ClassPrototypes:
     indicator = np.zeros((num_classes, sim.rows))
     indicator[labels, np.arange(sim.rows)] = 1.0
     counts = indicator.sum(axis=1)
-    present = counts > 0
-    weights = indicator / np.maximum(counts, 1.0)[:, None]
-    return ClassPrototypes(vectors=ad.matmul(Matrix(weights), sim), present=present)
+    return ClassPrototypes(indicator / np.maximum(counts, 1.0)[:, None], counts > 0, sim)
 
 
 def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> Matrix:
-    """Squared L2 distance between prototypes, averaged over classes present in both."""
-    if a.vectors.cols != b.vectors.cols:
-        raise ShapeError(
-            f"prototype widths differ: {a.vectors.cols} vs {b.vectors.cols}"
-        )
-    if a.num_classes != b.num_classes:
-        raise ShapeError(
-            f"class counts differ: {a.num_classes} vs {b.num_classes}"
-        )
-    common = np.flatnonzero(a.present & b.present)
-    if len(common) == 0:
-        return Matrix([[0.0]])
-    return ad.mean_sq_row_distance(a.vectors, b.vectors, common)
+    """Squared L2 distance between class means, averaged over classes present in both."""
+    return ad.class_mean_distance(a.weights, a.rows, b.weights, b.rows, a.present & b.present)
 
 
 def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
@@ -122,15 +112,21 @@ def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
         raise ValueError("label vectors must match similarity row counts")
     n_s, n_t = s.rows, t.rows
 
-    # positives over the candidate columns [student rows; teacher rows]
-    positive = ls[:, None] == np.concatenate([ls, lt])[None, :]
-    positive[np.arange(n_s), np.arange(n_s)] = False
-    n_pos = positive.sum(axis=1)
+    # the candidate columns [student rows; teacher rows], labels coded from 0
+    code = np.concatenate([ls, lt])
+    code -= code.min(initial=0)
+    if code.max(initial=0) >= len(code):  # sparse labels: number them densely
+        code = np.unique(code, return_inverse=True)[1]
+    per_class = np.bincount(code)
+    n_pos = per_class[code[:n_s]] - 1  # less the anchor itself
     active = (n_pos > 0) & ((n_s - 1) + n_t >= 2)
-    n_active = int(active.sum())
+    n_active = int(np.count_nonzero(active))
     skipped = n_s - n_active
     if not n_active:
         return Matrix([[0.0]]), skipped
+    # anchor i's mask row is its class's row, less the anchor itself
+    positive = (np.arange(len(per_class))[:, None] == code)[code[:n_s]]
+    np.fill_diagonal(positive, False)
     # an anchor without positives has an all-false row, so its weight is unused
     anchor_weight = 1.0 / np.maximum(n_pos, 1) / n_active
     return ad.supcon_loss(s, t, positive, anchor_weight, tau), skipped

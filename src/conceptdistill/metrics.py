@@ -145,6 +145,9 @@ def macro_report(probabilities, predicted, actual, num_classes: int,
                  class_names: list[str] | None = None) -> MetricsReport:
     probabilities = np.asarray(probabilities, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.int64)
+    if probabilities.ndim != 2 or probabilities.shape[1] != num_classes:
+        raise ValueError(f"probabilities must have num_classes = {num_classes} columns, "
+                         f"got shape {probabilities.shape}")
     if class_names is None:
         class_names = [f"class_{c}" for c in range(num_classes)]
     if len(class_names) != num_classes:

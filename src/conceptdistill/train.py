@@ -277,11 +277,12 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
         for epoch in range(config.epochs):
             for _ in range(steps_per_epoch):
                 idx = stream.batch(step, config.batch_size)
+                labels = y[idx]
                 lr_t = cosine_lr(step, total_steps, config.learning_rate)
                 tape = Tape()
                 binding = ModelBinding(params, tape)
                 sims, pred = forward(binding, x.take_rows(idx), pool)
-                cls = cross_entropy(pred, y[idx])
+                cls = cross_entropy(pred, labels)
                 cls_v = cls.item()
                 gpd_v, lcd_v = 0.0, 0.0
                 gpd_shared = lcd_skipped = None
@@ -289,17 +290,17 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                 if teacher_stream is not None:
                     t_idx = teacher_stream.batch(step, config.batch_size)
                     t_coords = teacher_coords.take_rows(t_idx)
+                    t_labels = yt[t_idx]
                     coords = matmul(sims, pool.basis)
                     gpd = lcd = None
                     if cfg_d.alpha > 0:
-                        t_protos = class_prototypes(t_coords, yt[t_idx], num_classes)
-                        s_protos = class_prototypes(coords, y[idx], num_classes)
+                        t_protos = class_prototypes(t_coords, t_labels, num_classes)
+                        s_protos = class_prototypes(coords, labels, num_classes)
                         gpd = gpd_loss(t_protos, s_protos)
                         gpd_v = gpd.item()
                         gpd_shared = int((t_protos.present & s_protos.present).sum())
                     if cfg_d.beta > 0:
-                        lcd, lcd_skipped = lcd_loss(coords, y[idx], t_coords, yt[t_idx],
-                                                    cfg_d.tau)
+                        lcd, lcd_skipped = lcd_loss(coords, labels, t_coords, t_labels, cfg_d.tau)
                         lcd_v = lcd.item()
                     loss = total_loss(cls, gpd, lcd, cfg_d)
                 total_v = loss.item()

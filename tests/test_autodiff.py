@@ -177,6 +177,30 @@ class TestFusedOpsExact:
             for adjoint, (_, w) in zip(adjoints[1:], terms):
                 np.testing.assert_array_equal(adjoint, g * w)
 
+    def test_class_mean_distance(self):
+        # the two ops it replaces: each side's class means by an indicator
+        # matmul, then the mean squared distance over the shared classes' rows
+        rng = np.random.default_rng(3)
+        a0, b0 = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
+        wa, present_a = class_weights(np.array([0, 2, 2, 4, 0, 2, 4]), 5)
+        wb, present_b = class_weights(np.array([1, 2, 4, 4, 2, 1, 0, 4, 2]), 5)
+        shared = present_a & present_b
+        g = np.array([[0.6]])
+        tape = Tape()
+        a, b = tape.leaf(a0), tape.leaf(b0)
+        out = ad.class_mean_distance(wa, a, wb, b, shared)
+
+        rows = np.flatnonzero(shared)
+        c = 1.0 / len(rows)
+        d = (wa @ a0)[rows] - (wb @ b0)[rows]
+        np.testing.assert_array_equal(out.data, ((d * d).sum() * c).reshape(1, 1))
+        half = (g[0, 0] * c) * d
+        grad = np.zeros((5, 4))
+        grad[rows] = half + half
+        da, db = recorded_vjp(out)(g)
+        np.testing.assert_array_equal(da, wa.T @ grad)
+        np.testing.assert_array_equal(db, wb.T @ -grad)
+
     def test_loss_sum_inputs_checked(self):
         with pytest.raises(ShapeError, match="1x1"):
             ad.loss_sum([[1.0]], [(np.ones((1, 2)), 0.5)])
@@ -336,8 +360,8 @@ OP_CASES = {
     "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
     "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
     "supcon_loss_others": lambda rng: _supcon_case(rng, tracked="others"),
-    "mean_sq_row_distance": lambda rng: _row_distance_case(rng, tracked="a"),
-    "mean_sq_row_distance_b": lambda rng: _row_distance_case(rng, tracked="b"),
+    "class_mean_distance": lambda rng: _class_mean_case(rng, tracked="a"),
+    "class_mean_distance_b": lambda rng: _class_mean_case(rng, tracked="b"),
     "loss_sum": lambda rng: _loss_sum_case(rng),
 }
 
@@ -368,10 +392,16 @@ def test_every_public_op_has_a_gradient_case():
     assert covered == public_ops
 
 
+def _mean_sq_distance(a, b, rows):
+    """Mean over ``rows`` (a boolean mask) of ``||a_r - b_r||^2``, with each row its own class."""
+    eye = np.eye(len(rows))
+    return ad.class_mean_distance(eye, a, eye, b, rows)
+
+
 def _reduce(shape, rng):
     """Reduce an op's output y to a scalar whose cotangent, 2 (y - w) / rows, is a random matrix."""
     w = rng.uniform(-1, 1, shape)
-    return lambda out: ad.mean_sq_row_distance(out, w, np.arange(out.rows))
+    return lambda out: _mean_sq_distance(out, w, np.ones(shape[0], dtype=bool))
 
 
 def _unary_case(rng, op, low=-2.0, high=2.0):
@@ -404,13 +434,13 @@ def _cosine_case(rng):
     x0 = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
     unit_t = rng.standard_normal((k, n))
     unit_t /= np.linalg.norm(unit_t, axis=0)
-    scored = np.arange(m)
+    scored = np.ones(m, dtype=bool)
     if rng.uniform() < 0.5:
         zero = int(rng.integers(m))
         x0[zero] = 0.0
-        scored = scored[scored != zero]
+        scored[zero] = False
     w = rng.uniform(-1, 1, (m, n))
-    return (lambda x: ad.mean_sq_row_distance(ad.cosine_similarity(x, unit_t), w, scored)), x0
+    return (lambda x: _mean_sq_distance(ad.cosine_similarity(x, unit_t), w, scored)), x0
 
 
 def _loss_sum_case(rng):
@@ -435,16 +465,28 @@ def _matmul_case(rng):
     return (lambda x: reduce(ad.matmul(x, other))), x0
 
 
-def _row_distance_case(rng, tracked):
-    shape = _random_shape(rng)
-    x0 = rng.uniform(-2, 2, shape)
-    other = rng.uniform(-2, 2, shape)
-    rows = np.flatnonzero(rng.uniform(size=shape[0]) < 0.5)
-    if rows.size == 0:
-        rows = np.array([int(rng.integers(shape[0]))])
+def class_weights(labels, num_classes):
+    """Row c averages the rows labelled c: the weights ``losses.class_prototypes`` builds."""
+    indicator = np.zeros((num_classes, len(labels)))
+    indicator[labels, np.arange(len(labels))] = 1.0
+    counts = indicator.sum(axis=1)
+    return indicator / np.maximum(counts, 1.0)[:, None], counts > 0
+
+
+def _class_mean_case(rng, tracked):
+    """Class means of two labelled row sets, with some class shared and some absent."""
+    c, k = _random_shape(rng)
+    n_a, n_b = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    wa, present_a = class_weights(rng.integers(0, c, n_a), c)
+    wb, present_b = class_weights(rng.integers(0, c, n_b), c)
+    shared = present_a & present_b & (rng.uniform(size=c) < 0.8)
+    if not shared.any():  # force one shared class: its mean is the only row of each side
+        wa[0], wb[0] = np.eye(n_a)[0], np.eye(n_b)[0]
+        shared[0] = True
+    a0, b0 = rng.uniform(-2, 2, (n_a, k)), rng.uniform(-2, 2, (n_b, k))
     if tracked == "b":
-        return (lambda x: ad.mean_sq_row_distance(other, x, rows)), x0
-    return (lambda x: ad.mean_sq_row_distance(x, other, rows)), x0
+        return (lambda x: ad.class_mean_distance(wa, a0, wb, x, shared)), b0
+    return (lambda x: ad.class_mean_distance(wa, x, wb, b0, shared)), a0
 
 
 def _cross_entropy_case(rng):
@@ -500,23 +542,37 @@ class TestValidation:
         with pytest.raises(ShapeError, match="affine"):
             ad.affine(x, np.ones((2, 4)), np.ones((1, 4)))
 
-    def test_row_distance_inputs_checked(self):
-        a = np.ones((3, 2))
-        with pytest.raises(ShapeError, match="differ"):
-            ad.mean_sq_row_distance(a, np.ones((3, 3)), [0])
-        for rows in ([], [3], [-1], [1, 1], [2, 0], [[0]]):
-            with pytest.raises(ValueError, match="strictly increasing"):
-                ad.mean_sq_row_distance(a, a, rows)
+    def test_class_mean_distance_inputs_checked(self):
+        w, rows, shared = np.full((2, 3), 1 / 3), np.ones((3, 2)), np.array([True, False])
+        for bad in [(np.ones((3, 3)), rows, w, rows, shared),  # class counts differ
+                    (w, rows, w, np.ones((3, 4)), shared),  # row widths differ
+                    (w, np.ones((4, 2)), w, rows, shared),  # weights do not match the rows
+                    (w, rows, w, rows, np.array([True]))]:  # mask of another class count
+            with pytest.raises(ShapeError, match="class_mean_distance: .* classes"):
+                ad.class_mean_distance(*bad)
+        for bad in ([1, 0], [[True, False]], True):
+            with pytest.raises(ShapeError, match="boolean mask"):
+                ad.class_mean_distance(w, rows, w, rows, np.array(bad))
 
-    def test_row_distance_by_hand(self):
-        # rows 0 and 2 differ by (3, 4) and (0, 1): (25 + 1) / 2; row 1 is not listed
+    def test_class_mean_distance_by_hand(self):
+        # class means (3, 4), (9, 9), (0, 1) against zero; classes 0 and 2 are
+        # shared: (25 + 1) / 2, and only their means pass an adjoint back
         a = Matrix([[3.0, 4.0], [9.0, 9.0], [0.0, 1.0]])
         tape = Tape()
-        b = tape.leaf(np.zeros((3, 2)))
-        loss = ad.mean_sq_row_distance(a, b, [0, 2])
+        b = tape.leaf(np.zeros((2, 2)))
+        wb = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
+        loss = ad.class_mean_distance(np.eye(3), a, wb, b, np.array([True, False, True]))
         assert loss.item() == 13.0
         grads = backward(tape, loss)
-        np.testing.assert_array_equal(grads[b.slot], [[-3.0, -4.0], [0.0, 0.0], [0.0, -1.0]])
+        # -(m_a - m_b) on the shared means (-3, -4) and (0, -1), mapped back through wb^T
+        np.testing.assert_array_equal(grads[b.slot], [[-1.5, -3.0], [-1.5, -2.0]])
+
+    def test_class_mean_distance_nothing_shared_is_zero(self):
+        tape = Tape()
+        a = tape.leaf(np.ones((2, 3)))
+        loss = ad.class_mean_distance(np.eye(2), a, np.eye(2), np.zeros((2, 3)),
+                                      np.zeros(2, dtype=bool))
+        assert loss.item() == 0.0 and not loss.tracked
 
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
@@ -538,6 +594,16 @@ class TestValidation:
         # one anchor, one other row: the positive has nothing to be scored against
         with pytest.raises(ValueError, match="two candidates or more"):
             ad.supcon_loss([[1.0, 0.0]], [[1.0, 0.0]], [[False, True]], [1.0], 1.0)
+
+    def test_supcon_gradient_is_taken_once(self):
+        # the recorded VJP scales the op's exponentials in place
+        tape = Tape()
+        s = tape.leaf([[1.0, 0.0], [0.6, 0.8]])
+        loss = ad.supcon_loss(s, [[0.0, 1.0]], [[False, False, True], [False, False, True]],
+                              [0.5, 0.5], 1.0)
+        backward(tape, loss)
+        with pytest.raises(RuntimeError, match="already taken"):
+            backward(tape, loss)
 
     def test_supcon_no_positive_is_zero(self):
         # a lone anchor with no other rows has no candidate at all

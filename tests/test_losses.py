@@ -122,24 +122,34 @@ def lcd_cases(draw):
             draw(st.floats(1e-2, 1e2)))
 
 
+def class_means(protos):
+    return protos.weights @ protos.rows.data
+
+
 class TestClassPrototypes:
     def test_single_sample_is_its_own_prototype(self):
         sims = np.array([[0.1, -0.4, 0.9]])
         protos = class_prototypes(sims, [2], num_classes=3)
-        np.testing.assert_allclose(protos.vectors.data[2], sims[0])
+        np.testing.assert_allclose(class_means(protos)[2], sims[0])
         assert list(protos.present) == [False, False, True]
 
     def test_mean_of_two_rows(self):
         sims = np.array([[1.0, 0.0], [0.0, 1.0]])
         protos = class_prototypes(sims, [1, 1], num_classes=2)
-        np.testing.assert_allclose(protos.vectors.data[1], [0.5, 0.5])
+        np.testing.assert_allclose(class_means(protos)[1], [0.5, 0.5])
 
     def test_absent_class_masked_no_nan(self):
         sims = np.random.default_rng(0).uniform(-1, 1, (4, 6))
         protos = class_prototypes(sims, [0, 1, 1, 4], num_classes=5)
         assert not protos.present[3]
-        assert np.all(np.isfinite(protos.vectors.data))
-        np.testing.assert_array_equal(protos.vectors.data[3], 0.0)
+        assert np.all(np.isfinite(class_means(protos)))
+        np.testing.assert_array_equal(protos.weights[3], 0.0)
+
+    def test_records_nothing(self):
+        # the class means are taken inside gpd_loss's one op
+        tape = Tape()
+        protos = class_prototypes(tape.leaf(np.ones((3, 2))), [0, 1, 1], num_classes=2)
+        assert tape._ops == [] and protos.rows.tracked
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(1)
@@ -149,7 +159,7 @@ class TestClassPrototypes:
             labels = rng.integers(0, c, b)
             got = class_prototypes(sims, labels, c)
             want_vec, want_present = oracle_prototypes(sims, labels, c)
-            np.testing.assert_allclose(got.vectors.data, want_vec, atol=1e-12)
+            np.testing.assert_allclose(class_means(got), want_vec, atol=1e-12)
             np.testing.assert_array_equal(got.present, want_present)
 
 
@@ -197,6 +207,16 @@ class TestGpdLoss:
         b = class_prototypes(np.ones((1, 4)), [0], 2)
         with pytest.raises(ShapeError):
             gpd_loss(a, b)
+
+    def test_one_op(self):
+        # both sides' class means and their distance are one recorded op
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        a = class_prototypes(rng.uniform(-1, 1, (4, 3)), [0, 1, 1, 2], 3)
+        b = class_prototypes(tape.leaf(rng.uniform(-1, 1, (5, 3))), [2, 2, 0, 1, 0], 3)
+        gpd_loss(a, b)
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == [
+            "class_mean_distance"]
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
@@ -273,12 +293,13 @@ class TestLcdLoss:
         sims_s = rng.uniform(-1, 1, (5, 4))
         sims_t = rng.uniform(-1, 1, (4, 4))
         ls, lt = rng.integers(0, 3, 5), rng.integers(0, 3, 4)
-        relabel = {0: 2, 1: 0, 2: 1}
         base = lcd_loss(sims_s, ls, sims_t, lt, 5.0)[0].item()
-        mapped = lcd_loss(
-            sims_s, [relabel[x] for x in ls], sims_t, [relabel[x] for x in lt], 5.0
-        )[0].item()
-        assert mapped == pytest.approx(base, abs=1e-12)
+        # the second relabelling is sparse and negative: lcd_loss numbers it densely
+        for relabel in ({0: 2, 1: 0, 2: 1}, {0: 10**12, 1: -7, 2: 40}):
+            mapped = lcd_loss(
+                sims_s, [relabel[x] for x in ls], sims_t, [relabel[x] for x in lt], 5.0
+            )[0].item()
+            assert mapped == pytest.approx(base, abs=1e-12)
 
     def test_closer_positive_lowers_loss(self):
         # anchor along x; positive rotates toward it at fixed norm
@@ -375,6 +396,21 @@ class TestLcdRobustness:
         case, gaps = self.argmax_positive_case([[0.5, 0.2], [-1.0, 0.0], [0.4, 1.0]])
         assert gaps.min() > 745
         assert_matches_oracles(*case)
+
+    @pytest.mark.parametrize("tau", [10.0, 0.5, 0.05])
+    def test_repeated_candidate_rows(self, tau):
+        # a teacher batch that crosses an epoch boundary can hold a row twice;
+        # here one repeated row is anchor 0's argmax and its positive, so its
+        # copy ties the argmax exactly, and another is a negative
+        rng = np.random.default_rng(12)
+        sims_s = rng.uniform(-1, 1, (4, 3))  # norms below sqrt(3)
+        best = 3.0 * sims_s[0] / np.linalg.norm(sims_s[0])
+        other = rng.uniform(-1, 1, 3)
+        sims_t = np.array([best, other, best, rng.uniform(-1, 1, 3), other])
+        ls, lt = np.array([0, 1, 0, 1]), np.array([0, 1, 0, 2, 1])
+        logits = sims_s[0] @ np.concatenate([sims_s[1:], sims_t]).T
+        assert np.flatnonzero(logits == logits.max()).tolist() == [3, 5]  # both copies of best
+        assert_matches_oracles(sims_s, ls, sims_t, lt, tau)
 
     @given(lcd_cases())
     @settings(max_examples=150, deadline=None)

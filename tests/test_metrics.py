@@ -269,3 +269,18 @@ class TestMacroReport:
         assert list(report.per_class) == names
         assert all(set(row) == set(METRIC_NAMES) for row in report.per_class.values())
         assert set(report.macro) == set(METRIC_NAMES)
+
+    def test_narrower_probabilities_rejected(self):
+        # two columns for three classes used to report class 2's AP as 0.0,
+        # without listing it as skipped
+        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+        actual = [0, 1, 2]
+        with pytest.raises(ValueError, match=r"num_classes = 3 columns, got shape \(3, 2\)"):
+            macro_report(probs, actual, actual, 3)
+
+    def test_wider_probabilities_rejected(self):
+        # four columns for three classes used to raise IndexError
+        probs = np.full((3, 4), 0.25)
+        actual = [0, 1, 2]
+        with pytest.raises(ValueError, match=r"num_classes = 3 columns, got shape \(3, 4\)"):
+            macro_report(probs, actual, actual, 3)
