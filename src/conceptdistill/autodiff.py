@@ -17,8 +17,9 @@ L2-normalized, then scored against constant unit columns), ``matmul``
 ``supcon_loss`` and ``class_mean_distance`` (two sets of class means and
 their squared distance), and ``loss_sum``, the weighted total of the loss
 terms. Every one ends in ``_finish``, which rejects a non-finite result.
-``supcon_loss`` keeps its pair bookkeeping per anchor, and its VJP scales
-the op's own exponentials in place, so it runs once: a second call raises.
+``supcon_loss`` takes one n x (n + m) buffer from logits to gradient, so
+its VJP runs once; its sums round differently from a term-by-term
+evaluation, by ~1e-15 relative.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ class ShapeError(ValueError):
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{op} produced non-finite entries")
+
+
+def _int_labels(labels, fn: str) -> np.ndarray:
+    """``labels`` as int64; a non-integer dtype raises rather than truncates (empty passes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" and labels.size:
+        raise ValueError(f"{fn}: labels must have an integer dtype, got {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
 
 
 class Matrix:
@@ -235,7 +244,7 @@ def softmax_cross_entropy(logits, labels) -> Matrix:
     gradient is written out by hand: ``(softmax - onehot) / n``.
     """
     z = as_matrix(logits)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _int_labels(labels, "softmax_cross_entropy")
     if labels.shape != (z.rows,):
         raise ValueError(f"labels must be 1-D of length {z.rows}")
     if labels.min() < 0 or labels.max() >= z.cols:
@@ -275,17 +284,19 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     1 and so is >= 1; an argmax positive uses ``log rest_i``. Only a row
     whose ``rest_i`` is below 1e-290 or underflows (every other candidate
     ~668 logits or more below the argmax) sums its other candidates again,
-    shifted by the second-largest logit.
+    shifted by the second-largest logit, from logits computed anew.
 
-    After the exponentials only the positive pairs are visited, as the
-    mask's flat indices. ``np.searchsorted`` over them finds where each
-    anchor's pairs start and, in one call, which pair, if any, is each
-    anchor's argmax; a pair's weight and row sum are its anchor's, repeated
-    over the anchor's pairs.
-    The gradient is written out by hand as one row-scaled sweep over the
-    exponentials, in place, with the argmax column set rather than
-    corrected; it flows to ``anchors`` and, when tracked, to ``others``.
-    So it can be taken once: a second call of the VJP raises RuntimeError.
+    One n x (n + m) buffer carries the op from logits to gradient: the
+    pairs' logits are gathered from it before it is overwritten with its
+    exponentials, which the VJP scales in place into the gradient. The
+    pairs are the mask's flat indices, one run per anchor: ``searchsorted``
+    finds where each run starts and which pair, if any, is the anchor's
+    argmax; the VJP sums each run with ``np.add.reduceat``. The gradient,
+    its argmax column set rather than corrected, maps back by
+    ``grad @ [anchors; others] + grad[:, :n]^T @ anchors``, and to
+    ``others`` too when tracked. So the VJP runs once: a second call raises
+    RuntimeError. These sums round differently from a term-by-term
+    evaluation, by ~1e-15 relative.
     """
     s, t = as_matrix(anchors), as_matrix(others)
     if tau <= 0:
@@ -306,11 +317,13 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     if width < 3:
         raise ValueError("supcon_loss: an anchor with a positive needs two candidates or more")
     sd, td = s.data, t.data
-    z = (sd / tau) @ np.concatenate([sd, td]).T
+    cand = np.concatenate([sd, td])
+    z = (sd / tau) @ cand.T
     z[rows, rows] = -np.inf
     top = z.argmax(axis=1)
     z -= z[rows, top][:, None]  # shifted: row maxima are 0
-    e = np.exp(z)  # 0 on the self column
+    zp = z.ravel()[flat]  # the pairs' logits, before z turns into exponentials
+    e = np.exp(z, out=z)  # 0 on the self column
     e[rows, top] = 0.0
     rest = e.sum(axis=1)  # shifted sum without the argmax column
     e[rows, top] = 1.0
@@ -321,14 +334,15 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     at = np.searchsorted(flat, top_cell)
     hit = flat.take(at, mode="clip") == top_cell
     at_top, hard, w_hard = at[hit], rows[hit], weight[hit]  # argmax pairs and their anchors
-    pi = rows.repeat(count)  # anchor of each pair
     wp = weight.repeat(count)
     ep = e.ravel()[flat]
     den = (rest + 1.0).repeat(count) - ep  # shifted sum without column j, >= 1
     den[at_top] = 1.0  # the argmax column's sum is rest, taken below
-    loss = np.dot(wp, np.log(den) - z.ravel()[flat])
     inv = wp / den
     inv[at_top] = 0.0
+    np.log(den, out=den)
+    den -= zp
+    loss = np.dot(wp, den)
 
     # rest underflowed, or sums subnormal terms: shift by the second-largest logit
     gone = rest[hard] < 1e-290
@@ -336,8 +350,10 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     loss += np.dot(w_easy, np.log(rest[easy]))
     fall, w_fall = hard[gone], w_hard[gone]
     if fall.size:
-        zf = z[fall]
-        zf[np.arange(fall.size), top[fall]] = -np.inf
+        k, top_f = np.arange(fall.size), top[fall]
+        zf = (sd[fall] / tau) @ cand.T  # z holds exponentials now: these rows' logits again
+        zf -= zf[k, top_f][:, None]
+        zf[k, fall] = zf[k, top_f] = -np.inf  # self and argmax
         second = zf.max(axis=1, keepdims=True)
         ef = np.exp(zf - second)
         sum_f = ef.sum(axis=1, keepdims=True)
@@ -347,24 +363,26 @@ def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
     t_tracked = t.tracked
 
     def vjp(g):
-        nonlocal e
+        nonlocal e, ep
         if e is None:
             raise RuntimeError("supcon_loss: gradient already taken; its exponentials are spent")
         grad, e = e, None
-        soft = np.bincount(pi, weights=inv, minlength=n)
+        soft = np.zeros(n)  # each anchor's run of pairs, summed
+        soft[count > 0] = np.add.reduceat(inv, starts[:-1][count > 0])
         coef = soft.copy()
         coef[easy] += w_easy / rest[easy]
         grad *= coef[:, None]
         # set, not e*coef - w/rest: that difference cancels when rest is tiny
         grad[rows, top] = soft
-        grad.ravel()[flat] -= ep * inv + wp
+        ep *= inv  # the pair cells' correction, ep * inv + wp
+        ep += wp
+        grad.ravel()[flat] -= ep
         if fall.size:
             grad[fall] += w_fall[:, None] * soft_f
         c = g[0, 0] / tau
-        g_ss, g_st = grad[:, :n], grad[:, n:]
         # anchors meet anchors twice, as rows and as candidates
-        d_s = c * ((g_ss + g_ss.T) @ sd + g_st @ td)
-        return d_s, (c * (g_st.T @ sd) if t_tracked else None)
+        d_s = c * (grad @ cand + grad[:, :n].T @ sd)
+        return d_s, (c * (grad[:, n:].T @ sd) if t_tracked else None)
 
     return _finish("supcon_loss", np.array([[loss]]), (s, t), vjp)
 
@@ -448,20 +466,3 @@ def backward(tape: Tape, loss: Matrix) -> dict[int, np.ndarray]:
             else:
                 adjoints[s] = contrib
     return adjoints
-
-
-def finite_diff_grad(f: Callable[[Matrix], float], x: Matrix, h: float = 1e-5) -> Matrix:
-    """Central-difference gradient of a scalar function, entry by entry."""
-    if h <= 0:
-        raise ValueError("finite_diff_grad: h must be positive")
-    x = as_matrix(x)
-    base = x.data
-    grad = np.zeros_like(base)
-    for i in range(base.shape[0]):
-        for j in range(base.shape[1]):
-            plus = base.copy()
-            plus[i, j] += h
-            minus = base.copy()
-            minus[i, j] -= h
-            grad[i, j] = (f(Matrix(plus)) - f(Matrix(minus))) / (2.0 * h)
-    return Matrix._wrap(grad)

@@ -68,7 +68,7 @@ class ClassPrototypes:
 def class_prototypes(similarity, labels, num_classes: int) -> ClassPrototypes:
     """Per-class mean weights over the batch's rows (no op recorded); absent classes masked."""
     sim = ad.as_matrix(similarity)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = ad._int_labels(labels, "class_prototypes")
     if labels.ndim != 1 or labels.shape[0] != sim.rows:
         raise ValueError(f"labels must be 1-D of length {sim.rows}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -106,8 +106,7 @@ def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,
     t = ad.as_matrix(teacher_sims)
     if s.cols != t.cols:
         raise ShapeError(f"similarity widths differ: {s.cols} vs {t.cols}")
-    ls = np.asarray(student_labels, dtype=np.int64)
-    lt = np.asarray(teacher_labels, dtype=np.int64)
+    ls, lt = (ad._int_labels(v, "lcd_loss") for v in (student_labels, teacher_labels))
     if ls.shape != (s.rows,) or lt.shape != (t.rows,):
         raise ValueError("label vectors must match similarity row counts")
     n_s, n_t = s.rows, t.rows

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import _int_labels
+
 METRIC_NAMES = (
     "precision",
     "recall",
@@ -41,8 +43,7 @@ class ConfusionCounts:
 
 
 def confusion_counts(predicted, actual, num_classes: int) -> ConfusionCounts:
-    predicted = np.asarray(predicted, dtype=np.int64)
-    actual = np.asarray(actual, dtype=np.int64)
+    predicted, actual = (_int_labels(v, "confusion_counts") for v in (predicted, actual))
     if predicted.shape != actual.shape or predicted.ndim != 1:
         raise ValueError(
             f"predicted and actual must be equal-length 1-D, got {predicted.shape} and {actual.shape}"
@@ -119,7 +120,7 @@ def average_precision(scores, positives) -> float:
 def per_class_average_precision(probabilities, actual) -> tuple[dict[int, float], list[int]]:
     """AP per class with >=1 positive; classes without positives are reported as skipped."""
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.int64)
+    actual = _int_labels(actual, "per_class_average_precision")
     if probabilities.ndim != 2 or probabilities.shape[0] != actual.shape[0]:
         raise ValueError("probabilities must be BxC aligned with actual labels")
     aps: dict[int, float] = {}
@@ -144,7 +145,6 @@ class MetricsReport:
 def macro_report(probabilities, predicted, actual, num_classes: int,
                  class_names: list[str] | None = None) -> MetricsReport:
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    predicted = np.asarray(predicted, dtype=np.int64)
     if probabilities.ndim != 2 or probabilities.shape[1] != num_classes:
         raise ValueError(f"probabilities must have num_classes = {num_classes} columns, "
                          f"got shape {probabilities.shape}")

@@ -9,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptdistill import autodiff as ad
-from conceptdistill.autodiff import (
-    Matrix,
-    ShapeError,
-    Tape,
-    backward,
-    finite_diff_grad,
-)
+from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
+
+from gradcheck import finite_diff_grad
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -386,7 +382,7 @@ def test_tapes_hold_no_reference_cycle():
 def test_every_public_op_has_a_gradient_case():
     public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
                   if fn.__module__ == ad.__name__ and not name.startswith("_")}
-    public_ops -= {"as_matrix", "backward", "finite_diff_grad"}
+    public_ops -= {"as_matrix", "backward"}
     covered = {op for op in public_ops for case in OP_CASES
                if case == op or case.startswith(op + "_")}
     assert covered == public_ops
@@ -577,6 +573,15 @@ class TestValidation:
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
             Matrix(np.ones((2, 2, 2)))
+
+    def test_cross_entropy_labels_must_be_integers(self):
+        # a cast to int64 would score 0.5, 1.5 and 2.9 as classes 0, 1 and 2
+        logits = np.zeros((3, 3))
+        for bad in ([0.5, 1.5, 2.9], [0.0, 1.0, 2.0], [True, False, True]):
+            with pytest.raises(ValueError, match="softmax_cross_entropy: .* integer dtype"):
+                ad.softmax_cross_entropy(logits, bad)
+        for good in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8)):
+            assert ad.softmax_cross_entropy(logits, good).item() == pytest.approx(np.log(3))
 
     def test_supcon_inputs_checked(self):
         rows, weight = np.ones((2, 3)), np.ones(2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
+from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.losses import (
     ClassPrototypes,
     DistillConfig,
@@ -14,7 +14,9 @@ from conceptdistill.losses import (
     lcd_loss,
     total_loss,
 )
+from conceptdistill.synthetic import DEFAULT_COUNTS
 
+from gradcheck import finite_diff_grad
 from test_concepts import basis_pools
 
 
@@ -144,6 +146,12 @@ class TestClassPrototypes:
         assert not protos.present[3]
         assert np.all(np.isfinite(class_means(protos)))
         np.testing.assert_array_equal(protos.weights[3], 0.0)
+
+    def test_labels_must_be_integers(self):
+        # a cast to int64 would mark classes 0 and 1 present
+        for bad in ([0.7, 1.2, 1.9], [True, False, True]):
+            with pytest.raises(ValueError, match="class_prototypes: .* integer dtype"):
+                class_prototypes(np.eye(3), bad, 3)
 
     def test_records_nothing(self):
         # the class means are taken inside gpd_loss's one op
@@ -315,6 +323,13 @@ class TestLcdLoss:
         with pytest.raises(ValueError):
             lcd_loss(np.ones((1, 2)), [0], np.ones((1, 2)), [0], tau=0.0)
 
+    def test_labels_must_be_integers(self):
+        # a cast to int64 would score 0.4 and 0.6 as classes 0 and 1, and 1.9 as class 1
+        good = [0, 1, 1]
+        for ls, lt in (([0.4, 0.6, 1.2], good), (good, [0.0, 1.9, 2.5]), (good, [True] * 3)):
+            with pytest.raises(ValueError, match="lcd_loss: .* integer dtype"):
+                lcd_loss(np.eye(3), ls, np.eye(3), lt, 1.0)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         sims_t = rng.uniform(-1, 1, (3, 5))
@@ -416,6 +431,88 @@ class TestLcdRobustness:
     @settings(max_examples=150, deadline=None)
     def test_finite_and_matches_oracles(self, case):
         assert_matches_oracles(*case)
+
+
+def dense_lcd(sims_s, labels_s, sims_t, labels_t, tau):
+    """LCD and its adjoints for both row sets, one anchor at a time, all in dense NumPy.
+
+    Each positive's denominator is a max-shifted log-sum-exp over its anchor's
+    row with the anchor itself and that positive masked out, so no sum is
+    ever taken by subtraction; the adjoints go back through the chain rule
+    in the form ``(G_ss + G_ss^T) S + G_st T``.
+    """
+    n = len(sims_s)
+    cand = np.concatenate([sims_s, sims_t])
+    z = sims_s @ cand.T / tau
+    z[np.arange(n), np.arange(n)] = -np.inf
+    positive = np.concatenate([labels_s, labels_t])[None, :] == labels_s[:, None]
+    positive[np.arange(n), np.arange(n)] = False
+    n_pos = positive.sum(axis=1)
+    active = np.flatnonzero(n_pos)
+    loss, g = 0.0, np.zeros_like(z)
+    for i in active:
+        pos = np.flatnonzero(positive[i])
+        w = 1.0 / len(pos) / len(active)
+        masked = np.tile(z[i], (len(pos), 1))
+        masked[np.arange(len(pos)), pos] = -np.inf
+        top = masked.max(axis=1, keepdims=True)
+        e = np.exp(masked - top)
+        total = e.sum(axis=1, keepdims=True)
+        loss += w * np.sum(top[:, 0] + np.log(total[:, 0]) - z[i, pos])
+        g[i] = w * (e / total).sum(axis=0)
+        g[i, pos] -= w
+    g_ss, g_st = g[:, :n], g[:, n:]
+    return loss, ((g_ss + g_ss.T) @ sims_s + g_st @ sims_t) / tau, g_st.T @ sims_s / tau
+
+
+class TestLcdTrainingShape:
+    """LCD at a training step's shape: 256 anchors and 256 teacher rows of 16 columns.
+
+    Labels follow the generator's 9 imbalanced train classes, and the rows
+    have the norm of the pool coordinates seen in training (~2.8).
+    """
+
+    REL = 1e-12
+
+    @staticmethod
+    def batch(seed):
+        rng = np.random.default_rng(seed)
+
+        def labels(modality):
+            counts = np.array(DEFAULT_COUNTS[modality]["train"], dtype=float)
+            return rng.choice(len(counts), size=256, p=counts / counts.sum())
+
+        return (rng.standard_normal((256, 16)) * 0.7, labels("student"),
+                rng.standard_normal((256, 16)) * 0.7, labels("teacher"))
+
+    def check(self, sims_s, ls, sims_t, lt, tau):
+        tape = Tape()
+        s, t = tape.leaf(sims_s), tape.leaf(sims_t)
+        loss, skipped = lcd_loss(s, ls, t, lt, tau)
+        grads = backward(tape, loss)
+        want, want_s, want_t = dense_lcd(sims_s, ls, sims_t, lt, tau)
+        assert loss.item() == pytest.approx(want, rel=self.REL)
+        for got, ref in ((grads[s.slot], want_s), (grads[t.slot], want_t)):
+            assert np.linalg.norm(got - ref) <= self.REL * np.linalg.norm(ref)
+        return skipped
+
+    @pytest.mark.parametrize("tau", [10.0, 0.1])
+    def test_matches_dense_reference(self, tau):
+        assert self.check(*self.batch(20), tau) == 0
+
+    def test_underflow_rows_among_normal_rows(self):
+        # anchors 0-3 are 12 e_k and each has a same-class teacher copy, so
+        # their argmax is a positive ~1000 logits above every other candidate
+        # and their rest underflows: these rows are summed again, and only
+        # there the self column, which ties the argmax, must stay masked
+        sims_s, ls, sims_t, lt = self.batch(21)
+        tau, big = 0.1, np.arange(4)
+        sims_s[big] = sims_t[big] = 12.0 * np.eye(16)[big]
+        lt[big] = ls[big]
+        z = sims_s[big] @ np.concatenate([sims_s, sims_t]).T / tau
+        z[big, big] = z[big, 256 + big] = -np.inf  # self and argmax
+        assert (1440.0 - z.max(axis=1) > 745).all()
+        assert self.check(sims_s, ls, sims_t, lt, tau) == 0
 
 
 class TestTotalLoss:

@@ -81,6 +81,12 @@ class TestConfusionCounts:
         with pytest.raises(ValueError):
             confusion_counts([0, 3], [0, 1], 3)
 
+    def test_labels_must_be_integers(self):
+        # a cast to int64 would count 1.7 as class 1
+        for predicted, actual in (([0, 1.7], [0, 1]), ([0, 1], [0.0, 1.0]), ([0, 1], [False, True])):
+            with pytest.raises(ValueError, match="confusion_counts: .* integer dtype"):
+                confusion_counts(predicted, actual, 2)
+
     def test_counts_sum_to_total(self):
         rng = np.random.default_rng(3)
         pred = rng.integers(0, 4, 50)
@@ -219,6 +225,11 @@ class TestMeanAveragePrecision:
         aps, skipped = per_class_average_precision(probs, [0, 1])
         assert skipped == [2]
         assert set(aps) == {0, 1}
+
+    def test_labels_must_be_integers(self):
+        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match="per_class_average_precision: .* integer dtype"):
+            per_class_average_precision(probs, [0.0, 1.4])
 
     def test_random_instances_match_oracle(self):
         rng = np.random.default_rng(5)

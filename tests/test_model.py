@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward, finite_diff_grad
+from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
     ModelBinding,
@@ -22,6 +22,7 @@ from conceptdistill.model import (
     save_checkpoint,
 )
 
+from gradcheck import finite_diff_grad
 from test_concepts import make_pool
 
 

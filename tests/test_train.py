@@ -373,7 +373,7 @@ class TestOpsRecorded:
         # every public autodiff op is recorded on a tape by some training step
         public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
                       if fn.__module__ == ad.__name__ and not name.startswith("_")}
-        public_ops -= {"as_matrix", "backward", "finite_diff_grad"}
+        public_ops -= {"as_matrix", "backward"}
         recorded = set()
         real_finish = ad._finish
 
