@@ -7,6 +7,9 @@ and the student's rows are comparable column by column. A concept's class
 is the part of its id before the first "." (``DR.concept3`` is a DR concept).
 The pool also holds ``embeddings_t``, the transposed matrix as a constant
 autodiff operand, built once so a similarity product does not copy it.
+Every row must be a unit vector, L2 norm within 1e-9 of 1:
+``autodiff.cosine_similarity`` normalises only the embedding side, so a
+longer row would score a "cosine" above 1.
 
 ``basis`` is the N x k matrix Q of the reduced QR factorization
 ``embeddings = Q R``, k = min(N, dim), with orthonormal columns and
@@ -40,6 +43,12 @@ class ConceptPool:
                 f"embeddings of shape {self.embeddings.shape} for {len(self.ids)} concept ids; "
                 "need one row per id"
             )
+        norms = np.linalg.norm(self.embeddings, axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))  # catches NaN norms too
+        if off.size:
+            i = off[0]
+            raise ValueError(f"embedding row {i} ({self.ids[i]!r}) has L2 norm "
+                             f"{float(norms[i])!r}; pool rows must be unit vectors")
         self.embeddings.flags.writeable = False
         # C-contiguous, so products equal those against embeddings.T.copy() bit for bit
         self.embeddings_t = Matrix(np.ascontiguousarray(self.embedding_matrix().T))

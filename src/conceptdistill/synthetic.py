@@ -8,17 +8,24 @@ attenuation is 0.1 rather than 0: the student must retain a weak correlate
 of every concept or no amount of guidance could transfer it.
 
 The class count is not a setting of its own: ``GeneratorConfig.num_classes``
-is ``len(class_names)``, and every ``counts`` list must have that length.
+is ``len(class_names)``, the names must be distinct, and every ``counts``
+list must have that length. Integer fields must be of type ``int``, not
+``bool`` and not a NumPy integer (which ``json.dump`` refuses): ``seed``
+>= 0, the sizes >= 1.
+
+The ground truth stores each fact once: the config, ``teacher_dominant``
+and ``mixing_teacher``. The class profiles (the block indicator) and
+``mixing_student`` are computed from them when read, so no stored copy
+can disagree with its source.
 
 In memory a dataset is columnar: one (features, labels) array pair per
 (modality, split), rows in generation order. On disk it is a directory of
 two files. ``meta.json`` holds the config and ``teacher_dominant``.
 ``arrays.npz``, written by ``np.savez`` (uncompressed, byte-identical
-across writes), holds ``{modality}.{split}.x`` (float64, rows x
-``feature_dim``) and ``{modality}.{split}.y`` (int64) for every pair, plus
-the ground-truth matrices ``class_profiles``, ``mixing_student`` and
-``mixing_teacher``. Rows are positional: a split's row i is its i-th
-generated row.
+across writes), holds exactly 13 arrays: ``mixing_teacher`` and, for every
+pair, ``{modality}.{split}.x`` (float64, rows x ``feature_dim``) and
+``{modality}.{split}.y`` (int64). Rows are positional: a split's row i is
+its i-th generated row.
 
 Reading rejects, naming ``meta.json``: a missing ``config`` or
 ``teacher_dominant``, a config that is not an object, has an unknown key or
@@ -27,13 +34,13 @@ of distinct integers per class, each inside that class's concept block
 ``[d * k, (d + 1) * k)`` and ``round(teacher_dominance * k)`` long. It
 loads the arrays with ``allow_pickle=False`` and rejects, naming the file
 and the (modality, split): a missing file, an unreadable or truncated
-``.npz``, a missing array or one of the wrong dtype or rank, mixing
-matrices that are not ``num_classes * k`` x ``feature_dim``, a
-``mixing_student`` other than ``mixing_teacher`` with exactly the
-``teacher_dominant`` rows times ``attenuation``, a feature width other
-than ``feature_dim``, feature rows and labels of different lengths,
-non-finite features, a label outside ``[0, num_classes)``, and per-class
-row counts that differ from the config's ``counts``.
+``.npz``, any array besides those 13 (which refuses files that still hold
+the derived ``class_profiles`` or ``mixing_student``), a missing array or
+one of the wrong dtype or rank, a ``mixing_teacher`` that is not
+``num_classes * k`` x ``feature_dim``, a feature width other than
+``feature_dim``, feature rows and labels of different lengths, non-finite
+features, a label outside ``[0, num_classes)``, and per-class row counts
+that differ from the config's ``counts``.
 """
 
 from __future__ import annotations
@@ -90,10 +97,15 @@ class GeneratorConfig:
         for name in ("attenuation", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, low in (("concepts_per_class", 1), ("feature_dim", 1), ("embed_dim", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 class names")
-        if self.concepts_per_class < 1:
-            raise ValueError("concepts_per_class must be >= 1")
+        if len(set(self.class_names)) != self.num_classes:
+            raise ValueError(f"class names must be distinct, got {self.class_names!r}")
         if not 0.0 <= self.teacher_dominance <= 1.0:
             raise ValueError("teacher_dominance must lie in [0, 1]")
         if self.noise_sigma < 0:
@@ -115,10 +127,24 @@ class GeneratorConfig:
 
 @dataclass(eq=False)
 class GroundTruth:
-    class_profiles: np.ndarray  # C x N binary activation patterns
+    """What ``generate`` drew beyond the features; the rest follows from ``config``."""
+
+    config: GeneratorConfig
     teacher_dominant: list[list[int]]  # per class, global concept indices
-    mixing_student: np.ndarray  # N x F
     mixing_teacher: np.ndarray  # N x F
+
+    @property
+    def class_profiles(self) -> np.ndarray:
+        """C x N block indicator: class d activates concepts [d * k, (d + 1) * k)."""
+        return np.repeat(np.eye(self.config.num_classes), self.config.concepts_per_class, axis=1)
+
+    @property
+    def mixing_student(self) -> np.ndarray:
+        """N x F: ``mixing_teacher`` with the ``teacher_dominant`` rows times ``attenuation``."""
+        mixing = self.mixing_teacher.copy()
+        for rows in self.teacher_dominant:
+            mixing[rows] *= self.config.attenuation
+        return mixing
 
 
 @dataclass(eq=False)
@@ -147,8 +173,7 @@ class SyntheticDataset:
         if not isinstance(other, SyntheticDataset) or self.arrays.keys() != other.arrays.keys():
             return False
         gt, other_gt = self.ground_truth, other.ground_truth
-        pairs = [(getattr(gt, name), getattr(other_gt, name))
-                 for name in ("class_profiles", "mixing_student", "mixing_teacher")]
+        pairs = [(gt.mixing_teacher, other_gt.mixing_teacher)]
         pairs += [(a, b) for key in self.arrays
                   for a, b in zip(self.arrays[key], other.arrays[key])]
         return (
@@ -181,10 +206,6 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
     pool = ConceptPool([f"{name}.concept{j}" for name in cfg.class_names for j in range(k)],
                        embeddings)
 
-    profiles = np.zeros((c, n))
-    for d in range(c):
-        profiles[d, d * k:(d + 1) * k] = 1.0
-
     n_dom = int(round(cfg.teacher_dominance * k))
     dominant: list[list[int]] = []
     for d in range(c):
@@ -194,11 +215,9 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
     # one anatomy, two views: the same concept rows drive both modalities,
     # but teacher-dominant rows reach the student 10x attenuated
     mixing_teacher = rng.standard_normal((n, cfg.feature_dim)) / np.sqrt(cfg.feature_dim)
-    mixing_student = mixing_teacher.copy()
-    for rows in dominant:
-        mixing_student[rows] *= cfg.attenuation
-
-    mixing = {"student": mixing_student, "teacher": mixing_teacher}
+    ground_truth = GroundTruth(cfg, dominant, mixing_teacher)
+    profiles = ground_truth.class_profiles
+    mixing = {"student": ground_truth.mixing_student, "teacher": mixing_teacher}
     arrays = {}
     for modality in MODALITIES:
         for split in SPLITS:
@@ -213,18 +232,10 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
             labels = np.repeat(np.arange(c, dtype=np.int64), counts)
             arrays[modality, split] = (np.concatenate(blocks), labels)
 
-    ground_truth = GroundTruth(
-        class_profiles=profiles,
-        teacher_dominant=dominant,
-        mixing_student=mixing_student,
-        mixing_teacher=mixing_teacher,
-    )
     return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth), pool
 
 
 # --- directory format -------------------------------------------------------
-
-_GROUND_TRUTH_ARRAYS = ("class_profiles", "mixing_student", "mixing_teacher")
 
 
 def write_dataset(ds: SyntheticDataset, directory) -> None:
@@ -237,7 +248,7 @@ def write_dataset(ds: SyntheticDataset, directory) -> None:
     with open(directory / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    columns = {name: getattr(ds.ground_truth, name) for name in _GROUND_TRUTH_ARRAYS}
+    columns = {"mixing_teacher": ds.ground_truth.mixing_teacher}
     for (modality, split), (x, y) in ds.arrays.items():
         columns[f"{modality}.{split}.x"] = x
         columns[f"{modality}.{split}.y"] = y
@@ -303,22 +314,14 @@ def read_dataset(directory) -> SyntheticDataset:
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
         raise ValueError(f"{arrays_path}: unreadable array file: {e}") from e
 
-    ground_truth = GroundTruth(
-        teacher_dominant=dominant,
-        **{name: _column(columns, name, np.float64, 2, f"{arrays_path} (ground truth)")
-           for name in _GROUND_TRUTH_ARRAYS},
-    )
-    for name in ("mixing_student", "mixing_teacher"):
-        shape = getattr(ground_truth, name).shape
-        if shape != (cfg.num_classes * k, cfg.feature_dim):
-            raise ValueError(f"{arrays_path} (ground truth): {name} is {shape}, expected "
-                             f"{(cfg.num_classes * k, cfg.feature_dim)}")
-    attenuated = ground_truth.mixing_teacher.copy()
-    for rows in dominant:
-        attenuated[rows] *= cfg.attenuation
-    if not np.array_equal(ground_truth.mixing_student, attenuated):
-        raise ValueError(f"{arrays_path} (ground truth): mixing_student is not mixing_teacher "
-                         f"with the teacher_dominant rows of {meta_path} times attenuation")
+    known = {"mixing_teacher", *(f"{m}.{s}.{c}" for m in MODALITIES for s in SPLITS for c in "xy")}
+    unknown = sorted(set(columns) - known)
+    if unknown:
+        raise ValueError(f"{arrays_path}: unknown arrays {', '.join(unknown)}")
+    mixing = _column(columns, "mixing_teacher", np.float64, 2, f"{arrays_path} (ground truth)")
+    if mixing.shape != (cfg.num_classes * k, cfg.feature_dim):
+        raise ValueError(f"{arrays_path} (ground truth): mixing_teacher is {mixing.shape}, "
+                         f"expected {(cfg.num_classes * k, cfg.feature_dim)}")
     arrays = {}
     for modality in MODALITIES:
         for split in SPLITS:
@@ -342,4 +345,5 @@ def read_dataset(directory) -> SyntheticDataset:
                     f"meta.json counts {cfg.counts[modality][split]}"
                 )
             arrays[modality, split] = (x, y)
-    return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth)
+    return SyntheticDataset(config=cfg, arrays=arrays,
+                            ground_truth=GroundTruth(cfg, dominant, mixing))

@@ -41,9 +41,21 @@ class TestLoadPool:
             ConceptPool([], np.zeros((0, 4)))
 
     def test_embeddings_normalized_on_load(self):
-        # the pool stores rows as given, so generate normalises them first
+        # the pool refuses rows that are not unit vectors, so generate normalises them first
         _, pool = generate(GeneratorConfig(seed=3))
         np.testing.assert_allclose(np.linalg.norm(pool.embedding_matrix(), axis=1), 1.0)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.6, 0.8], [3.0, 4.0]], r"row 1 \('b'\) has L2 norm 5\.0;"),
+        ([[0.0, 0.0], [1.0, 0.0]], r"row 0 \('a'\) has L2 norm 0\.0;"),
+        ([[0.6, 0.8], [0.6, 0.8 + 1e-8]], r"row 1 \('b'\) has L2 norm 1\.00000000"),
+    ], ids=["scaled", "zero", "just_off"])
+    def test_rows_must_be_unit_vectors(self, rows, message):
+        # cosine_similarity normalises only the embedding side: [[1, 1]] against a row
+        # of norm 5 would score 4.95
+        with pytest.raises(ValueError, match=message + ".*pool rows must be unit vectors"):
+            ConceptPool(["a", "b"], rows)
+        ConceptPool(["a", "b"], [[0.6, 0.8], [0.6, 0.8 + 1e-10]])  # within 1e-9 passes
 
     def test_round_trip(self):
         pool = make_pool({"a": 3, "b": 2})

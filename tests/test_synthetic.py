@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,6 +61,18 @@ class TestGeneratorConfig:
             with pytest.raises(ValueError,
                                match=r"counts\[student\]\[test\] must hold integers"):
                 small_config(counts=counts)
+        # a bool is not a count, and a NumPy integer would break json.dump in write_dataset
+        for name, value, low in [
+            ("concepts_per_class", True, 1), ("concepts_per_class", 2.5, 1),
+            ("concepts_per_class", 0, 1), ("feature_dim", 0, 1), ("feature_dim", 2.5, 1),
+            ("embed_dim", 0, 1), ("embed_dim", np.int64(6), 1), ("seed", True, 0),
+            ("seed", -1, 0),
+        ]:
+            with pytest.raises(ValueError, match=rf"{name} must be an integer >= {low}, "
+                                                 rf"got {re.escape(repr(value))}$"):
+                small_config(**{name: value})
+        with pytest.raises(ValueError, match="class names must be distinct"):
+            small_config(class_names=["a", "a", "b"])
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -107,10 +120,25 @@ class TestGenerate:
     def test_sigma_zero_class_means_exact(self):
         cfg = small_config(noise_sigma=0.0)
         ds, _ = generate(cfg)
-        means = ds.ground_truth.class_profiles @ ds.ground_truth.mixing_teacher
-        x, y = ds.split_arrays("teacher", "test")
-        for d in range(3):
-            assert np.array_equal(x[y == d], np.tile(means[d], (int((y == d).sum()), 1)))
+        gt = ds.ground_truth
+        for modality, mixing in (("student", gt.mixing_student), ("teacher", gt.mixing_teacher)):
+            means = gt.class_profiles @ mixing
+            x, y = ds.split_arrays(modality, "test")
+            for d in range(3):
+                assert np.array_equal(x[y == d], np.tile(means[d], (int((y == d).sum()), 1)))
+
+    def test_derived_ground_truth(self):
+        ds, _ = generate(small_config())
+        gt = ds.ground_truth
+        assert gt.config is ds.config
+        blocks = [[1.0 if i // 4 == d else 0.0 for i in range(12)] for d in range(3)]
+        assert np.array_equal(gt.class_profiles, np.array(blocks))
+        dominant = sorted(sum(gt.teacher_dominant, []))
+        rest = sorted(set(range(12)) - set(dominant))
+        assert len(dominant) == 6
+        student, teacher = gt.mixing_student, gt.mixing_teacher
+        assert np.array_equal(student[rest], teacher[rest])
+        assert np.array_equal(student[dominant], ds.config.attenuation * teacher[dominant])
 
     def test_same_seed_identical(self):
         a, pool_a = generate(small_config())
@@ -155,6 +183,15 @@ class TestRoundTrip:
     def test_write_read_identity(self, tmp_path):
         ds, directory = written(tmp_path)
         assert read_dataset(directory) == ds  # columns and ground truth
+
+    def test_written_arrays(self, tmp_path):
+        _, directory = written(tmp_path)
+        with np.load(directory / "arrays.npz") as npz:
+            keys = sorted(npz.files)
+        assert keys == sorted(["mixing_teacher"] + [
+            f"{modality}.{split}.{column}" for modality in ("student", "teacher")
+            for split in ("train", "val", "test") for column in "xy"])
+        assert len(keys) == 13
 
     def test_default_config_reads_back(self, tmp_path):
         ds, _ = generate(GeneratorConfig())
@@ -225,11 +262,13 @@ class TestRoundTrip:
          r"teacher_dominant row 0 must hold distinct indices"),
         (lambda meta: meta["teacher_dominant"][1].pop(),
          r"teacher_dominant row 1 has 1 indices, expected round\(teacher_dominance \* 4\) = 2"),
+        (lambda meta: meta["config"].update(seed=-5),
+         "invalid config: seed must be an integer >= 0, got -5"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
             "float_count", "bool_count", "teacher_dominant_not_list",
             "teacher_dominant_row_count", "teacher_dominant_past_block",
             "teacher_dominant_other_block", "teacher_dominant_repeat",
-            "teacher_dominant_row_cut"])
+            "teacher_dominant_row_cut", "negative_seed"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)
@@ -245,22 +284,29 @@ class TestRoundTrip:
                                              r"expected round\(teacher_dominance \* 10\) = 6"):
             read_dataset(tmp_path / "data")
 
-    @pytest.mark.parametrize("case", ["unattenuated", "extra_row", "perturbed_teacher"])
-    def test_mixing_must_match_dominant_rows(self, tmp_path, case):
+    @pytest.mark.parametrize("case, unknown", [
+        ("unattenuated", "mixing_student"),
+        ("extra_row", "mixing_student"),
+        ("old_format", "class_profiles, mixing_student"),
+        ("wrong_profiles_and_junk", "class_profiles, junk"),
+    ], ids=["unattenuated", "extra_row", "old_format", "wrong_profiles_and_junk"])
+    def test_unknown_arrays_rejected(self, tmp_path, case, unknown):
+        # class_profiles and mixing_student are derived, so a file holding either is refused
         ds, directory = written(tmp_path)
         gt = ds.ground_truth
         if case == "unattenuated":
             change = {"mixing_student": gt.mixing_teacher}
         elif case == "extra_row":
-            student = gt.mixing_student.copy()
+            student = gt.mixing_student
             free = min(set(range(len(student))) - set(sum(gt.teacher_dominant, [])))
             student[free] *= ds.config.attenuation
             change = {"mixing_student": student}
+        elif case == "old_format":
+            change = {"class_profiles": gt.class_profiles, "mixing_student": gt.mixing_student}
         else:
-            change = {"mixing_teacher": gt.mixing_teacher + 1e-12}
+            change = {"class_profiles": np.full((3, 5), 7.0), "junk": np.zeros(2)}
         rewrite_arrays(directory, change)
-        with pytest.raises(ValueError, match=r"\(ground truth\): mixing_student is not "
-                                             r"mixing_teacher with the teacher_dominant rows"):
+        with pytest.raises(ValueError, match=rf"arrays\.npz: unknown arrays {unknown}$"):
             read_dataset(directory)
 
     def test_mixing_shape_checked(self, tmp_path):
