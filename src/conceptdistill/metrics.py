@@ -37,10 +37,6 @@ class ConfusionCounts:
     tn: np.ndarray
     fn: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.tp)
-
 
 def confusion_counts(predicted, actual, num_classes: int) -> ConfusionCounts:
     predicted, actual = (_int_labels(v, "confusion_counts") for v in (predicted, actual))

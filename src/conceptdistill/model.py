@@ -1,15 +1,17 @@
 """Concept-decoupled classifier for one modality.
 
-Features pass through a small trainable projection (optionally with tanh
-hidden layers), one ``autodiff.affine`` op per layer, and are scored
-against the frozen concept embeddings by cosine similarity. The projected
-rows are L2-normalized in one place only: inside the single
-``autodiff.cosine_similarity`` op that ``concept_similarity`` records. A
-linear concept classifier, one more ``affine``, maps the similarity row to
-class logits. The training loss is cross-entropy taken from the logits in
-one autodiff op; the predicted probabilities are a softmax of the logits'
-values, off the tape. The classifier stays linear so each (concept, class)
-weight remains readable as a direct contribution.
+One function, ``forward``, runs the whole model and records one autodiff op
+per stage. Features pass through a small trainable projection (optionally
+with tanh hidden layers), one ``autodiff.affine`` op per layer. The
+projected rows are scored against the frozen concept embeddings by one
+``autodiff.cosine_similarity`` op, the only place where they are
+L2-normalized. A linear concept classifier, one more ``affine``, maps the
+similarity row to class logits. Each op checks the shapes it consumes and
+raises ``autodiff.ShapeError`` on a mismatch. The training loss is
+cross-entropy taken from the logits in one autodiff op; the predicted
+probabilities are a softmax of the logits' values, off the tape. The
+classifier stays linear so each (concept, class) weight remains readable
+as a direct contribution.
 
 A model's parameters are one name -> array mapping, ``ModelParams.arrays``,
 in layer order: ``encoder.{i}.weight`` (fan_in x fan_out) and
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, ShapeError, Tape
+from .autodiff import Matrix, Tape
 from .concepts import ConceptPool
 
 
@@ -51,14 +53,6 @@ class ModelParams:
     arrays: dict[str, np.ndarray]
     pool_fingerprint: str
     frozen: bool = False
-
-    @property
-    def feature_dim(self) -> int:
-        return self.arrays["encoder.0.weight"].shape[0]
-
-    @property
-    def num_concepts(self) -> int:
-        return self.arrays["classifier.weight"].shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -126,13 +120,6 @@ class ModelBinding:
         self.leaves = {name: param(arr) for name, arr in self.params.arrays.items()}
 
 
-def _arrays_of(model) -> tuple[ModelParams, dict[str, Matrix]]:
-    if isinstance(model, ModelBinding):
-        return model.params, model.leaves
-    consts = {name: Matrix(arr) for name, arr in model.arrays.items()}
-    return model, consts
-
-
 @dataclass
 class Prediction:
     logits: Matrix  # B x C class scores, tracked when the model is bound
@@ -150,50 +137,28 @@ class Prediction:
         return self.probabilities.data.argmax(axis=1)
 
 
-def encode(model, features) -> Matrix:
-    """Project raw features to embedding rows, not normalized: ``concept_similarity`` does that."""
-    params, mats = _arrays_of(model)
-    x = ad.as_matrix(features)
-    if x.cols != params.feature_dim:
-        raise ShapeError(
-            f"feature dim {x.cols} does not match encoder input {params.feature_dim}"
-        )
-    n_layers = len(params.arrays) // 2 - 1
-    for i in range(n_layers):
-        x = ad.affine(x, mats[f"encoder.{i}.weight"], mats[f"encoder.{i}.bias"])
-        if i < n_layers - 1:
-            x = ad.tanh(x)
-    return x
-
-
-def concept_similarity(embeddings, pool: ConceptPool) -> Matrix:
-    """Cosine of every embedding row against every pool concept."""
-    emb = ad.as_matrix(embeddings)
-    if emb.cols != pool.dim:
-        raise ShapeError(f"embedding dim {emb.cols} does not match pool dim {pool.dim}")
-    return ad.cosine_similarity(emb, pool.embeddings_t)
-
-
-def predict(similarity, model) -> Prediction:
-    params, mats = _arrays_of(model)
-    s = ad.as_matrix(similarity)
-    if s.cols != params.num_concepts:
-        raise ShapeError(
-            f"similarity has {s.cols} concepts, classifier expects {params.num_concepts}"
-        )
-    logits = ad.affine(s, mats["classifier.weight"], mats["classifier.bias"])
-    return Prediction(logits)
-
-
 def cross_entropy(pred: Prediction, labels) -> Matrix:
     """Mean negative log-probability of the true class, from the prediction's logits."""
     return ad.softmax_cross_entropy(pred.logits, labels)
 
 
-def forward(model, features, pool: ConceptPool):
-    """encode -> similarity -> predict; returns (similarity, prediction)."""
-    sims = concept_similarity(encode(model, features), pool)
-    return sims, predict(sims, model)
+def forward(model, features, pool: ConceptPool) -> tuple[Matrix, Prediction]:
+    """Features -> encoder -> cosine similarity to ``pool`` -> classifier.
+
+    ``model`` is a ``ModelBinding``, whose tracked leaves put every op on its
+    tape, or a ``ModelParams``, whose arrays enter the ops as constants.
+    Returns the B x n_concepts similarity rows and the ``Prediction`` made
+    from them.
+    """
+    mats = model.leaves if isinstance(model, ModelBinding) else model.arrays
+    n_layers = len(mats) // 2 - 1
+    x = features
+    for i in range(n_layers):
+        x = ad.affine(x, mats[f"encoder.{i}.weight"], mats[f"encoder.{i}.bias"])
+        if i < n_layers - 1:
+            x = ad.tanh(x)
+    sims = ad.cosine_similarity(x, pool.embeddings_t)
+    return sims, Prediction(ad.affine(sims, mats["classifier.weight"], mats["classifier.bias"]))
 
 
 # --- checkpoint files -------------------------------------------------------

@@ -9,9 +9,12 @@ of every concept or no amount of guidance could transfer it.
 
 The class count is not a setting of its own: ``GeneratorConfig.num_classes``
 is ``len(class_names)``, the names must be distinct, and every ``counts``
-list must have that length. Integer fields must be of type ``int``, not
-``bool`` and not a NumPy integer (which ``json.dump`` refuses): ``seed``
->= 0, the sizes >= 1.
+list must have that length. Class names must be strings. Integer fields
+must be of type ``int``, not ``bool`` and not a NumPy integer (which
+``json.dump`` refuses): ``seed`` >= 0, the sizes >= 1. The real fields
+``teacher_dominance``, ``attenuation`` and ``noise_sigma`` must be finite
+``int`` or ``float`` values >= 0, not ``bool``; ``teacher_dominance`` is
+also <= 1.
 
 The ground truth stores each fact once: the config, ``teacher_dominant``
 and ``mixing_teacher``. The class profiles (the block indicator) and
@@ -37,10 +40,10 @@ and the (modality, split): a missing file, an unreadable or truncated
 ``.npz``, any array besides those 13 (which refuses files that still hold
 the derived ``class_profiles`` or ``mixing_student``), a missing array or
 one of the wrong dtype or rank, a ``mixing_teacher`` that is not
-``num_classes * k`` x ``feature_dim``, a feature width other than
-``feature_dim``, feature rows and labels of different lengths, non-finite
-features, a label outside ``[0, num_classes)``, and per-class row counts
-that differ from the config's ``counts``.
+``num_classes * k`` x ``feature_dim`` or not finite, a feature width
+other than ``feature_dim``, feature rows and labels of different lengths,
+non-finite features, a label outside ``[0, num_classes)``, and per-class
+row counts that differ from the config's ``counts``.
 """
 
 from __future__ import annotations
@@ -94,9 +97,14 @@ class GeneratorConfig:
         return len(self.class_names)
 
     def __post_init__(self):
-        for name in ("attenuation", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("teacher_dominance", "attenuation", "noise_sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name, low in (("concepts_per_class", 1), ("feature_dim", 1), ("embed_dim", 1),
                           ("seed", 0)):
             value = getattr(self, name)
@@ -104,12 +112,12 @@ class GeneratorConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 class names")
+        if not all(isinstance(name, str) for name in self.class_names):
+            raise ValueError(f"class_names must be strings, got {self.class_names!r}")
         if len(set(self.class_names)) != self.num_classes:
             raise ValueError(f"class names must be distinct, got {self.class_names!r}")
-        if not 0.0 <= self.teacher_dominance <= 1.0:
-            raise ValueError("teacher_dominance must lie in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if self.teacher_dominance > 1:
+            raise ValueError(f"teacher_dominance must be <= 1, got {self.teacher_dominance!r}")
         for modality in MODALITIES:
             for split in SPLITS:
                 try:
@@ -322,6 +330,8 @@ def read_dataset(directory) -> SyntheticDataset:
     if mixing.shape != (cfg.num_classes * k, cfg.feature_dim):
         raise ValueError(f"{arrays_path} (ground truth): mixing_teacher is {mixing.shape}, "
                          f"expected {(cfg.num_classes * k, cfg.feature_dim)}")
+    if not np.isfinite(mixing).all():
+        raise ValueError(f"{arrays_path} (ground truth): mixing_teacher must be finite")
     arrays = {}
     for modality in MODALITIES:
         for split in SPLITS:

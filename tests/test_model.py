@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptdistill import autodiff as ad
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
     ModelBinding,
-    ModelParams,
     Prediction,
-    concept_similarity,
     cross_entropy,
-    encode,
     forward,
     init_params,
     load_checkpoint,
-    predict,
     save_checkpoint,
 )
 
@@ -31,55 +28,75 @@ def simple_params(feature_dim=3, pool=None, num_classes=2, seed=0, hidden=()):
     return pool, init_params("student", feature_dim, pool, num_classes, seed, hidden)
 
 
+def identity_pool(dim: int, order=None) -> ConceptPool:
+    """``dim`` concepts, the unit axes in ``order``: a similarity row is the unit embedding row."""
+    order = np.arange(dim) if order is None else np.asarray(order)
+    return ConceptPool([f"axis{i}" for i in order], np.eye(dim)[order])
+
+
+def identity_model(n: int, num_classes: int, seed: int = 0):
+    """An identity pool of ``n`` concepts and a model whose encoder is the identity map."""
+    pool = identity_pool(n)
+    params = init_params("student", n, pool, num_classes, seed)
+    params.arrays["encoder.0.weight"][:] = np.eye(n)
+    return pool, params
+
+
+def op_names(tape: Tape) -> list[str]:
+    return [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops]
+
+
 class TestEncode:
+    """The encoder, read through ``forward`` against an identity pool."""
+
     def test_zero_weights_give_zero_rows(self):
-        pool, params = simple_params()
+        pool = identity_pool(2)
+        params = init_params("student", 3, pool, 2, seed=0)
         params.arrays["encoder.0.weight"][:] = 0.0
-        out = encode(params, np.ones((2, 3)))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
+        sims, _ = forward(params, np.ones((2, 3)), pool)
+        np.testing.assert_array_equal(sims.data, np.zeros((2, 2)))
 
     def test_identity_on_unit_features(self):
-        pool = make_pool({"a": 2}, dim=3)
+        pool = identity_pool(3)
         params = init_params("student", 3, pool, 2, seed=0)
         params.arrays["encoder.0.weight"][:] = np.eye(3)
         params.arrays["encoder.0.bias"][:] = 0.0
         feats = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(encode(params, feats).data, feats, atol=1e-12)
+        np.testing.assert_allclose(forward(params, feats, pool)[0].data, feats, atol=1e-12)
 
     def test_frozen_regression_fixture(self):
-        pool = make_pool({"a": 2}, dim=2)
+        pool = identity_pool(2)
         params = init_params("student", 3, pool, 2, seed=0)
         params.arrays["encoder.0.weight"][:] = np.array([[0.5, -0.2], [0.1, 0.4], [-0.3, 0.2]])
         params.arrays["encoder.0.bias"][:] = np.array([[0.05, -0.05]])
         feats = np.array([[0.2, -1.0, 0.5], [1.5, 0.3, -0.7]])
-        out = encode(params, feats)
-        # computed once with this module and pinned; features @ weight + bias
+        # computed once with this module and pinned: features @ weight + bias ...
         expected = np.array([
             [-0.09999999999999999, -0.39000000000000007],
             [1.04, -0.37000000000000005],
         ])
-        np.testing.assert_allclose(out.data, expected, atol=1e-15)
-        # the unit rows concept_similarity scores
+        np.testing.assert_allclose(feats @ params.arrays["encoder.0.weight"]
+                                   + params.arrays["encoder.0.bias"], expected, atol=1e-15)
+        # ... and its unit rows, which the identity pool's similarity row returns
         unit = np.array([
             [-0.24837535026770377, -0.968663866044045],
             [0.9421511282491905, -0.33518838216557745],
         ])
-        np.testing.assert_allclose(out.data / np.linalg.norm(out.data, axis=1, keepdims=True),
+        np.testing.assert_allclose(expected / np.linalg.norm(expected, axis=1, keepdims=True),
                                    unit, atol=1e-15)
-        # concept_similarity scores those rows: against identity columns it returns them
-        identity = ConceptPool(["x", "y"], np.eye(2))
-        np.testing.assert_allclose(concept_similarity(out, identity).data, unit, atol=1e-15)
+        np.testing.assert_allclose(forward(params, feats, pool)[0].data, unit, atol=1e-15)
 
     def test_dimension_mismatch(self):
         pool, params = simple_params(feature_dim=3)
         with pytest.raises(ShapeError):
-            encode(params, np.ones((2, 4)))
+            forward(params, np.ones((2, 4)), pool)
 
     def test_hidden_layers_shape(self):
-        pool = make_pool({"a": 3}, dim=4)
+        pool = identity_pool(4)
         params = init_params("student", 6, pool, 3, seed=1, hidden=(5, 7))
-        out = encode(params, np.random.default_rng(0).standard_normal((2, 6)))
-        assert out.shape == (2, 4)
+        sims, pred = forward(params, np.random.default_rng(0).standard_normal((2, 6)), pool)
+        assert sims.shape == (2, 4) and pred.logits.shape == (2, 3)
+        np.testing.assert_allclose(np.linalg.norm(sims.data, axis=1), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
             init_params("student", 6, pool, 3, seed=1, hidden=(5, 7, 9))
 
@@ -91,10 +108,16 @@ class TestEncode:
 
 
 class TestConceptSimilarity:
+    """The similarity stage: one ``cosine_similarity`` against the pool's transposed rows."""
+
+    @staticmethod
+    def similarity(emb, pool: ConceptPool) -> Matrix:
+        return ad.cosine_similarity(emb, pool.embeddings_t)
+
     def test_matching_concept_scores_one(self):
         pool = make_pool({"a": 4}, dim=8)
         emb = pool.embeddings[2].reshape(1, -1)
-        sims = concept_similarity(emb, pool).data
+        sims = self.similarity(emb, pool).data
         assert sims[0, 2] == pytest.approx(1.0)
 
     def test_orthogonal_scores_zero(self):
@@ -103,26 +126,30 @@ class TestConceptSimilarity:
         w = np.zeros(4)
         w[1] = 1.0
         pool = ConceptPool(["c"], [v])
-        sims = concept_similarity(w.reshape(1, -1), pool).data
+        sims = self.similarity(w.reshape(1, -1), pool).data
         assert sims[0, 0] == pytest.approx(0.0)
 
     def test_45_degree_pair(self):
         v = np.array([1.0, 0.0])
         pool = ConceptPool(["c"], [v])
         emb = np.array([[1.0, 1.0]])
-        sims = concept_similarity(emb, pool).data
+        sims = self.similarity(emb, pool).data
         assert sims[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_bounded_entries(self):
         rng = np.random.default_rng(0)
         pool = make_pool({"a": 5, "b": 5}, dim=6)
-        sims = concept_similarity(rng.standard_normal((10, 6)) * 3.0, pool).data
+        sims = self.similarity(rng.standard_normal((10, 6)) * 3.0, pool).data
         assert np.all(np.abs(sims) <= 1.0 + 1e-12)
 
     def test_dim_mismatch(self):
         pool = make_pool({"a": 2}, dim=4)
         with pytest.raises(ShapeError):
-            concept_similarity(np.ones((1, 5)), pool)
+            self.similarity(np.ones((1, 5)), pool)
+        # an encoder whose output width is not the pool's: forward raises the same
+        _, params = simple_params(feature_dim=3, pool=make_pool({"a": 2}, dim=5))
+        with pytest.raises(ShapeError):
+            forward(params, np.ones((1, 3)), pool)
 
     def test_pool_operand_built_once(self):
         pool = make_pool({"a": 4, "b": 3}, dim=6)
@@ -130,7 +157,7 @@ class TestConceptSimilarity:
         assert concepts_t.flags.c_contiguous and not concepts_t.flags.writeable
         np.testing.assert_array_equal(concepts_t, pool.embeddings.T)
         emb = np.random.default_rng(1).standard_normal((5, 6))
-        first = concept_similarity(emb, pool)
+        first = self.similarity(emb, pool)
         assert pool.embeddings_t.data is concepts_t
         # bit-equal to normalising and multiplying by a fresh transposed copy
         unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
@@ -138,48 +165,80 @@ class TestConceptSimilarity:
 
 
 class TestPredict:
+    """The classifier, read through ``forward`` with an identity encoder and an identity pool.
+
+    The classifier then sees each feature row scaled to unit length.
+    """
+
     def test_zero_classifier_uniform(self):
-        pool, params = simple_params(num_classes=4)
+        pool, params = identity_model(4, num_classes=4)
         params.arrays["classifier.weight"][:] = 0.0
-        sims = np.random.default_rng(0).uniform(-1, 1, (3, len(pool)))
-        pred = predict(sims, params)
+        feats = np.random.default_rng(0).uniform(-1, 1, (3, 4))
+        _, pred = forward(params, feats, pool)
         np.testing.assert_allclose(pred.probabilities.data, 0.25, atol=1e-12)
 
     def test_strong_weight_dominates(self):
-        pool = make_pool({"a": 3}, dim=4)
-        params = init_params("student", 4, pool, 3, seed=0)
+        pool, params = identity_model(3, num_classes=3)
         params.arrays["classifier.weight"][:] = 0.0
         params.arrays["classifier.weight"][1, 2] = 20.0  # concept 1 votes class 2
-        sims = np.zeros((1, 3))
-        sims[0, 1] = 1.0
-        pred = predict(sims, params)
+        feats = np.zeros((1, 3))
+        feats[0, 1] = 1.0
+        _, pred = forward(params, feats, pool)
         assert pred.probabilities.data[0, 2] > 0.99
         assert pred.predicted_class[0] == 2
 
     def test_joint_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        pool, params = simple_params(num_classes=3)
-        n = len(pool)
-        sims = rng.uniform(-1, 1, (5, n))
-        base = predict(sims, params).probabilities.data
+        n = 4
+        pool, params = identity_model(n, num_classes=3)
+        feats = rng.uniform(-1, 1, (5, n))
+        base = forward(params, feats, pool)[1].probabilities.data
         perm = rng.permutation(n)
         permuted = params.copy()
         permuted.arrays["classifier.weight"] = params.arrays["classifier.weight"][perm]
-        shuffled = predict(sims[:, perm], permuted).probabilities.data
+        shuffled = forward(permuted, feats, identity_pool(n, perm))[1].probabilities.data
         np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        pool, params = simple_params(num_classes=5)
-        pred = predict(rng.uniform(-1, 1, (7, len(pool))), params)
+        pool, params = identity_model(4, num_classes=5)
+        _, pred = forward(params, rng.uniform(-1, 1, (7, 4)), pool)
         np.testing.assert_allclose(pred.probabilities.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(pred.probabilities.data > 0)
 
     def test_argmax_tie_breaks_low(self):
-        pool, params = simple_params(num_classes=2)
+        pool, params = identity_model(4, num_classes=2)
         params.arrays["classifier.weight"][:] = 0.0
-        pred = predict(np.zeros((1, len(pool))), params)
+        _, pred = forward(params, np.zeros((1, 4)), pool)
         assert pred.predicted_class[0] == 0
+
+    def test_classifier_rows_must_match_pool(self):
+        _, params = identity_model(4, num_classes=2)
+        with pytest.raises(ShapeError):
+            forward(params, np.ones((1, 4)), make_pool({"a": 3}, dim=4))
+
+
+class TestForward:
+    @pytest.mark.parametrize("hidden,ops", [
+        ((), ["affine", "cosine_similarity", "affine"]),
+        ((4,), ["affine", "tanh", "affine", "cosine_similarity", "affine"]),
+        ((4, 3), ["affine", "tanh", "affine", "tanh", "affine", "cosine_similarity", "affine"]),
+    ], ids=["no_hidden", "one_hidden", "two_hidden"])
+    def test_one_op_per_stage(self, hidden, ops):
+        pool, params = simple_params(feature_dim=5, hidden=hidden)
+        tape = Tape()
+        forward(ModelBinding(params, tape), np.ones((3, 5)), pool)
+        assert op_names(tape) == ops
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_bound_and_constant_forward_bit_equal(self, hidden):
+        pool, params = simple_params(feature_dim=5, hidden=hidden)
+        feats = np.random.default_rng(2).standard_normal((6, 5))
+        sims, pred = forward(params, feats, pool)
+        bound_sims, bound_pred = forward(ModelBinding(params, Tape()), feats, pool)
+        assert not sims.tracked and bound_sims.tracked and bound_pred.logits.tracked
+        np.testing.assert_array_equal(bound_sims.data, sims.data)
+        np.testing.assert_array_equal(bound_pred.logits.data, pred.logits.data)
 
 
 class TestPredictionProbabilities:

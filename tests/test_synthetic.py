@@ -47,10 +47,11 @@ class TestGeneratorConfig:
             small_config(class_names=["a"],
                          counts={"student": {"train": [1], "val": [1], "test": [1]},
                                  "teacher": {"train": [1], "val": [1], "test": [1]}})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="teacher_dominance must be <= 1, got 1.5"):
             small_config(teacher_dominance=1.5)
-        with pytest.raises(ValueError):
-            small_config(noise_sigma=-0.1)
+        for name in ("teacher_dominance", "noise_sigma"):
+            with pytest.raises(ValueError, match=rf"{name} must be >= 0, got -0\.1$"):
+                small_config(**{name: -0.1})
         counts = small_config().counts
         counts["teacher"]["val"].pop()
         with pytest.raises(ValueError, match=r"counts\[teacher\]\[val\] must list every class"):
@@ -73,6 +74,21 @@ class TestGeneratorConfig:
                 small_config(**{name: value})
         with pytest.raises(ValueError, match="class names must be distinct"):
             small_config(class_names=["a", "a", "b"])
+        # real fields take an int or a float, not a bool or a string
+        for name, value in [
+            ("attenuation", True), ("attenuation", "0.1"), ("noise_sigma", "0.5"),
+            ("noise_sigma", False), ("teacher_dominance", True), ("teacher_dominance", None),
+        ]:
+            with pytest.raises(ValueError, match=rf"{name} must be a real number, "
+                                                 rf"got {re.escape(repr(value))}$"):
+                small_config(**{name: value})
+        with pytest.raises(ValueError, match=r"teacher_dominance must be finite, got nan$"):
+            small_config(teacher_dominance=float("nan"))
+        with pytest.raises(ValueError, match=r"attenuation must be >= 0, got -3\.0$"):
+            small_config(attenuation=-3.0)
+        assert small_config(attenuation=0, noise_sigma=1, teacher_dominance=1).attenuation == 0
+        with pytest.raises(ValueError, match=r"class_names must be strings"):
+            small_config(class_names=list(range(9)), counts=GeneratorConfig().counts)
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -245,7 +261,7 @@ class TestRoundTrip:
         (lambda meta: meta["config"]["counts"].pop("teacher"),
          r"invalid config: counts has no \[teacher\]\[train\] entry"),
         (lambda meta: meta["config"].update(noise_sigma="0.2"),
-         "invalid config: must be real number, not str"),
+         "invalid config: noise_sigma must be a real number, got '0.2'"),
         (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, 2.5),
          r"invalid config: counts\[teacher\]\[val\] must hold integers"),
         (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, True),
@@ -264,11 +280,13 @@ class TestRoundTrip:
          r"teacher_dominant row 1 has 1 indices, expected round\(teacher_dominance \* 4\) = 2"),
         (lambda meta: meta["config"].update(seed=-5),
          "invalid config: seed must be an integer >= 0, got -5"),
+        (lambda meta: meta["config"].update(attenuation=True),
+         "invalid config: attenuation must be a real number, got True"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
             "float_count", "bool_count", "teacher_dominant_not_list",
             "teacher_dominant_row_count", "teacher_dominant_past_block",
             "teacher_dominant_other_block", "teacher_dominant_repeat",
-            "teacher_dominant_row_cut", "negative_seed"])
+            "teacher_dominant_row_cut", "negative_seed", "bool_attenuation"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)
@@ -313,6 +331,15 @@ class TestRoundTrip:
         ds, directory = written(tmp_path)
         rewrite_arrays(directory, {"mixing_teacher": ds.ground_truth.mixing_teacher[:-1]})
         with pytest.raises(ValueError, match=r"mixing_teacher is \(11, 8\), expected \(12, 8\)"):
+            read_dataset(directory)
+
+    def test_nan_mixing_rejected(self, tmp_path):
+        ds, directory = written(tmp_path)
+        bad = ds.ground_truth.mixing_teacher.copy()
+        bad[1, 2] = np.nan
+        rewrite_arrays(directory, {"mixing_teacher": bad})
+        with pytest.raises(ValueError, match=r"arrays\.npz \(ground truth\): "
+                                             r"mixing_teacher must be finite"):
             read_dataset(directory)
 
     def test_truncated_arrays_rejected(self, tmp_path):
