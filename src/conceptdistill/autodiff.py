@@ -135,7 +135,7 @@ class Tape:
         return Matrix._wrap(arr, self, self._alloc())
 
     def _record(self, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable) -> Matrix:
-        slots = tuple(m.slot if m.tape is self else None for m in inputs)
+        slots = tuple([m.slot if m.tape is self else None for m in inputs])
         slot = self._alloc()
         self._ops.append((slot, slots, vjp))
         return Matrix._wrap(out, self, slot)
@@ -223,14 +223,19 @@ def cosine_similarity(u, unit_t) -> Matrix:
     # what np.linalg.norm(ud, axis=1) evaluates for real input, without its wrapper
     norms = np.sqrt(np.add.reduce(ud * ud, axis=1, keepdims=True))
     safe = np.maximum(norms, eps)
-    live = (norms > eps).astype(np.float64)
-    unit = ud / safe * live
+    dead = np.flatnonzero(norms <= eps)
+    unit = ud / safe
+    if dead.size:
+        unit[dead] = 0.0
     td = unit_t.data
 
     def vjp(g):
         g = g @ td.T
         dot = (g * unit).sum(axis=1, keepdims=True)
-        return live * (g - unit * dot) / safe, None
+        d_u = (g - unit * dot) / safe
+        if dead.size:
+            d_u[dead] = 0.0
+        return d_u, None
 
     return _finish("cosine_similarity", unit @ td, (u, unit_t), vjp)
 
@@ -254,7 +259,8 @@ def softmax_cross_entropy(logits, labels) -> Matrix:
     shifted = z.data - z.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
-    loss = np.mean(np.log(total[:, 0]) - shifted[rows, labels])
+    # np.mean's own arithmetic, without its wrapper
+    loss = np.add.reduce(np.log(total[:, 0]) - shifted[rows, labels]) / n
 
     def vjp(g):
         grad = e / total
@@ -442,27 +448,25 @@ def loss_sum(base, terms) -> Matrix:
     return _finish("loss_sum", base.data + weighted, (base, *(t for t, _ in terms)), vjp)
 
 
-def backward(tape: Tape, loss: Matrix) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar loss; returns adjoints keyed by slot id.
+def backward(tape: Tape, loss: Matrix) -> list[np.ndarray | None]:
+    """Reverse sweep from a scalar loss; returns the adjoints as a list indexed by slot.
 
-    Slots that received no adjoint (unreached leaves) are absent; callers
-    treat them as zero gradients.
+    The sweep accumulates into that list. A slot that received no adjoint
+    (an unreached leaf) holds None; callers treat it as a zero gradient.
     """
     if loss.tape is not tape or loss.slot is None:
         raise ValueError("loss is not recorded on this tape")
     if loss.shape != (1, 1):
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
-    adjoints: dict[int, np.ndarray] = {loss.slot: np.ones((1, 1))}
+    adjoints: list[np.ndarray | None] = [None] * tape._n_slots
+    adjoints[loss.slot] = np.ones((1, 1))
     for out_slot, in_slots, vjp in reversed(tape._ops):
-        g = adjoints.get(out_slot)
+        g = adjoints[out_slot]
         if g is None:
             continue
-        contribs = vjp(g)
-        for s, contrib in zip(in_slots, contribs):
+        for s, contrib in zip(in_slots, vjp(g)):
             if s is None or contrib is None:
                 continue
-            if s in adjoints:
-                adjoints[s] = adjoints[s] + contrib
-            else:
-                adjoints[s] = contrib
+            prev = adjoints[s]
+            adjoints[s] = contrib if prev is None else prev + contrib
     return adjoints

@@ -13,8 +13,9 @@ probabilities are a softmax of the logits' values, off the tape. The
 classifier stays linear so each (concept, class) weight remains readable
 as a direct contribution.
 
-A model's parameters are one name -> array mapping, ``ModelParams.arrays``,
-in layer order: ``encoder.{i}.weight`` (fan_in x fan_out) and
+A model's parameters are one flat float64 vector, ``ModelParams.flat``,
+read through ``ModelParams.arrays``, a read-only name -> view mapping in
+layer order: ``encoder.{i}.weight`` (fan_in x fan_out) and
 ``encoder.{i}.bias`` (1 x fan_out) for each encoder layer i, then
 ``classifier.weight`` (n_concepts x n_classes) and ``classifier.bias``
 (1 x n_classes). A checkpoint (format ``concept-model-v2``) is one JSON
@@ -30,6 +31,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,21 +40,32 @@ from .autodiff import Matrix, Tape
 from .concepts import ConceptPool
 
 
-@dataclass
 class ModelParams:
-    """One model's parameters, held in ``arrays`` as name -> 2-D float array.
+    """One model's parameters: one flat float64 vector, ``flat``, and its views.
 
-    The names run in layer order: ``encoder.{i}.weight`` (fan_in x fan_out)
-    and ``encoder.{i}.bias`` (1 x fan_out) for each encoder layer i, then
-    ``classifier.weight`` (n_concepts x n_classes) and ``classifier.bias``
-    (1 x n_classes). Binding, the optimizer, hashing and checkpoints all
-    iterate over this one mapping.
+    ``arrays`` is a read-only name -> 2-D view mapping over ``flat``, one
+    view per entry of ``shapes``, laid end to end in the layer order of the
+    module docstring. Binding, hashing and checkpoints read the views; the
+    optimizer, ``copy`` and ``freeze`` act on the vector. Replacing an entry
+    of ``arrays`` raises, so no view can drift from the vector.
     """
 
-    modality: str  # "student" | "teacher"
-    arrays: dict[str, np.ndarray]
-    pool_fingerprint: str
-    frozen: bool = False
+    def __init__(self, modality: str, flat: np.ndarray, shapes: dict, pool_fingerprint: str):
+        self.modality = modality  # "student" | "teacher"
+        self.flat, self.shapes, self.pool_fingerprint = flat, shapes, pool_fingerprint
+        self.frozen = False
+        views, start = {}, 0
+        for name, (rows, cols) in shapes.items():
+            views[name] = flat[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        self.arrays = MappingProxyType(views)
+
+    @classmethod
+    def of(cls, modality: str, arrays: dict[str, np.ndarray], pool_fingerprint: str):
+        """Parameters holding a copy of ``arrays`` (name -> 2-D array, in layer order)."""
+        shapes = {name: arr.shape for name, arr in arrays.items()}
+        return cls(modality, np.concatenate([a.ravel() for a in arrays.values()]), shapes,
+                   pool_fingerprint)
 
     @property
     def num_classes(self) -> int:
@@ -60,13 +73,12 @@ class ModelParams:
 
     def freeze(self) -> "ModelParams":
         self.frozen = True
-        for arr in self.arrays.values():
+        for arr in (self.flat, *self.arrays.values()):
             arr.flags.writeable = False
         return self
 
     def copy(self) -> "ModelParams":
-        arrays = {name: arr.copy() for name, arr in self.arrays.items()}
-        return ModelParams(self.modality, arrays, self.pool_fingerprint)
+        return ModelParams(self.modality, self.flat.copy(), self.shapes, self.pool_fingerprint)
 
     def params_hash(self) -> str:
         h = hashlib.sha256()
@@ -102,7 +114,7 @@ def init_params(modality: str, feature_dim: int, pool: ConceptPool, num_classes:
     n = len(pool)
     arrays["classifier.weight"] = rng.standard_normal((n, num_classes)) / np.sqrt(n)
     arrays["classifier.bias"] = np.zeros((1, num_classes))
-    return ModelParams(modality, arrays, pool.fingerprint())
+    return ModelParams.of(modality, arrays, pool.fingerprint())
 
 
 @dataclass
@@ -257,5 +269,5 @@ def load_checkpoint(path, pool: ConceptPool | None = None) -> ModelParams:
     if pool is not None and (width, cw.shape[0]) != (pool.dim, len(pool)):
         raise ValueError(f"{path}: encoder output width {width} and {cw.shape[0]} classifier "
                          f"rows do not fit a pool of {len(pool)} concepts of dim {pool.dim}")
-    params = ModelParams(modality, arrays, fingerprint)
+    params = ModelParams.of(modality, arrays, fingerprint)
     return params.freeze() if frozen else params

@@ -110,10 +110,13 @@ class GeneratorConfig:
             value = getattr(self, name)
             if type(value) is not int or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if (not isinstance(self.class_names, (list, tuple))
+                or not all(isinstance(name, str) for name in self.class_names)):
+            raise ValueError(f"class_names must be strings in a list or tuple, "
+                             f"got {self.class_names!r}")
+        self.class_names = list(self.class_names)  # as meta.json reads it back
         if self.num_classes < 2:
             raise ValueError("need at least 2 class names")
-        if not all(isinstance(name, str) for name in self.class_names):
-            raise ValueError(f"class_names must be strings, got {self.class_names!r}")
         if len(set(self.class_names)) != self.num_classes:
             raise ValueError(f"class names must be distinct, got {self.class_names!r}")
         if self.teacher_dominance > 1:

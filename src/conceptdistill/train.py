@@ -69,7 +69,7 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments as flat vectors: ``params.arrays`` raveled and joined in order."""
+    """AdamW moments as flat vectors, laid out like ``params.flat``."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -78,7 +78,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: ModelParams, weight_decay: float) -> "OptimizerState":
-        size = sum(arr.size for arr in params.arrays.values())
+        size = params.flat.size
         return cls(first_moment=np.zeros(size), second_moment=np.zeros(size), step=0,
                    weight_decay=weight_decay)
 
@@ -96,9 +96,9 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
     gets a zero gradient. An unknown name, a wrong shape or a non-finite
     gradient is rejected before anything changes: training binds the
     parameters to the tape unchecked, so they must stay finite.
-    The moment and update arithmetic runs once over all parameters as flat
-    vectors; each element goes through the same expressions as a
-    per-array update would.
+    The gradients are joined in the layout of ``params.flat``, and the
+    moments, weight decay and update run as one pass over that vector; each
+    element goes through the same expressions as a per-array update would.
     """
     if params.frozen:
         raise ValueError("cannot update frozen parameters")
@@ -126,14 +126,9 @@ def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
     m += (1.0 - ADAM_BETA1) * g
     v *= ADAM_BETA2
     v += (1.0 - ADAM_BETA2) * g * g
-    update = lr_t * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
-    start = 0
-    for arr in params.arrays.values():
-        stop = start + arr.size
-        if state.weight_decay:
-            arr *= 1.0 - lr_t * state.weight_decay
-        arr -= update[start:stop].reshape(arr.shape)
-        start = stop
+    if state.weight_decay:
+        params.flat *= 1.0 - lr_t * state.weight_decay
+    params.flat -= lr_t * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
@@ -150,7 +145,8 @@ class EpochStream:
 
     Position p of the stream is entry p % n of epoch p // n's permutation.
     Only the latest epoch's permutation is cached: training reads the stream
-    in order, so a batch revisits at most the epoch the previous batch ended in.
+    in order, so a batch revisits at most the epoch the previous batch ended
+    in. It is read-only, and a batch inside one epoch is a slice of it.
     """
 
     def __init__(self, n: int, seed: int, modality: str):
@@ -165,14 +161,18 @@ class EpochStream:
         if epoch != self._epoch:
             rng = np.random.default_rng([self.seed, self.code, epoch])
             self._epoch, self._cached = epoch, rng.permutation(self.n)
+            self._cached.flags.writeable = False
         return self._cached
 
     def batch(self, step: int, batch_size: int) -> np.ndarray:
         """Stream positions [step * batch_size, (step + 1) * batch_size)."""
         start, stop = step * batch_size, (step + 1) * batch_size
+        first, last = start // self.n, (stop - 1) // self.n
+        if first == last:
+            return self._perm(first)[start - first * self.n:stop - first * self.n]
         return np.concatenate([
             self._perm(epoch)[max(start - epoch * self.n, 0):stop - epoch * self.n]
-            for epoch in range(start // self.n, (stop - 1) // self.n + 1)
+            for epoch in range(first, last + 1)
         ])
 
 
@@ -305,8 +305,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                     loss = total_loss(cls, gpd, lcd, cfg_d)
                 total_v = loss.item()
                 grads = backward(tape, loss)
-                named = {name: grads[leaf.slot] for name, leaf in binding.leaves.items()
-                         if leaf.slot in grads}
+                named = {name: g for name, leaf in binding.leaves.items()
+                         if (g := grads[leaf.slot]) is not None}
                 adamw_step(params, named, state, lr_t)
                 logger.write({
                     "step": step, "lr": lr_t, "loss_cls": cls_v,

@@ -195,7 +195,7 @@ class TestPredict:
         base = forward(params, feats, pool)[1].probabilities.data
         perm = rng.permutation(n)
         permuted = params.copy()
-        permuted.arrays["classifier.weight"] = params.arrays["classifier.weight"][perm]
+        permuted.arrays["classifier.weight"][:] = params.arrays["classifier.weight"][perm]
         shuffled = forward(permuted, feats, identity_pool(n, perm))[1].probabilities.data
         np.testing.assert_allclose(shuffled, base, atol=1e-12)
 
@@ -305,6 +305,75 @@ class TestCrossEntropy:
         np.testing.assert_allclose(backward(tape, loss)[logits.slot], [[1.0, -1.0]])
 
 
+def assert_flat_layout(params):
+    """Each view of ``params.arrays`` is ``params.flat`` at its layer-order offset."""
+    flat = params.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    base, offset = flat.__array_interface__["data"][0], 0
+    for name, arr in params.arrays.items():
+        assert np.shares_memory(arr, flat), name
+        assert arr.__array_interface__["data"][0] == base + offset * flat.itemsize, name
+        assert arr.ndim == 2 and arr.flags.c_contiguous, name
+        np.testing.assert_array_equal(arr.ravel(), flat[offset:offset + arr.size])
+        offset += arr.size
+    assert offset == flat.size
+
+
+class TestFlatParams:
+    LAYERS = [(), (4,), (4, 3)]
+
+    @pytest.mark.parametrize("hidden", LAYERS, ids=["no_hidden", "one_hidden", "two_hidden"])
+    def test_views_tile_the_vector_in_layer_order(self, hidden):
+        _, params = simple_params(feature_dim=5, hidden=hidden)
+        n = len(hidden) + 1
+        assert list(params.arrays) == [f"encoder.{i}.{kind}" for i in range(n)
+                                       for kind in ("weight", "bias")] + [
+            "classifier.weight", "classifier.bias"]
+        assert_flat_layout(params)
+        params.flat[:] = np.arange(params.flat.size)  # a write to the vector shows in the views
+        assert_flat_layout(params)
+
+    def test_copy_is_a_separate_vector_with_the_same_layout(self):
+        _, params = simple_params(feature_dim=5, hidden=(4,))
+        copied = params.freeze().copy()
+        assert_flat_layout(copied)
+        assert not copied.frozen and copied.flat.flags.writeable
+        assert not np.shares_memory(copied.flat, params.flat)
+        assert copied.params_hash() == params.params_hash()
+        copied.arrays["classifier.bias"][0, 0] += 1.0
+        assert copied.params_hash() != params.params_hash()
+
+    def test_freeze_locks_the_vector_and_every_view(self):
+        _, params = simple_params(hidden=(4,))
+        params.freeze()
+        assert_flat_layout(params)
+        for arr in (params.flat, *params.arrays.values()):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            params.flat[0] = 1.0
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+    def test_checkpoint_keeps_the_layout(self, tmp_path, frozen):
+        pool = make_pool({"a": 4, "b": 4}, dim=6)
+        params = init_params("teacher", 7, pool, 2, seed=5, hidden=(5, 3))
+        if frozen:
+            params.freeze()
+        save_checkpoint(params, tmp_path / "model.json")
+        loaded = load_checkpoint(tmp_path / "model.json", pool)
+        assert_flat_layout(loaded)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    def test_entries_cannot_be_replaced(self):
+        _, params = simple_params()
+        before = params.arrays["classifier.weight"]
+        with pytest.raises(TypeError):
+            params.arrays["classifier.weight"] = np.zeros_like(before)
+        with pytest.raises(TypeError):
+            del params.arrays["classifier.bias"]
+        assert params.arrays["classifier.weight"] is before
+        assert_flat_layout(params)
+
+
 class TestBinding:
     def test_leaves_are_the_parameter_arrays(self):
         pool, params = simple_params(feature_dim=5, hidden=(4,))
@@ -353,7 +422,8 @@ class TestEndToEndGradient:
         tape, binding, loss = loss_fn(params)
         grads = backward(tape, loss)
         for name, leaf in binding.leaves.items():
-            analytic = grads.get(leaf.slot, np.zeros(leaf.shape))
+            analytic = grads[leaf.slot]
+            analytic = np.zeros(leaf.shape) if analytic is None else analytic
 
             def f(m, name=name):
                 trial = params.copy()

@@ -89,6 +89,12 @@ class TestGeneratorConfig:
         assert small_config(attenuation=0, noise_sigma=1, teacher_dominance=1).attenuation == 0
         with pytest.raises(ValueError, match=r"class_names must be strings"):
             small_config(class_names=list(range(9)), counts=GeneratorConfig().counts)
+        # a bare string is not nine one-letter classes
+        for value in ("abcdefghi", None, {"a": 0, "b": 1, "c": 2}):
+            with pytest.raises(ValueError, match=r"class_names must be strings in a list or "
+                                                 rf"tuple, got {re.escape(repr(value))}$"):
+                small_config(class_names=value, counts=GeneratorConfig().counts)
+        assert small_config(class_names=("a", "b", "c")).class_names == ["a", "b", "c"]
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -200,6 +206,11 @@ class TestRoundTrip:
         ds, directory = written(tmp_path)
         assert read_dataset(directory) == ds  # columns and ground truth
 
+    def test_tuple_class_names_read_back_equal(self, tmp_path):
+        ds, _ = generate(small_config(class_names=("a", "b", "c")))
+        write_dataset(ds, tmp_path / "data")
+        assert read_dataset(tmp_path / "data") == ds
+
     def test_written_arrays(self, tmp_path):
         _, directory = written(tmp_path)
         with np.load(directory / "arrays.npz") as npz:
@@ -282,11 +293,14 @@ class TestRoundTrip:
          "invalid config: seed must be an integer >= 0, got -5"),
         (lambda meta: meta["config"].update(attenuation=True),
          "invalid config: attenuation must be a real number, got True"),
+        (lambda meta: meta["config"].update(class_names="abc"),
+         "invalid config: class_names must be strings in a list or tuple, got 'abc'"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
             "float_count", "bool_count", "teacher_dominant_not_list",
             "teacher_dominant_row_count", "teacher_dominant_past_block",
             "teacher_dominant_other_block", "teacher_dominant_repeat",
-            "teacher_dominant_row_cut", "negative_seed", "bool_attenuation"])
+            "teacher_dominant_row_cut", "negative_seed", "bool_attenuation",
+            "string_class_names"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)

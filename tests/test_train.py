@@ -92,30 +92,56 @@ class TestAdamW:
         np.testing.assert_array_equal(state.second_moment, moments[1])
 
     def test_flat_update_equals_per_array_reference(self):
-        # the per-array AdamW update, element for element
         params = init_params("student", 5, make_pool({"a": 3}, dim=4), 2, seed=0, hidden=(3,))
         reference = params.copy()
         lam = 0.01
         state = OptimizerState.for_params(params, weight_decay=lam)
-        m = {k: np.zeros_like(v) for k, v in reference.arrays.items()}
-        v = {k: np.zeros_like(a) for k, a in reference.arrays.items()}
+        ref_state = OptimizerState.for_params(reference, weight_decay=lam)
         rng = np.random.default_rng(3)
         for t in range(1, 6):
             lr = 1e-2 / t
             grads = {name: rng.standard_normal(arr.shape) for name, arr in params.arrays.items()
                      if name != "encoder.1.bias"}  # one parameter without a gradient
             adamw_step(params, grads, state, lr_t=lr)
-            for name, arr in reference.arrays.items():
-                g = grads.get(name, np.zeros_like(arr))
-                m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
-                v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
-                m_hat = m[name] / (1.0 - 0.9 ** t)
-                v_hat = v[name] / (1.0 - 0.999 ** t)
-                arr *= 1.0 - lr * lam
-                arr -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert state.step == 5
+            per_array_adamw_step(reference, grads, ref_state, lr_t=lr)
+        assert state.step == ref_state.step == 5
         for name, arr in reference.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], arr, err_msg=name)
+
+    def test_training_run_equals_per_array_reference(self, monkeypatch):
+        # a teacher and a combined student with weight decay, trained with the
+        # flat update and again with the per-array reference, end bit-equal
+        ds, pool = tiny_dataset()
+        teacher_config = quick_train_config(epochs=2, weight_decay=0.01, encoder_hidden=(4,))
+        config = quick_train_config(epochs=2, weight_decay=0.05, encoder_hidden=(4,))
+        hashes = []
+        for step_fn in (adamw_step, per_array_adamw_step):
+            monkeypatch.setattr(train_module, "adamw_step", step_fn)
+            teacher = pretrain_teacher(teacher_config, ds, pool)
+            student = train_student(config, ds, pool, teacher=teacher)
+            hashes.append((teacher.params_hash(), student.params_hash()))
+        assert hashes[0] == hashes[1]
+
+
+def per_array_adamw_step(params, grads, state, lr_t):
+    """The AdamW update one parameter array at a time: the reference for ``adamw_step``.
+
+    Array i's moments are its own slice of the state's moment vectors.
+    """
+    state.step += 1
+    t, lam, start = state.step, state.weight_decay, 0
+    for name, arr in params.arrays.items():
+        stop = start + arr.size
+        m = state.first_moment[start:stop].reshape(arr.shape)
+        v = state.second_moment[start:stop].reshape(arr.shape)
+        g = grads.get(name, np.zeros_like(arr))
+        m[:] = 0.9 * m + (1.0 - 0.9) * g
+        v[:] = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        arr *= 1.0 - lr_t * lam
+        arr -= lr_t * m_hat / (np.sqrt(v_hat) + 1e-8)
+        start = stop
 
 
 class TestCosineLr:
@@ -175,6 +201,18 @@ class TestUnpairedSampling:
             want = [np.random.default_rng([4, 1, pos // n]).permutation(n)[pos % n]
                     for pos in range(step * batch, (step + 1) * batch)]
             np.testing.assert_array_equal(stream.batch(step, batch), want)
+
+    def test_batch_inside_one_epoch_is_a_read_only_view(self):
+        n, batch = 37, 8
+        stream = EpochStream(n, seed=4, modality="student")
+        inside = stream.batch(1, batch)  # positions 8..15 of epoch 0
+        assert not inside.flags.writeable
+        with pytest.raises(ValueError):
+            inside[0] = 0
+        crossing = stream.batch(4, batch)  # positions 32..39 cross into epoch 1
+        assert len(crossing) == batch
+        np.testing.assert_array_equal(
+            EpochStream(n, seed=4, modality="student").batch(1, batch), inside)
 
 
 def spy_on_steps(monkeypatch, after_step):
