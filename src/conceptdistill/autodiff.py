@@ -9,21 +9,22 @@ adjoints. A tape is meant to live for one forward/backward pass.
 ``Tape.leaf`` tracks a checked copy; ``Tape.param`` tracks a parameter's
 own array unchecked, which the optimizer keeps finite.
 
-The operations are the ones a training step records, one per model layer
-or loss, each with a hand-written gradient: ``affine`` (``x @ w + b``, an
-encoder or classifier layer), ``tanh``, ``cosine_similarity`` (rows
-L2-normalized, then scored against constant unit columns), ``matmul``
-(basis coordinates), the losses ``softmax_cross_entropy`` (from logits),
-``supcon_loss`` and ``class_mean_distance`` (two sets of class means and
-their squared distance), and ``loss_sum``, the weighted total of the loss
-terms. Every one ends in ``_finish``, which rejects a non-finite result.
-``supcon_loss`` takes one n x (n + m) buffer from logits to gradient, so
-its VJP runs once; its sums round differently from a term-by-term
-evaluation, by ~1e-15 relative.
+The operations are the ones a training step records, one for the model
+and one per loss, each with a hand-written gradient: ``concept_model``
+(the whole model, features to similarity rows and logits, its parameters
+and their gradient one 1 x P row each), ``matmul`` (basis coordinates),
+the losses ``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
+``class_mean_distance`` (two sets of class means and their squared
+distance), and ``loss_sum``, the weighted total of the loss terms. Every
+one ends in ``_finish``, which rejects a non-finite result. An op has one
+output or two (``concept_model`` returns, and checks itself, the
+similarity rows and the logits); ``backward`` hands its VJP one adjoint
+per output, None for an output that received none.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -114,7 +115,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[int, tuple[int | None, ...], Callable]] = []
+        self._ops: list[tuple[tuple[int, ...], tuple[int | None, ...], Callable]] = []
         self._n_slots = 0
 
     def _alloc(self) -> int:
@@ -134,10 +135,14 @@ class Tape:
             raise ShapeError("param: needs a 2-D float64 ndarray")
         return Matrix._wrap(arr, self, self._alloc())
 
-    def _record(self, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable) -> Matrix:
+    def _record(self, out, inputs: tuple[Matrix, ...], vjp: Callable):
         slots = tuple([m.slot if m.tape is self else None for m in inputs])
+        if type(out) is tuple:  # one slot per output; the VJP takes an adjoint for each
+            outs = tuple([Matrix._wrap(o, self, self._alloc()) for o in out])
+            self._ops.append((tuple([m.slot for m in outs]), slots, vjp))
+            return outs
         slot = self._alloc()
-        self._ops.append((slot, slots, vjp))
+        self._ops.append(((slot,), slots, vjp))
         return Matrix._wrap(out, self, slot)
 
 
@@ -157,11 +162,12 @@ def _result_tape(*ms: Matrix) -> Tape | None:
     return tape
 
 
-def _finish(op: str, out: np.ndarray, inputs: tuple[Matrix, ...], vjp: Callable) -> Matrix:
-    _check_finite(out, op)
+def _finish(op: str, out, inputs: tuple[Matrix, ...], vjp: Callable):
+    if type(out) is not tuple:  # a tuple of outputs was checked by its op
+        _check_finite(out, op)
     tape = _result_tape(*inputs)
     if tape is None:
-        return Matrix._wrap(out)
+        return tuple([Matrix._wrap(o) for o in out]) if type(out) is tuple else Matrix._wrap(out)
     return tape._record(out, inputs, vjp)
 
 
@@ -179,65 +185,80 @@ def matmul(a, b) -> Matrix:
     return _finish("matmul", ad @ bd, (a, b), vjp)
 
 
-def affine(x, w, b) -> Matrix:
-    """``x @ w + b`` for a bias ``b`` of one row of ``w``'s width: one layer, one op."""
-    x, w, b = as_matrix(x), as_matrix(w), as_matrix(b)
-    if x.cols != w.rows or b.shape != (1, w.cols):
-        raise ShapeError(f"affine: {x.shape} x {w.shape} + {b.shape}")
-    xd, wd = x.data, w.data
-    x_tracked, w_tracked, b_tracked = x.tracked, w.tracked, b.tracked
+def concept_model(features, params, arrays, unit_t) -> tuple[Matrix, Matrix]:
+    """A whole concept model as one op: ``features`` to similarity rows and logits.
 
-    def vjp(g):
-        return ((g @ wd.T if x_tracked else None), (xd.T @ g if w_tracked else None),
-                (g.sum(axis=0, keepdims=True) if b_tracked else None))
-
-    return _finish("affine", xd @ wd + b.data, (x, w, b), vjp)
-
-
-def tanh(a) -> Matrix:
-    a = as_matrix(a)
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return _finish("tanh", out, (a,), vjp)
-
-
-def cosine_similarity(u, unit_t) -> Matrix:
-    """``normalize(u) @ unit_t``: each row of ``u`` scaled to unit length, then scored.
-
-    ``unit_t`` holds unit vectors as columns and is a constant: a tracked
-    ``unit_t`` is rejected rather than given no adjoint. Rows of ``u`` with
-    norm <= 1e-12 normalize to zero and are treated as constants in the
-    backward pass: a true zero row has no preferred direction, and an
-    exploding 1/eps adjoint would poison early training steps.
+    ``params`` is a 1 x P row; ``arrays``, its layout, is a list of views that
+    tile it (each encoder layer's weight and bias, then the classifier's), as
+    ``ModelParams`` holds them. Encoder layers ``x @ w + b`` have tanh between
+    them; their unit-length rows (a row of norm <= 1e-12 scores 0 and passes
+    no adjoint) are scored against the constant unit columns ``unit_t`` and
+    classified. Each stage checks its shapes and result under its own name.
+    The VJP writes each parameter's gradient into its span of a fresh 1 x P row.
     """
-    u, unit_t = as_matrix(u), as_matrix(unit_t)
-    if unit_t.tracked:
-        raise ValueError("cosine_similarity: unit_t must be a constant")
-    if u.cols != unit_t.rows:
-        raise ShapeError(f"cosine_similarity: {u.shape} x {unit_t.shape}")
-    eps = 1e-12
-    ud = u.data
-    # what np.linalg.norm(ud, axis=1) evaluates for real input, without its wrapper
-    norms = np.sqrt(np.add.reduce(ud * ud, axis=1, keepdims=True))
-    safe = np.maximum(norms, eps)
-    dead = np.flatnonzero(norms <= eps)
-    unit = ud / safe
+    x, p, unit_t = as_matrix(features), as_matrix(params), as_matrix(unit_t)
+    for name, m in (("features", x), ("unit_t", unit_t)):
+        if m.tracked:  # rejected rather than given no adjoint
+            raise ValueError(f"concept_model: {name} must be a constant")
+    ends = [0, *accumulate([a.size for a in arrays])]
+    row = p.data if p.data.base is None else p.data.base
+    if (p.rows != 1 or ends[-1] != p.cols or len(arrays) < 4 or len(arrays) % 2
+            or any([a.base is not row for a in arrays])):
+        raise ShapeError(f"concept_model: {[a.shape for a in arrays]} do not tile {p.shape}")
+    n_enc = len(arrays) // 2 - 1
+    h, layer_in = x.data, []
+    for i in range(n_enc):
+        w, b = arrays[2 * i], arrays[2 * i + 1]
+        if h.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+            raise ShapeError(f"affine: {h.shape} x {w.shape} + {b.shape}")
+        layer_in.append(h if p.tracked else None)  # a constant forward keeps no layer
+        h = h @ w + b
+        _check_finite(h, "affine")
+        if i < n_enc - 1:
+            h = np.tanh(h)
+            _check_finite(h, "tanh")
+    td = unit_t.data
+    if h.shape[1] != td.shape[0]:
+        raise ShapeError(f"cosine_similarity: {h.shape} x {td.shape}")
+    # what np.linalg.norm(h, axis=1) evaluates for real input, without its wrapper
+    norms = np.sqrt(np.add.reduce(h * h, axis=1, keepdims=True))
+    safe = np.maximum(norms, 1e-12)
+    dead = (norms[:, 0] <= 1e-12).nonzero()[0]
+    unit = np.divide(h, safe, out=h)  # in place: h is this op's own array
     if dead.size:
         unit[dead] = 0.0
-    td = unit_t.data
+    sims = unit @ td
+    _check_finite(sims, "cosine_similarity")
+    cw, cb = arrays[-2], arrays[-1]
+    if sims.shape[1] != cw.shape[0] or cb.shape != (1, cw.shape[1]):
+        raise ShapeError(f"affine: {sims.shape} x {cw.shape} + {cb.shape}")
+    logits = sims @ cw + cb
+    _check_finite(logits, "affine")
 
-    def vjp(g):
+    def vjp(g_sims, g_logits):
+        # matmuls and column sums into the spans; the classifier's stays 0 without logits
+        grad = np.empty(ends[-1]) if g_logits is not None else np.zeros(ends[-1])
+        g = g_sims
+        if g_logits is not None:
+            np.matmul(sims.T, g_logits, out=grad[ends[-3]:ends[-2]].reshape(cw.shape))
+            np.add.reduce(g_logits, axis=0, out=grad[ends[-2]:])
+            g = g_logits @ cw.T
+            if g_sims is not None:
+                g += g_sims  # the distill path's adjoint of the similarity rows
         g = g @ td.T
-        dot = (g * unit).sum(axis=1, keepdims=True)
-        d_u = (g - unit * dot) / safe
+        dot = np.add.reduce(g * unit, axis=1, keepdims=True)
+        g = (g - unit * dot) / safe
         if dead.size:
-            d_u[dead] = 0.0
-        return d_u, None
+            g[dead] = 0.0
+        for i in reversed(range(n_enc)):
+            a, (lo, mid, hi) = layer_in[i], ends[2 * i:2 * i + 3]
+            np.matmul(a.T, g, out=grad[lo:mid].reshape(arrays[2 * i].shape))
+            np.add.reduce(g, axis=0, out=grad[mid:hi])
+            if i:
+                g = (g @ arrays[2 * i].T) * (1.0 - a * a)  # a is the tanh before layer i
+        return None, grad.reshape(1, -1), None
 
-    return _finish("cosine_similarity", unit @ td, (u, unit_t), vjp)
+    return _finish("concept_model", (sims, logits), (x, p, unit_t), vjp)
 
 
 def softmax_cross_entropy(logits, labels) -> Matrix:
@@ -452,7 +473,8 @@ def backward(tape: Tape, loss: Matrix) -> list[np.ndarray | None]:
     """Reverse sweep from a scalar loss; returns the adjoints as a list indexed by slot.
 
     The sweep accumulates into that list. A slot that received no adjoint
-    (an unreached leaf) holds None; callers treat it as a zero gradient.
+    (an unreached leaf) holds None; callers treat it as a zero gradient. An
+    op whose outputs all hold None is skipped.
     """
     if loss.tape is not tape or loss.slot is None:
         raise ValueError("loss is not recorded on this tape")
@@ -460,11 +482,11 @@ def backward(tape: Tape, loss: Matrix) -> list[np.ndarray | None]:
         raise ShapeError(f"loss must be a 1x1 scalar, got {loss.shape}")
     adjoints: list[np.ndarray | None] = [None] * tape._n_slots
     adjoints[loss.slot] = np.ones((1, 1))
-    for out_slot, in_slots, vjp in reversed(tape._ops):
-        g = adjoints[out_slot]
-        if g is None:
+    for out_slots, in_slots, vjp in reversed(tape._ops):
+        gs = [adjoints[s] for s in out_slots]
+        if gs[0] is None and gs[-1] is None:  # an op has one output or two
             continue
-        for s, contrib in zip(in_slots, vjp(g)):
+        for s, contrib in zip(in_slots, vjp(*gs)):
             if s is None or contrib is None:
                 continue
             prev = adjoints[s]

@@ -8,7 +8,7 @@ is the part of its id before the first "." (``DR.concept3`` is a DR concept).
 The pool also holds ``embeddings_t``, the transposed matrix as a constant
 autodiff operand, built once so a similarity product does not copy it.
 Every row must be a unit vector, L2 norm within 1e-9 of 1:
-``autodiff.cosine_similarity`` normalises only the embedding side, so a
+``autodiff.concept_model`` normalises only the embedding side, so a
 longer row would score a "cosine" above 1.
 
 ``basis`` is the N x k matrix Q of the reduced QR factorization
@@ -36,6 +36,8 @@ class ConceptPool:
         self.embeddings = np.array(embeddings, dtype=np.float64)
         if not self.ids:
             raise ValueError("empty concept pool")
+        if not all(isinstance(cid, str) for cid in self.ids):  # fingerprint() encodes them
+            raise ValueError(f"concept ids must be strings, got {self.ids!r}")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate concept id in pool")
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != len(self.ids):

@@ -148,6 +148,10 @@ def macro_report(probabilities, predicted, actual, num_classes: int,
         class_names = [f"class_{c}" for c in range(num_classes)]
     if len(class_names) != num_classes:
         raise ValueError("class_names length must equal num_classes")
+    if len(set(class_names)) != num_classes:  # per_class would fold two classes into one key
+        raise ValueError(f"class_names must be distinct, got {list(class_names)!r}")
+    if not np.isfinite(probabilities).all():  # average_precision would rank NaN arbitrarily
+        raise ValueError("probabilities must be finite")
     rates = per_class_metrics(confusion_counts(predicted, actual, num_classes))
     aps, skipped = per_class_average_precision(probabilities, actual)
 

@@ -1,17 +1,13 @@
 """Concept-decoupled classifier for one modality.
 
-One function, ``forward``, runs the whole model and records one autodiff op
-per stage. Features pass through a small trainable projection (optionally
-with tanh hidden layers), one ``autodiff.affine`` op per layer. The
-projected rows are scored against the frozen concept embeddings by one
-``autodiff.cosine_similarity`` op, the only place where they are
-L2-normalized. A linear concept classifier, one more ``affine``, maps the
-similarity row to class logits. Each op checks the shapes it consumes and
-raises ``autodiff.ShapeError`` on a mismatch. The training loss is
-cross-entropy taken from the logits in one autodiff op; the predicted
-probabilities are a softmax of the logits' values, off the tape. The
-classifier stays linear so each (concept, class) weight remains readable
-as a direct contribution.
+``forward`` runs the whole model as one autodiff op, ``autodiff.concept_model``:
+a small trainable projection of the features (``x @ w + b`` per layer, tanh
+between layers), its rows L2-normalized and scored against the frozen concept
+embeddings, and a linear classifier on those similarity rows, kept linear so
+each (concept, class) weight reads as a direct contribution. Every stage's
+shapes are checked (``autodiff.ShapeError``). Cross-entropy is one more op on
+the logits; the predicted probabilities are a softmax of their values, off
+the tape.
 
 A model's parameters are one flat float64 vector, ``ModelParams.flat``,
 read through ``ModelParams.arrays``, a read-only name -> view mapping in
@@ -28,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -45,13 +41,15 @@ class ModelParams:
 
     ``arrays`` is a read-only name -> 2-D view mapping over ``flat``, one
     view per entry of ``shapes``, laid end to end in the layer order of the
-    module docstring. Binding, hashing and checkpoints read the views; the
+    module docstring. Hashing and checkpoints read the views; binding, the
     optimizer, ``copy`` and ``freeze`` act on the vector. Replacing an entry
     of ``arrays`` raises, so no view can drift from the vector.
     """
 
     def __init__(self, modality: str, flat: np.ndarray, shapes: dict, pool_fingerprint: str):
-        self.modality = modality  # "student" | "teacher"
+        if modality not in ("student", "teacher"):  # load_checkpoint refuses any other
+            raise ValueError(f"modality must be 'student' or 'teacher', got {modality!r}")
+        self.modality = modality
         self.flat, self.shapes, self.pool_fingerprint = flat, shapes, pool_fingerprint
         self.frozen = False
         views, start = {}, 0
@@ -117,19 +115,14 @@ def init_params(modality: str, feature_dim: int, pool: ConceptPool, num_classes:
     return ModelParams.of(modality, arrays, pool.fingerprint())
 
 
-@dataclass
 class ModelBinding:
-    """Per-step attachment of trainable parameters onto a tape, by reference (``Tape.param``)."""
+    """Per-step attachment of ``params.flat`` onto ``tape``, by reference, as one 1 x P leaf."""
 
-    params: ModelParams
-    tape: Tape
-    leaves: dict[str, Matrix] = field(init=False)
-
-    def __post_init__(self):
-        if self.params.frozen:
+    def __init__(self, params: ModelParams, tape: Tape):
+        if params.frozen:
             raise ValueError("cannot bind a frozen model for training")
-        param = self.tape.param
-        self.leaves = {name: param(arr) for name, arr in self.params.arrays.items()}
+        self.params, self.tape = params, tape
+        self.leaf = tape.param(params.flat.reshape(1, -1))
 
 
 @dataclass
@@ -155,22 +148,16 @@ def cross_entropy(pred: Prediction, labels) -> Matrix:
 
 
 def forward(model, features, pool: ConceptPool) -> tuple[Matrix, Prediction]:
-    """Features -> encoder -> cosine similarity to ``pool`` -> classifier.
+    """Features -> encoder -> cosine similarity to ``pool`` -> classifier, as one op.
 
-    ``model`` is a ``ModelBinding``, whose tracked leaves put every op on its
-    tape, or a ``ModelParams``, whose arrays enter the ops as constants.
-    Returns the B x n_concepts similarity rows and the ``Prediction`` made
-    from them.
+    ``model`` is a ``ModelBinding`` (its leaf puts the op on its tape) or a
+    ``ModelParams`` (its vector, checked finite once, enters as a constant).
+    Returns the B x n_concepts similarity rows and their ``Prediction``.
     """
-    mats = model.leaves if isinstance(model, ModelBinding) else model.arrays
-    n_layers = len(mats) // 2 - 1
-    x = features
-    for i in range(n_layers):
-        x = ad.affine(x, mats[f"encoder.{i}.weight"], mats[f"encoder.{i}.bias"])
-        if i < n_layers - 1:
-            x = ad.tanh(x)
-    sims = ad.cosine_similarity(x, pool.embeddings_t)
-    return sims, Prediction(ad.affine(sims, mats["classifier.weight"], mats["classifier.bias"]))
+    bound = isinstance(model, ModelBinding)
+    flat, params = (model.leaf, model.params) if bound else (Matrix(model.flat), model)
+    sims, logits = ad.concept_model(features, flat, [*params.arrays.values()], pool.embeddings_t)
+    return sims, Prediction(logits)
 
 
 # --- checkpoint files -------------------------------------------------------
@@ -193,12 +180,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _array_names(n_layers: int) -> list[str]:
-    """Parameter names of a model with ``n_layers`` encoder layers, in layer order."""
-    names = [f"encoder.{i}.{kind}" for i in range(n_layers) for kind in ("weight", "bias")]
-    return names + ["classifier.weight", "classifier.bias"]
 
 
 def _read_array(entry, where: str) -> np.ndarray:
@@ -252,7 +233,8 @@ def load_checkpoint(path, pool: ConceptPool | None = None) -> ModelParams:
         )
     # sort_keys stored the names alphabetically; rebuild them in layer order
     n_layers = max(sum(name.startswith("encoder.") for name in stored) // 2, 1)
-    names = _array_names(n_layers)
+    names = [f"encoder.{i}.{kind}" for i in range(n_layers) for kind in ("weight", "bias")]
+    names += ["classifier.weight", "classifier.bias"]
     if set(stored) != set(names):
         raise ValueError(f"{path}: arrays {sorted(stored)}, expected {names}")
     arrays = {name: _read_array(stored[name], f"{path} ({name})") for name in names}

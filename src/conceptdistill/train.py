@@ -3,17 +3,16 @@
 ``pretrain_teacher`` and ``train_student`` both call ``_fit``: seeded
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
-frozen teacher when their weights are non-zero. Both losses take
-similarity rows as coordinates on the concept pool's orthonormal ``basis``
-(see ``concepts``), which keep every inner product and distance between
-rows in fewer columns. The teacher's coordinates for its whole train split
-are computed once per run and indexed per batch; its parameter hash is
-checked after every epoch. The teacher keeps its last epoch; the student
-keeps the epoch with the best validation macro P-R F1. Validation runs
-only when its score is read: for the student's epoch choice, or for the
-epoch record of a run that writes a log. Each step record
-carries the loss terms, the learning rate, the number of classes GPD
-compared and the number of anchors LCD skipped (null when the term is off).
+frozen teacher when their weights are non-zero, on similarity rows as
+coordinates on the concept pool's ``basis`` (see ``concepts``). The
+teacher's coordinates for its whole train split are computed once per run
+and indexed per batch; its parameter hash is checked after every epoch.
+The teacher keeps its last epoch; the student keeps the epoch with the
+best validation macro P-R F1. Validation runs only when its score is
+read: for the student's epoch choice, or for the epoch record of a run
+that writes a log. Each step record carries the loss terms, the learning
+rate, the number of classes GPD compared and the number of anchors LCD
+skipped (null when the term is off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -58,8 +57,13 @@ class TrainConfig:
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.distill, DistillConfig):
+            raise ValueError(f"distill must be a DistillConfig, got {self.distill!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.weight_decay < 0:
@@ -88,34 +92,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def adamw_step(params: ModelParams, grads: dict[str, np.ndarray],
+def adamw_step(params: ModelParams, grad: np.ndarray | None,
                state: OptimizerState, lr_t: float) -> None:
     """Decoupled-weight-decay Adam update with bias correction, in place.
 
-    ``grads`` maps parameter names to gradients; a parameter without one
-    gets a zero gradient. An unknown name, a wrong shape or a non-finite
-    gradient is rejected before anything changes: training binds the
-    parameters to the tape unchecked, so they must stay finite.
-    The gradients are joined in the layout of ``params.flat``, and the
-    moments, weight decay and update run as one pass over that vector; each
-    element goes through the same expressions as a per-array update would.
+    ``grad`` is the gradient of ``params.flat``, in its layout (such as the
+    1 x P row of a ``ModelBinding``'s leaf); None is a zero gradient. A
+    wrong size, or non-finite values (naming the parameters whose span
+    holds them), is rejected before anything changes: training binds the
+    parameters unchecked, so they must stay finite. The update is one pass
+    over the vector, each element through the same expressions as a
+    per-array update.
     """
     if params.frozen:
         raise ValueError("cannot update frozen parameters")
-    unknown = sorted(grads.keys() - params.arrays.keys())
-    if unknown:
-        raise ValueError(f"gradients for unknown parameters: {', '.join(unknown)}")
-    flat = []
-    for name, arr in params.arrays.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros(arr.size)
-        elif g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name} {arr.shape}")
-        flat.append(g.ravel())
-    g = np.concatenate(flat)
+    g = np.zeros(params.flat.size) if grad is None else grad.reshape(-1)
+    if g.size != params.flat.size:
+        raise ValueError(f"gradient of size {g.size} for {params.flat.size} parameters")
     if not np.isfinite(g).all():
-        bad = [name for name, piece in zip(params.arrays, flat) if not np.isfinite(piece).all()]
+        pieces = np.split(g, np.cumsum([arr.size for arr in params.arrays.values()])[:-1])
+        bad = [name for name, piece in zip(params.arrays, pieces) if not np.isfinite(piece).all()]
         raise ValueError(f"non-finite gradient for {', '.join(bad)}")
     state.step += 1
     t = state.step
@@ -235,19 +231,13 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
          log_path, keep_best: bool, teacher: ModelParams | None = None) -> ModelParams:
     """The one training loop: a fresh ``modality`` model on its train split.
 
-    Each step minimises cross-entropy. With a teacher and a non-zero alpha or
-    beta it also draws an independent teacher batch, whose rows come from one
-    teacher forward over the whole split made before the first step, and
-    adds the GPD and LCD terms through ``total_loss``. Both terms take the
-    student's and the teacher's rows times ``pool.basis``: k coordinates per
-    row instead of N similarities, with the same inner products, class means
-    and distances, so each loss is the same function of the parameters up to
-    rounding. Without a teacher or with both weights zero the teacher
-    path is skipped entirely, which makes alpha == beta == 0 bit-identical
-    to the plain baseline by construction. ``keep_best`` returns the epoch
-    snapshot with the best validation macro P-R F1; without it, or without a
-    validation split, the last epoch's parameters are returned. Validation
-    runs only when its score is read: with ``keep_best``, or for the log.
+    Each step minimises cross-entropy; with a teacher and a non-zero alpha
+    or beta it draws an independent teacher batch and adds the GPD and LCD
+    terms through ``total_loss``. Without a teacher or with both weights
+    zero the teacher path is skipped entirely, which makes alpha == beta ==
+    0 bit-identical to the plain baseline by construction. ``keep_best``
+    returns the epoch with the best validation macro P-R F1; without it, or
+    without a validation split, the last epoch's parameters are returned.
     """
     cfg_d = config.distill
     num_classes = dataset.config.num_classes
@@ -304,10 +294,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                         lcd_v = lcd.item()
                     loss = total_loss(cls, gpd, lcd, cfg_d)
                 total_v = loss.item()
-                grads = backward(tape, loss)
-                named = {name: g for name, leaf in binding.leaves.items()
-                         if (g := grads[leaf.slot]) is not None}
-                adamw_step(params, named, state, lr_t)
+                adamw_step(params, backward(tape, loss)[binding.leaf.slot], state, lr_t)
                 logger.write({
                     "step": step, "lr": lr_t, "loss_cls": cls_v,
                     "loss_gpd": gpd_v, "loss_lcd": lcd_v, "loss_total": total_v,

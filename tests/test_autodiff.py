@@ -61,14 +61,39 @@ class TestMatmul:
             assert rel_err(left, right) < 1e-9
 
 
+def identity_model(k: int, n_classes: int = 1):
+    """A model for k-wide features whose encoder is the identity map: its layer shapes and 1 x P row.
+
+    ``x @ I + 0`` is ``x`` exactly, so the similarity rows normalize the
+    features themselves; the classifier is zero.
+    """
+    shapes = [(k, k), (1, k), (k, n_classes), (1, n_classes)]
+    flat = np.zeros((1, k * k + k + k * n_classes + n_classes))
+    flat[0, :k * k] = np.eye(k).ravel()
+    return shapes, flat
+
+
+def tiles(row: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the 1 x P array ``row`` with ``shapes``, end to end: a layout of ``row``."""
+    ends = np.cumsum([0] + [r * c for r, c in shapes])
+    return [row[0, lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
+
+
+def concept_model(x, row, shapes, unit_t):
+    """``ad.concept_model`` on ``row`` (a 1 x P array or matrix) laid out as ``shapes``."""
+    return ad.concept_model(x, row, tiles(row.data if isinstance(row, Matrix) else row, shapes),
+                            unit_t)
+
+
 def normalize_rows(rows) -> Matrix:
-    """Row L2 normalization: ``cosine_similarity`` against identity columns."""
+    """Row L2 normalization: ``concept_model``'s similarity rows, identity encoder and ``unit_t``."""
     rows = np.asarray(rows.data if isinstance(rows, Matrix) else rows, dtype=np.float64)
-    return ad.cosine_similarity(rows, np.eye(rows.shape[1]))
+    shapes, flat = identity_model(rows.shape[1])
+    return concept_model(rows, flat, shapes, np.eye(rows.shape[1]))[0]
 
 
 class TestL2NormalizeRows:
-    """The row normalization inside ``cosine_similarity``, read through an identity ``unit_t``."""
+    """The row normalization inside ``concept_model``, read through an identity ``unit_t``."""
 
     def test_three_four_five(self):
         out = normalize_rows([[3.0, 4.0]])
@@ -95,66 +120,169 @@ class TestL2NormalizeRows:
 
 
 def recorded_vjp(out: Matrix):
-    """The hand-written VJP of the op that produced ``out``."""
-    slot, _, vjp = out.tape._ops[-1]
-    assert slot == out.slot
+    """The hand-written VJP of the op that produced ``out``, the tape's last."""
+    slots, _, vjp = out.tape._ops[-1]
+    assert out.slot in slots
     return vjp
+
+
+def random_model(rng, widths, n_concepts, n_classes):
+    """Layer arrays for encoder ``widths`` (features, hidden ..., embedding) and a classifier.
+
+    Returns the arrays in layer order, their shapes and the 1 x P row that
+    holds them end to end.
+    """
+    arrays = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        arrays += [rng.uniform(-1, 1, (fan_in, fan_out)), rng.uniform(-1, 1, (1, fan_out))]
+    arrays += [rng.uniform(-1, 1, (n_concepts, n_classes)), rng.uniform(-1, 1, (1, n_classes))]
+    return arrays, [a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays])[None]
+
+
+def unit_columns(rng, rows, cols):
+    unit_t = rng.standard_normal((rows, cols))
+    return unit_t / np.linalg.norm(unit_t, axis=0)
+
+
+def per_layer_reference(x, arrays, unit_t, g_sims, g_logits):
+    """Values and parameter adjoints by the per-layer NumPy expressions ``concept_model`` fuses.
+
+    The similarity rows' adjoint is the distill path's plus the classifier's,
+    summed in the order ``backward`` once accumulated them; a missing output
+    adjoint leaves its layers' gradients zero.
+    """
+    n_enc = len(arrays) // 2 - 1
+    acts = [x]  # each encoder layer's input, then the encoder's output
+    for i in range(n_enc):
+        h = acts[-1] @ arrays[2 * i] + arrays[2 * i + 1]
+        acts.append(np.tanh(h) if i < n_enc - 1 else h)
+    u = acts[-1]
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    safe = np.maximum(norms, 1e-12)
+    live = (norms > 1e-12).astype(np.float64)
+    unit = u / safe * live
+    sims = unit @ unit_t
+    logits = sims @ arrays[-2] + arrays[-1]
+    grads = [np.zeros_like(a) for a in arrays]
+    g = g_sims
+    if g_logits is not None:
+        grads[-2], grads[-1] = sims.T @ g_logits, g_logits.sum(axis=0, keepdims=True)
+        g_cls = g_logits @ arrays[-2].T
+        g = g_cls if g is None else g + g_cls
+    gn = g @ unit_t.T
+    dot = (gn * unit).sum(axis=1, keepdims=True)
+    g = live * (gn - unit * dot) / safe
+    for i in reversed(range(n_enc)):
+        a = acts[i]
+        grads[2 * i], grads[2 * i + 1] = a.T @ g, g.sum(axis=0, keepdims=True)
+        if i:
+            g = (g @ arrays[2 * i].T) * (1.0 - a * a)
+    return sims, logits, grads
+
+
+def assert_flat_gradient_equal(grad, arrays, want):
+    """Each parameter's slice of the 1 x P gradient equals its reference, bit for bit."""
+    assert grad.shape == (1, sum(a.size for a in arrays))
+    start = 0
+    for i, (a, w) in enumerate(zip(arrays, want)):
+        np.testing.assert_array_equal(grad[0, start:start + a.size].reshape(a.shape), w,
+                                      err_msg=f"array {i}")
+        start += a.size
 
 
 class TestFusedOpsExact:
     """Each fused op's value and adjoints equal, bit for bit, the NumPy expressions it replaces."""
 
-    def test_affine(self):
-        rng = np.random.default_rng(0)
-        x0, w0, b0 = (rng.standard_normal(shape) for shape in ((5, 3), (3, 4), (1, 4)))
-        g = rng.standard_normal((5, 4))
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
+    def test_concept_model(self, hidden):
+        # both adjoints present, and rows that are dead: exactly zero, or below eps
+        rng = np.random.default_rng(len(hidden))
+        arrays, shapes, flat0 = random_model(rng, [5, *hidden, 6], 7, 3)
+        x = rng.standard_normal((8, 5))
+        unit_t = unit_columns(rng, 6, 7)
+        # without encoder biases, feature rows 2 and 5 give a zero row and one below eps
+        for b in arrays[1:-2:2]:
+            b[:] = 0.0
+        x[2], x[5] = 0.0, [1e-13, 0.0, 0.0, 0.0, 0.0]
+        flat0 = np.concatenate([a.ravel() for a in arrays])[None]
+        g_sims, g_logits = rng.standard_normal((8, 7)), rng.standard_normal((8, 3))
         tape = Tape()
-        x, w, b = tape.leaf(x0), tape.leaf(w0), tape.leaf(b0)
-        out = ad.affine(x, w, b)
-        np.testing.assert_array_equal(out.data, x0 @ w0 + b0)
-        dx, dw, db = recorded_vjp(out)(g)
-        np.testing.assert_array_equal(dx, g @ w0.T)
-        np.testing.assert_array_equal(dw, x0.T @ g)
-        np.testing.assert_array_equal(db, g.sum(axis=0, keepdims=True))
+        sims, logits = concept_model(x, tape.leaf(flat0), shapes, unit_t)
+        want_sims, want_logits, want_grads = per_layer_reference(x, arrays, unit_t,
+                                                                 g_sims, g_logits)
+        np.testing.assert_array_equal(sims.data, want_sims)
+        np.testing.assert_array_equal(sims.data[[2, 5]], 0.0)
+        np.testing.assert_array_equal(logits.data, want_logits)
+        d_x, grad, d_unit_t = recorded_vjp(logits)(g_sims, g_logits)
+        assert d_x is None and d_unit_t is None
+        assert_flat_gradient_equal(grad, arrays, want_grads)
+
+    def test_affine(self):
+        # the two layers, encoder and classifier, with only the logits' adjoint
+        rng = np.random.default_rng(0)
+        arrays, shapes, flat0 = random_model(rng, [3, 4], 5, 2)
+        x, unit_t, g = rng.standard_normal((5, 3)), unit_columns(rng, 4, 5), rng.standard_normal((5, 2))
+        tape = Tape()
+        sims, logits = concept_model(x, tape.leaf(flat0), shapes, unit_t)
+        np.testing.assert_array_equal(logits.data, sims.data @ arrays[2] + arrays[3])
+        _, grad, _ = recorded_vjp(logits)(None, g)
+        _, _, want = per_layer_reference(x, arrays, unit_t, None, g)
+        assert_flat_gradient_equal(grad, arrays, want)
+        np.testing.assert_array_equal(want[2], sims.data.T @ g)
+        np.testing.assert_array_equal(want[3], g.sum(axis=0, keepdims=True))
 
     def test_affine_skips_untracked_adjoints(self):
+        # constants get no adjoint, and without the logits' adjoint the classifier's is zero
         tape = Tape()
-        w = tape.leaf(np.ones((2, 3)))
-        out = ad.affine(np.ones((4, 2)), w, np.zeros((1, 3)))
-        dx, dw, db = recorded_vjp(out)(np.ones((4, 3)))
-        assert dx is None and db is None
-        np.testing.assert_array_equal(dw, np.full((2, 3), 4.0))
+        shapes, flat = identity_model(2, n_classes=3)
+        sims, _ = concept_model(np.ones((4, 2)), tape.leaf(flat), shapes, np.eye(2))
+        d_x, grad, d_unit_t = recorded_vjp(sims)(np.ones((4, 2)), None)
+        assert d_x is None and d_unit_t is None
+        np.testing.assert_array_equal(grad[0, 6:], 0.0)
+        with pytest.raises(ValueError, match="features must be a constant"):
+            concept_model(tape.leaf(np.ones((4, 2))), flat, shapes, np.eye(2))
 
     def test_cosine_similarity(self):
+        # features I and encoder weight u0: the encoder outputs u0, and its weight's
+        # gradient is the adjoint of u0 itself
         rng = np.random.default_rng(1)
         u0 = rng.standard_normal((6, 4))
         u0[2] = 0.0  # a zero row: output zero, adjoint zero
         u0[4] = [0.0, 1e-13, 0.0, 0.0]  # below eps: guarded like a zero row
-        unit_t = rng.standard_normal((4, 7))
-        unit_t /= np.linalg.norm(unit_t, axis=0)
+        unit_t = unit_columns(rng, 4, 7)
         g = rng.standard_normal((6, 7))
-        tape = Tape()
-        out = ad.cosine_similarity(tape.leaf(u0), unit_t)
+        sims, du = similarity_and_adjoint(u0, unit_t, g)
 
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
         live = (norms > 1e-12).astype(np.float64)
         unit = u0 / safe * live
-        np.testing.assert_array_equal(out.data, unit @ unit_t)
-        du, d_unit_t = recorded_vjp(out)(g)
+        np.testing.assert_array_equal(sims, unit @ unit_t)
         gn = g @ unit_t.T
         dot = (gn * unit).sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
-        assert d_unit_t is None
-        np.testing.assert_array_equal(out.data[[2, 4]], 0.0)
+        np.testing.assert_array_equal(sims[[2, 4]], 0.0)
         np.testing.assert_array_equal(du[[2, 4]], 0.0)
+
+    def test_concept_model_checks_each_stage(self):
+        # an overflowing encoder or classifier layer is named as the layer that overflowed
+        shapes, flat = identity_model(2, n_classes=2)
+        unit_t = np.eye(2)
+        with pytest.raises(ValueError, match="affine produced non-finite"), \
+                np.errstate(all="ignore"):
+            concept_model(np.full((1, 2), 1e308), flat * 10.0, shapes, unit_t)
+        flat[0, -6:] = 1e308  # the classifier: (0.71 + 0.71) * 1e308 + 1e308 overflows
+        with pytest.raises(ValueError, match="affine produced non-finite"), \
+                np.errstate(all="ignore"):
+            concept_model(np.ones((1, 2)), flat, shapes, unit_t)
 
     def test_cosine_similarity_rejects_tracked_unit_t(self):
         tape = Tape()
+        shapes, flat = identity_model(3)
         with pytest.raises(ValueError, match="unit_t must be a constant"):
-            ad.cosine_similarity(np.ones((2, 3)), tape.leaf(np.eye(3)))
-        with pytest.raises(ShapeError):
-            ad.cosine_similarity(np.ones((2, 3)), np.eye(4))
+            concept_model(np.ones((2, 3)), flat, shapes, tape.leaf(np.eye(3)))
+        with pytest.raises(ShapeError, match=r"cosine_similarity: \(2, 3\) x \(4, 4\)"):
+            concept_model(np.ones((2, 3)), flat, shapes, np.eye(4))
 
     def test_loss_sum(self):
         cls0, gpd0, lcd0, alpha, beta = 0.7310585786, 0.123456789, 2.718281828, 0.6, 0.05
@@ -209,19 +337,32 @@ class TestFusedOpsExact:
         rng = np.random.default_rng(7)
         u0 = rng.standard_normal((9, 5)) * scale
         u0[3] = 0.0
-        unit_t = rng.standard_normal((5, 4))
-        unit_t /= np.linalg.norm(unit_t, axis=0)
+        unit_t = unit_columns(rng, 5, 4)
         g = rng.standard_normal((9, 4))
-        tape = Tape()
-        out = ad.cosine_similarity(tape.leaf(u0), unit_t)
+        sims, du = similarity_and_adjoint(u0, unit_t, g)
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
         live = (norms > 1e-12).astype(np.float64)
         unit = u0 / safe * live
-        np.testing.assert_array_equal(out.data, unit @ unit_t)
+        np.testing.assert_array_equal(sims, unit @ unit_t)
         gn = g @ unit_t.T
         dot = (gn * unit).sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(recorded_vjp(out)(g)[0], live * (gn - unit * dot) / safe)
+        np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
+
+
+def similarity_and_adjoint(u0, unit_t, g):
+    """``concept_model``'s similarity rows of ``u0`` and the adjoint of ``u0`` for ``g`` on them.
+
+    With features I and encoder weight ``u0`` (bias 0), the encoder's output
+    is ``u0`` exactly and its weight's gradient, ``I^T d_u``, is ``d_u``.
+    """
+    n, k = u0.shape
+    shapes = [(n, k), (1, k), (unit_t.shape[1], 1), (1, 1)]
+    flat = np.concatenate([u0.ravel(), np.zeros(k + unit_t.shape[1] + 1)])[None]
+    tape = Tape()
+    sims, _ = concept_model(np.eye(n), tape.leaf(flat), shapes, unit_t)
+    _, grad, _ = recorded_vjp(sims)(g, None)
+    return sims.data, grad[0, :n * k].reshape(n, k)
 
 
 class TestSharedData:
@@ -300,7 +441,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
         x = tape.leaf(np.ones((2, 2)))
-        y = ad.tanh(x)
+        y = ad.matmul(x, x)
         with pytest.raises(ShapeError):
             backward(tape, y)
 
@@ -348,10 +489,12 @@ def _random_shape(rng):
 
 OP_CASES = {
     "matmul": lambda rng: _matmul_case(rng),
-    "affine": lambda rng: _affine_case(rng, tracked="x"),
-    "affine_w": lambda rng: _affine_case(rng, tracked="w"),
-    "affine_b": lambda rng: _affine_case(rng, tracked="b"),
-    "tanh": lambda rng: _unary_case(rng, ad.tanh),
+    "concept_model": lambda rng: _concept_model_case(rng, int(rng.integers(3)), "both"),
+    # concept_model again, under the names of the per-layer ops it replaced
+    "affine": lambda rng: _concept_model_case(rng, 0, "logits"),
+    "affine_w": lambda rng: _concept_model_case(rng, 0, "sims"),
+    "affine_b": lambda rng: _concept_model_case(rng, 0, "both"),
+    "tanh": lambda rng: _concept_model_case(rng, int(rng.integers(1, 3)), "logits"),
     "cosine_similarity": lambda rng: _cosine_case(rng),
     "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
     "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
@@ -400,43 +543,65 @@ def _reduce(shape, rng):
     return lambda out: _mean_sq_distance(out, w, np.ones(shape[0], dtype=bool))
 
 
-def _unary_case(rng, op, low=-2.0, high=2.0):
-    x0 = rng.uniform(low, high, _random_shape(rng))
-    reduce = _reduce(op(Matrix(x0)).shape, rng)
-    return (lambda x: reduce(op(x))), x0
+def _concept_model_case(rng, n_hidden, scored):
+    """The op on random constants, its 1 x P parameters tracked.
 
-
-def _affine_case(rng, tracked):
-    m, k = _random_shape(rng)
-    n = int(rng.integers(1, 9))
-    operands = {"x": rng.uniform(-2, 2, (m, k)), "w": rng.uniform(-2, 2, (k, n)),
-                "b": rng.uniform(-2, 2, (1, n))}
-    reduce = _reduce((m, n), rng)
+    ``scored`` picks the outputs the loss reads: "sims", "logits" or "both".
+    Encoder outputs are redrawn until every row has norm >= 0.3, where the
+    normalization is smooth on the scale of a finite-difference step.
+    """
+    while True:
+        widths = [int(w) for w in rng.integers(1, 6, n_hidden + 2)]
+        n, m, c = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        arrays, shapes, flat0 = random_model(rng, widths, n, c)
+        x = rng.uniform(-2, 2, (m, widths[0]))
+        h = x
+        for i in range(n_hidden + 1):
+            h = h @ arrays[2 * i] + arrays[2 * i + 1]
+            h = np.tanh(h) if i < n_hidden else h
+        if np.linalg.norm(h, axis=1).min() >= 0.3:
+            break
+    unit_t = unit_columns(rng, widths[-1], n)
+    reduce_sims, reduce_logits = _reduce((m, n), rng), _reduce((m, c), rng)
 
     def build(leaf):
-        return reduce(ad.affine(**{**operands, tracked: leaf}))
+        sims, logits = concept_model(x, leaf, shapes, unit_t)
+        if scored == "sims":
+            return reduce_sims(sims)
+        if scored == "logits":
+            return reduce_logits(logits)
+        return ad.loss_sum(reduce_sims(sims), [(reduce_logits(logits), 1.0)])
 
-    return build, operands[tracked]
+    return build, flat0
 
 
 def _cosine_case(rng):
-    """Rows of norm 0.2 to ~3.5, and half the time a zero row that the reduction leaves out.
+    """Encoder rows of norm 0.2 to ~3.5, scored through the similarity rows only.
 
-    A zero row's output and adjoint are zero; a finite difference across it
-    would see the normalized row jump, so only the other rows are scored.
+    Half the time a zero feature row, which without an encoder bias is a
+    zero embedding row: its output and adjoint are zero, and since a
+    finite difference on the bias would see its normalized row jump, the
+    reduction leaves it out.
     """
     m, k = int(rng.integers(2, 9)), int(rng.integers(1, 9))
     n = int(rng.integers(1, 9))
-    x0 = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
-    unit_t = rng.standard_normal((k, n))
-    unit_t /= np.linalg.norm(unit_t, axis=0)
+    x = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
+    unit_t = unit_columns(rng, k, n)
+    shapes = [(k, k), (1, k), (n, 1), (1, 1)]
+    flat0 = np.zeros((1, k * k + k + n + 1))
+    # an encoder near the identity, without bias: rows stay long, and a zero row stays zero
+    flat0[0, :k * k] = (np.eye(k) + rng.uniform(-0.1, 0.1, (k, k))).ravel()
     scored = np.ones(m, dtype=bool)
     if rng.uniform() < 0.5:
         zero = int(rng.integers(m))
-        x0[zero] = 0.0
+        x[zero] = 0.0
         scored[zero] = False
     w = rng.uniform(-1, 1, (m, n))
-    return (lambda x: _mean_sq_distance(ad.cosine_similarity(x, unit_t), w, scored)), x0
+
+    def build(leaf):
+        return _mean_sq_distance(concept_model(x, leaf, shapes, unit_t)[0], w, scored)
+
+    return build, flat0
 
 
 def _loss_sum_case(rng):
@@ -530,13 +695,28 @@ class TestValidation:
             ad.matmul(Matrix([[1e300]]), Matrix([[1e10]]))
 
     def test_broadcast_shape_mismatch(self):
-        # affine's bias is one row of the output's width, never a matrix, column or scalar
-        x, w = np.ones((2, 3)), np.ones((3, 4))
+        # a layer's bias is one row of its output's width, never a matrix, column or scalar
+        x, unit_t = np.ones((2, 3)), np.eye(4)
+        classifier = [(4, 2), (1, 2)]
         for b_shape in [(2, 4), (4, 1), (1, 1), (1, 3)]:
-            with pytest.raises(ShapeError, match="affine"):
-                ad.affine(x, w, np.ones(b_shape))
+            for shapes in ([(3, 4), b_shape, *classifier], [(3, 4), (1, 4), (4, 2), b_shape]):
+                flat = np.zeros((1, sum(r * c for r, c in shapes)))
+                with pytest.raises(ShapeError, match="affine"):
+                    concept_model(x, flat, shapes, unit_t)
+        shapes = [(2, 4), (1, 4), *classifier]  # the weight does not take 3-wide features
         with pytest.raises(ShapeError, match="affine"):
-            ad.affine(x, np.ones((2, 4)), np.ones((1, 4)))
+            concept_model(x, np.zeros((1, 22)), shapes, unit_t)
+        shapes = [(3, 4), (1, 4), *classifier]
+        row = np.zeros((1, 26))
+        for bad_row, arrays in [
+            (np.zeros((1, 29)), None),  # the arrays miss 3 entries
+            (np.zeros((2, 26)), None),  # two rows
+            (row, [a.copy() for a in tiles(row, shapes)]),  # copies, not views of the row
+            (row, tiles(row, shapes)[:3]),  # no classifier bias
+        ]:
+            arrays = tiles(bad_row, shapes) if arrays is None else arrays
+            with pytest.raises(ShapeError, match="concept_model: .* do not tile"):
+                ad.concept_model(x, bad_row, arrays, unit_t)
 
     def test_class_mean_distance_inputs_checked(self):
         w, rows, shared = np.full((2, 3), 1 / 3), np.ones((3, 2)), np.array([True, False])

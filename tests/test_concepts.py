@@ -36,6 +36,12 @@ class TestLoadPool:
         with pytest.raises(ValueError, match="duplicate"):
             ConceptPool(["a.concept0", "a.concept0"], np.eye(2))
 
+    def test_ids_must_be_strings(self):
+        # integer ids used to build a pool whose fingerprint() raised AttributeError
+        for ids in ([1, 2], ["a.concept0", b"a.concept1"]):
+            with pytest.raises(ValueError, match="concept ids must be strings"):
+                ConceptPool(ids, np.eye(2))
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ConceptPool([], np.zeros((0, 4)))
@@ -51,7 +57,7 @@ class TestLoadPool:
         ([[0.6, 0.8], [0.6, 0.8 + 1e-8]], r"row 1 \('b'\) has L2 norm 1\.00000000"),
     ], ids=["scaled", "zero", "just_off"])
     def test_rows_must_be_unit_vectors(self, rows, message):
-        # cosine_similarity normalises only the embedding side: [[1, 1]] against a row
+        # concept_model normalises only the embedding side: [[1, 1]] against a row
         # of norm 5 would score 4.95
         with pytest.raises(ValueError, match=message + ".*pool rows must be unit vectors"):
             ConceptPool(["a", "b"], rows)

@@ -295,3 +295,21 @@ class TestMacroReport:
         actual = [0, 1, 2]
         with pytest.raises(ValueError, match=r"num_classes = 3 columns, got shape \(3, 4\)"):
             macro_report(probs, actual, actual, 3)
+
+    def test_duplicate_class_names_rejected(self):
+        # two classes named "x" used to share one per_class entry, and the macro
+        # means then counted the second class twice
+        actual = np.array([0, 1, 1, 2])
+        predicted = np.array([0, 1, 2, 2])
+        probs = np.eye(3)[predicted]
+        with pytest.raises(ValueError, match="class_names must be distinct"):
+            macro_report(probs, predicted, actual, 3, class_names=["x", "x", "y"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        # average_precision would rank a NaN score at an arbitrary place
+        actual = np.array([0, 1, 1])
+        probs = np.eye(2)[actual]
+        probs[1, 0] = bad
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            macro_report(probs, actual, actual, 2)

@@ -11,6 +11,7 @@ from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
     ModelBinding,
+    ModelParams,
     Prediction,
     cross_entropy,
     forward,
@@ -108,11 +109,18 @@ class TestEncode:
 
 
 class TestConceptSimilarity:
-    """The similarity stage: one ``cosine_similarity`` against the pool's transposed rows."""
+    """The similarity stage against the pool's transposed rows, read through an identity encoder."""
 
     @staticmethod
     def similarity(emb, pool: ConceptPool) -> Matrix:
-        return ad.cosine_similarity(emb, pool.embeddings_t)
+        k = emb.shape[1]  # x @ I + 0 is x exactly
+        shapes = [(k, k), (1, k), (len(pool), 1), (1, 1)]
+        params = ModelParams.of("student", {name: np.zeros(shape) for name, shape in zip(
+            ["encoder.0.weight", "encoder.0.bias", "classifier.weight", "classifier.bias"],
+            shapes)}, "")
+        params.arrays["encoder.0.weight"][:] = np.eye(k)
+        return ad.concept_model(emb, Matrix(params.flat), list(params.arrays.values()),
+                                pool.embeddings_t)[0]
 
     def test_matching_concept_scores_one(self):
         pool = make_pool({"a": 4}, dim=8)
@@ -219,16 +227,15 @@ class TestPredict:
 
 
 class TestForward:
-    @pytest.mark.parametrize("hidden,ops", [
-        ((), ["affine", "cosine_similarity", "affine"]),
-        ((4,), ["affine", "tanh", "affine", "cosine_similarity", "affine"]),
-        ((4, 3), ["affine", "tanh", "affine", "tanh", "affine", "cosine_similarity", "affine"]),
-    ], ids=["no_hidden", "one_hidden", "two_hidden"])
-    def test_one_op_per_stage(self, hidden, ops):
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)],
+                             ids=["no_hidden", "one_hidden", "two_hidden"])
+    def test_one_op_per_stage(self, hidden):
+        # the whole model is one op, whose two outputs are the similarity rows and the logits
         pool, params = simple_params(feature_dim=5, hidden=hidden)
         tape = Tape()
-        forward(ModelBinding(params, tape), np.ones((3, 5)), pool)
-        assert op_names(tape) == ops
+        sims, pred = forward(ModelBinding(params, tape), np.ones((3, 5)), pool)
+        assert op_names(tape) == ["concept_model"]
+        assert tape._ops[0][0] == (sims.slot, pred.logits.slot)
 
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
     def test_bound_and_constant_forward_bit_equal(self, hidden):
@@ -376,11 +383,13 @@ class TestFlatParams:
 
 class TestBinding:
     def test_leaves_are_the_parameter_arrays(self):
+        # one leaf: the parameter vector itself, as a 1 x P row
         pool, params = simple_params(feature_dim=5, hidden=(4,))
-        binding = ModelBinding(params, Tape())
-        assert list(binding.leaves) == list(params.arrays)
-        for name, leaf in binding.leaves.items():
-            assert leaf.data is params.arrays[name] and leaf.tracked
+        leaf = ModelBinding(params, Tape()).leaf
+        assert leaf.tracked and leaf.shape == (1, params.flat.size)
+        assert leaf.data.base is params.flat and np.shares_memory(leaf.data, params.flat)
+        for arr in params.arrays.values():
+            assert np.shares_memory(leaf.data, arr)
 
     def test_gradients_equal_those_of_copied_leaves(self):
         rng = np.random.default_rng(4)
@@ -390,14 +399,12 @@ class TestBinding:
         binding = ModelBinding(params, tape)
         grads = backward(tape, cross_entropy(forward(binding, feats, pool)[1], labels))
 
-        copied_tape = Tape()
-        copied = ModelBinding(params, copied_tape)
-        copied.leaves = {name: copied_tape.leaf(arr) for name, arr in params.arrays.items()}
+        copied_tape = Tape()  # a binding of a separate copy of the vector
+        copied = ModelBinding(params.copy(), copied_tape)
         copied_loss = cross_entropy(forward(copied, feats, pool)[1], labels)
         copied_grads = backward(copied_tape, copied_loss)
-        for name in params.arrays:
-            np.testing.assert_array_equal(grads[binding.leaves[name].slot],
-                                          copied_grads[copied.leaves[name].slot], err_msg=name)
+        assert not np.shares_memory(copied.leaf.data, params.flat)
+        np.testing.assert_array_equal(grads[binding.leaf.slot], copied_grads[copied.leaf.slot])
 
     def test_frozen_rejected(self):
         _, params = simple_params()
@@ -420,20 +427,20 @@ class TestEndToEndGradient:
 
         params = init_params("student", 5, pool, 2, seed=3)
         tape, binding, loss = loss_fn(params)
-        grads = backward(tape, loss)
-        for name, leaf in binding.leaves.items():
-            analytic = grads[leaf.slot]
-            analytic = np.zeros(leaf.shape) if analytic is None else analytic
+        analytic = backward(tape, loss)[binding.leaf.slot]
 
-            def f(m, name=name):
-                trial = params.copy()
-                trial.arrays[name][:] = m.data
-                _, _, l = loss_fn(trial)
-                return l.item()
+        def f(m):
+            trial = params.copy()
+            trial.flat[:] = m.data[0]
+            return loss_fn(trial)[2].item()
 
-            fd = finite_diff_grad(f, Matrix(params.arrays[name])).data
-            err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
+        fd = finite_diff_grad(f, Matrix(params.flat)).data
+        start = 0
+        for name, arr in params.arrays.items():  # each array's span on its own
+            want, got = fd[0, start:start + arr.size], analytic[0, start:start + arr.size]
+            err = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
             assert err < 1e-4, name
+            start += arr.size
 
 
 def _corrupt(payload: dict, case: str) -> None:
@@ -497,6 +504,24 @@ class TestCheckpoints:
             np.testing.assert_array_equal(loaded.arrays[name], arr)
             assert loaded.arrays[name].flags.writeable is not frozen
         assert loaded.params_hash() == params.params_hash()
+
+    def test_unknown_modality_rejected(self, tmp_path):
+        # no parameters of another modality are built, so none reach a file that
+        # load_checkpoint would refuse; the two known ones round-trip
+        pool = make_pool({"a": 4}, dim=6)
+        with pytest.raises(ValueError, match="modality must be 'student' or 'teacher', got 'fundus'"):
+            init_params("fundus", 7, pool, 2, seed=5)
+        params = init_params("student", 7, pool, 2, seed=5)
+        with pytest.raises(ValueError, match="modality"):
+            ModelParams.of("fundus", dict(params.arrays), params.pool_fingerprint)
+        for modality in ("student", "teacher"):
+            save_checkpoint(init_params(modality, 7, pool, 2, seed=5), tmp_path / "model.json")
+            assert load_checkpoint(tmp_path / "model.json", pool).modality == modality
+        payload = json.loads((tmp_path / "model.json").read_text())
+        payload["modality"] = "fundus"
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="modality, frozen"):
+            load_checkpoint(tmp_path / "model.json", pool)
 
     @pytest.mark.parametrize("case", [
         "nan_value", "string_value", "bool_value", "missing_frozen", "missing_arrays",

@@ -39,7 +39,8 @@ class TestAdamW:
         params = self._params()
         before = params.params_hash()
         state = OptimizerState.for_params(params, weight_decay=0.0)
-        adamw_step(params, {}, state, lr_t=1e-3)
+        adamw_step(params, None, state, lr_t=1e-3)
+        adamw_step(params, np.zeros(params.flat.size), state, lr_t=1e-3)
         assert params.params_hash() == before
 
     def test_first_step_is_signed_lr(self):
@@ -47,7 +48,7 @@ class TestAdamW:
         state = OptimizerState.for_params(params, weight_decay=0.0)
         g = np.ones_like(params.arrays["classifier.weight"]) * 0.37
         before = params.arrays["classifier.weight"].copy()
-        adamw_step(params, {"classifier.weight": g}, state, lr_t=0.01)
+        adamw_step(params, flat_grad(params, {"classifier.weight": g}), state, lr_t=0.01)
         moved = params.arrays["classifier.weight"] - before
         # bias-corrected first step: -lr * g / (|g| + eps) == -lr * sign(g)
         np.testing.assert_allclose(moved, -0.01 * np.sign(g), rtol=1e-6)
@@ -57,22 +58,24 @@ class TestAdamW:
         lam, lr = 0.1, 0.05
         state = OptimizerState.for_params(params, weight_decay=lam)
         before = params.arrays["classifier.weight"].copy()
-        adamw_step(params, {}, state, lr_t=lr)
+        adamw_step(params, None, state, lr_t=lr)
         np.testing.assert_allclose(params.arrays["classifier.weight"], before * (1 - lr * lam), atol=1e-15)
 
     def test_frozen_rejected(self):
         params = self._params().freeze()
         state = OptimizerState.for_params(params, weight_decay=0.0)
         with pytest.raises(ValueError, match="frozen"):
-            adamw_step(params, {}, state, lr_t=1e-3)
+            adamw_step(params, None, state, lr_t=1e-3)
 
-    def test_unknown_gradient_name_rejected(self):
+    def test_wrong_gradient_size_rejected(self):
         params = self._params()
         before = params.params_hash()
         state = OptimizerState.for_params(params, weight_decay=0.0)
-        g = np.ones_like(params.arrays["classifier.weight"])
-        with pytest.raises(ValueError, match="classifer.weight"):
-            adamw_step(params, {"classifer.weight": g}, state, lr_t=1e-3)
+        size = params.flat.size
+        for g in (np.ones(size - 1), np.ones((1, size + 1)),
+                  np.ones_like(params.arrays["classifier.weight"])):
+            with pytest.raises(ValueError, match=f"gradient of size {g.size} for {size}"):
+                adamw_step(params, g, state, lr_t=1e-3)
         assert params.params_hash() == before and state.step == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -80,13 +83,17 @@ class TestAdamW:
         params = self._params()
         state = OptimizerState.for_params(params, weight_decay=0.01)
         ones = np.ones_like(params.arrays["classifier.weight"])
-        adamw_step(params, {"classifier.weight": ones}, state, lr_t=1e-3)
+        adamw_step(params, flat_grad(params, {"classifier.weight": ones}), state, lr_t=1e-3)
         before = params.params_hash()
         moments = state.first_moment.copy(), state.second_moment.copy()
         g = np.ones_like(params.arrays["encoder.0.bias"])
         g[0, 1] = bad
-        with pytest.raises(ValueError, match="non-finite gradient for encoder.0.bias"):
-            adamw_step(params, {"classifier.weight": ones, "encoder.0.bias": g}, state, lr_t=1e-3)
+        grad = flat_grad(params, {"classifier.weight": ones, "encoder.0.bias": g})
+        with pytest.raises(ValueError, match="non-finite gradient for encoder.0.bias$"):
+            adamw_step(params, grad, state, lr_t=1e-3)
+        grad[-1] = bad  # the last entry: classifier.bias
+        with pytest.raises(ValueError, match="for encoder.0.bias, classifier.bias$"):
+            adamw_step(params, grad.reshape(1, -1), state, lr_t=1e-3)
         assert params.params_hash() == before and state.step == 1
         np.testing.assert_array_equal(state.first_moment, moments[0])
         np.testing.assert_array_equal(state.second_moment, moments[1])
@@ -102,8 +109,8 @@ class TestAdamW:
             lr = 1e-2 / t
             grads = {name: rng.standard_normal(arr.shape) for name, arr in params.arrays.items()
                      if name != "encoder.1.bias"}  # one parameter without a gradient
-            adamw_step(params, grads, state, lr_t=lr)
-            per_array_adamw_step(reference, grads, ref_state, lr_t=lr)
+            adamw_step(params, flat_grad(params, grads), state, lr_t=lr)
+            per_array_adamw_step(reference, flat_grad(params, grads), ref_state, lr_t=lr)
         assert state.step == ref_state.step == 5
         for name, arr in reference.arrays.items():
             np.testing.assert_array_equal(params.arrays[name], arr, err_msg=name)
@@ -123,18 +130,29 @@ class TestAdamW:
         assert hashes[0] == hashes[1]
 
 
-def per_array_adamw_step(params, grads, state, lr_t):
+def flat_grad(params, grads):
+    """A gradient of ``params.flat`` holding ``grads`` (name -> array) in their spans, else 0."""
+    holder = params.copy()
+    holder.flat[:] = 0.0
+    for name, g in grads.items():
+        holder.arrays[name][:] = g
+    return holder.flat
+
+
+def per_array_adamw_step(params, grad, state, lr_t):
     """The AdamW update one parameter array at a time: the reference for ``adamw_step``.
 
-    Array i's moments are its own slice of the state's moment vectors.
+    Array i's gradient and moments are its own slices of ``grad`` (None for
+    zero) and of the state's moment vectors.
     """
+    grad = np.zeros(params.flat.size) if grad is None else grad.reshape(-1)
     state.step += 1
     t, lam, start = state.step, state.weight_decay, 0
     for name, arr in params.arrays.items():
         stop = start + arr.size
         m = state.first_moment[start:stop].reshape(arr.shape)
         v = state.second_moment[start:stop].reshape(arr.shape)
-        g = grads.get(name, np.zeros_like(arr))
+        g = grad[start:stop].reshape(arr.shape)
         m[:] = 0.9 * m + (1.0 - 0.9) * g
         v[:] = 0.999 * v + (1.0 - 0.999) * g * g
         m_hat = m / (1.0 - 0.9 ** t)
@@ -530,6 +548,24 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, make, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(**{name: value})
+
+    @pytest.mark.parametrize("make, name", [
+        (DistillConfig, "alpha"),
+        (DistillConfig, "beta"),
+        (DistillConfig, "tau"),
+        (TrainConfig, "learning_rate"),
+        (TrainConfig, "weight_decay"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "str"])
+    def test_real_fields_must_be_numbers(self, make, name, value):
+        # a bool used to pass as 1.0, a string to raise a bare TypeError
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+            make(**{name: value})
+
+    def test_distill_must_be_a_distill_config(self):
+        # a dict used to pass, then fail inside training with an AttributeError
+        with pytest.raises(ValueError, match="distill must be a DistillConfig"):
+            TrainConfig(distill={"alpha": 1})
 
     @pytest.mark.parametrize("name", ["batch_size", "epochs", "seed"])
     @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None],
