@@ -8,49 +8,31 @@ attenuation is 0.1 rather than 0: the student must retain a weak correlate
 of every concept or no amount of guidance could transfer it.
 
 The class count is not a setting of its own: ``GeneratorConfig.num_classes``
-is ``len(class_names)``, the names must be distinct, and every ``counts``
-list must have that length. Class names must be strings. Integer fields
-must be of type ``int``, not ``bool`` and not a NumPy integer (which
-``json.dump`` refuses): ``seed`` >= 0, the sizes >= 1. The real fields
-``teacher_dominance``, ``attenuation`` and ``noise_sigma`` must be finite
-``int`` or ``float`` values >= 0, not ``bool``; ``teacher_dominance`` is
-also <= 1.
+is ``len(class_names)``, the names must be distinct, and ``counts`` holds
+one list of that length per (modality, split) and no other key. Class names
+must be strings. Integer fields must be of type ``int``, not ``bool`` and
+not a NumPy integer (which ``json.dump`` refuses): ``seed`` >= 0, the sizes
+>= 1. The real fields ``teacher_dominance``, ``attenuation`` and
+``noise_sigma`` must be finite ``int`` or ``float`` values >= 0, not
+``bool``; ``teacher_dominance`` is also <= 1.
 
 The ground truth stores each fact once: the config, ``teacher_dominant``
 and ``mixing_teacher``. The class profiles (the block indicator) and
-``mixing_student`` are computed from them when read, so no stored copy
-can disagree with its source.
+``mixing_student`` are computed from them, so no copy can disagree with its
+source.
 
 In memory a dataset is columnar: one (features, labels) array pair per
-(modality, split), rows in generation order. On disk it is a directory of
-two files. ``meta.json`` holds the config and ``teacher_dominant``.
-``arrays.npz``, written by ``np.savez`` (uncompressed, byte-identical
-across writes), holds exactly 13 arrays: ``mixing_teacher`` and, for every
-pair, ``{modality}.{split}.x`` (float64, rows x ``feature_dim``) and
-``{modality}.{split}.y`` (int64). Rows are positional: a split's row i is
-its i-th generated row.
-
-Reading rejects, naming ``meta.json``: a missing ``config`` or
-``teacher_dominant``, a config that is not an object, has an unknown key or
-a value the config refuses, and a ``teacher_dominant`` that is not one list
-of distinct integers per class, each inside that class's concept block
-``[d * k, (d + 1) * k)`` and ``round(teacher_dominance * k)`` long. It
-loads the arrays with ``allow_pickle=False`` and rejects, naming the file
-and the (modality, split): a missing file, an unreadable or truncated
-``.npz``, any array besides those 13 (which refuses files that still hold
-the derived ``class_profiles`` or ``mixing_student``), a missing array or
-one of the wrong dtype or rank, a ``mixing_teacher`` that is not
-``num_classes * k`` x ``feature_dim`` or not finite, a feature width
-other than ``feature_dim``, feature rows and labels of different lengths,
-non-finite features, a label outside ``[0, num_classes)``, and per-class
-row counts that differ from the config's ``counts``.
+(modality, split), rows in generation order. ``generate`` is a pure function
+of its config, seed included, so on disk a dataset is one file,
+``meta.json``: the config and a CRC-32 of what ``generate`` drew.
+``read_dataset`` regenerates the dataset from the config and checks the CRC.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -90,7 +72,7 @@ class GeneratorConfig:
     noise_sigma: float = 0.55
     seed: int = 0
     class_names: list[str] = field(default_factory=lambda: list(DEFAULT_CLASS_NAMES))
-    counts: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_COUNTS)))
+    counts: dict = field(default_factory=lambda: DEFAULT_COUNTS)  # copied in __post_init__
 
     @property
     def num_classes(self) -> int:
@@ -121,19 +103,26 @@ class GeneratorConfig:
             raise ValueError(f"class names must be distinct, got {self.class_names!r}")
         if self.teacher_dominance > 1:
             raise ValueError(f"teacher_dominance must be <= 1, got {self.teacher_dominance!r}")
+        counts = {modality: {} for modality in MODALITIES}
         for modality in MODALITIES:
             for split in SPLITS:
                 try:
-                    counts = self.counts[modality][split]
+                    row = self.counts[modality][split]
                 except (KeyError, TypeError) as e:
                     raise ValueError(f"counts has no [{modality}][{split}] entry") from e
-                if len(counts) != self.num_classes:
+                if not isinstance(row, (list, tuple)) or len(row) != self.num_classes:
                     raise ValueError(f"counts[{modality}][{split}] must list every class")
-                if any(type(c) is not int for c in counts):
+                if any(type(c) is not int for c in row):
                     raise ValueError(
-                        f"counts[{modality}][{split}] must hold integers, got {counts!r}")
-                if any(c < 0 for c in counts):
+                        f"counts[{modality}][{split}] must hold integers, got {row!r}")
+                if any(c < 0 for c in row):
                     raise ValueError("negative sample count")
+                counts[modality][split] = list(row)  # as meta.json reads it back
+        unknown = [f"[{m}]" for m in self.counts if m not in MODALITIES]
+        unknown += [f"[{m}][{s}]" for m in MODALITIES for s in self.counts[m] if s not in SPLITS]
+        if unknown:
+            raise ValueError(f"counts has unknown keys {', '.join(unknown)}")
+        self.counts = counts
 
 
 @dataclass(eq=False)
@@ -233,15 +222,14 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
     for modality in MODALITIES:
         for split in SPLITS:
             counts = cfg.counts[modality][split]
-            blocks = [np.zeros((0, cfg.feature_dim))]
-            for d in range(c):
-                if counts[d] == 0:
-                    continue
-                clean = profiles[d] @ mixing[modality]
-                noise = cfg.noise_sigma * rng.standard_normal((counts[d], cfg.feature_dim))
-                blocks.append(clean[None, :] + noise)
             labels = np.repeat(np.arange(c, dtype=np.int64), counts)
-            arrays[modality, split] = (np.concatenate(blocks), labels)
+            rows = rng.standard_normal((len(labels), cfg.feature_dim))
+            rows *= cfg.noise_sigma
+            start = 0
+            for d, count in enumerate(counts):
+                rows[start:start + count] += profiles[d] @ mixing[modality]
+                start += count
+            arrays[modality, split] = (rows, labels)
 
     return SyntheticDataset(config=cfg, arrays=arrays, ground_truth=ground_truth), pool
 
@@ -249,114 +237,62 @@ def generate(cfg: GeneratorConfig) -> tuple[SyntheticDataset, ConceptPool]:
 # --- directory format -------------------------------------------------------
 
 
+def _crc32(ds: SyntheticDataset) -> int:
+    """CRC-32 of the ground truth and every column, in ``ds.arrays`` order."""
+    gt = ds.ground_truth
+    crc = zlib.crc32(json.dumps(gt.teacher_dominant).encode())
+    for a in [gt.mixing_teacher] + [a for pair in ds.arrays.values() for a in pair]:
+        crc = zlib.crc32(np.ascontiguousarray(a), crc)
+    return crc
+
+
 def write_dataset(ds: SyntheticDataset, directory) -> None:
+    """Write ``meta.json``: the config and a CRC-32 of ``ds``; no array is stored."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "config": asdict(ds.config),
-        "teacher_dominant": ds.ground_truth.teacher_dominant,
-    }
+    meta = {"config": asdict(ds.config), "crc32": _crc32(ds)}
     with open(directory / "meta.json", "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    columns = {"mixing_teacher": ds.ground_truth.mixing_teacher}
-    for (modality, split), (x, y) in ds.arrays.items():
-        columns[f"{modality}.{split}.x"] = x
-        columns[f"{modality}.{split}.y"] = y
-    np.savez(directory / "arrays.npz", **columns)
-
-
-def _column(columns: dict, key: str, dtype, ndim: int, where: str) -> np.ndarray:
-    if key not in columns:
-        raise ValueError(f"{where}: missing array {key!r}")
-    a = columns[key]
-    if a.dtype != dtype or a.ndim != ndim:
-        raise ValueError(
-            f"{where}: {key!r} is {a.ndim}-D {a.dtype}, expected {ndim}-D {np.dtype(dtype)}"
-        )
-    return a
 
 
 def read_dataset(directory) -> SyntheticDataset:
-    directory = Path(directory)
-    meta_path, arrays_path = directory / "meta.json", directory / "arrays.npz"
-    for path in (meta_path, arrays_path):
-        if not path.exists():
-            raise FileNotFoundError(f"missing dataset file: {path}")
-    with open(meta_path, encoding="utf-8") as f:
+    """Check ``meta.json``, regenerate the config's dataset and compare its CRC-32.
+
+    Every rejection names the file. A directory of the older format
+    (``teacher_dominant`` and ``arrays.npz``) has no ``crc32`` and is refused.
+    A CRC mismatch means an edited file, a dataset ``generate`` did not
+    produce, or another NumPy or BLAS.
+    """
+    path = Path(directory) / "meta.json"
+    if not path.exists():
+        raise FileNotFoundError(f"missing dataset file: {path}")
+    with open(path, encoding="utf-8") as f:
         try:
             meta = json.load(f)
         except json.JSONDecodeError as e:
-            raise ValueError(f"{meta_path}: not valid JSON: {e}") from e
+            raise ValueError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
-    missing = [key for key in ("config", "teacher_dominant") if key not in meta]
+        raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    missing = [key for key in ("config", "crc32") if key not in meta]
     if missing:
-        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
-    config, dominant = meta["config"], meta["teacher_dominant"]
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    unknown = sorted(set(meta) - {"config", "crc32"})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys {', '.join(unknown)}")
+    config = meta["config"]
     if not isinstance(config, dict):
-        raise ValueError(f"{meta_path}: config must be an object, got {type(config).__name__}")
+        raise ValueError(f"{path}: config must be an object, got {type(config).__name__}")
     unknown = sorted(set(config) - {f.name for f in fields(GeneratorConfig)})
     if unknown:
-        raise ValueError(f"{meta_path}: unknown config keys {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
     try:
         cfg = GeneratorConfig(**config)
     except (TypeError, ValueError) as e:
-        raise ValueError(f"{meta_path}: invalid config: {e}") from e
-    if not (isinstance(dominant, list) and all(
-            isinstance(row, list) and all(type(i) is int for i in row) for row in dominant)):
-        raise ValueError(f"{meta_path}: teacher_dominant must be a list of integer lists")
-    if len(dominant) != cfg.num_classes:
-        raise ValueError(f"{meta_path}: teacher_dominant has {len(dominant)} rows, "
-                         f"expected one per class ({cfg.num_classes})")
-    k = cfg.concepts_per_class
-    n_dom = int(round(cfg.teacher_dominance * k))
-    for d, row in enumerate(dominant):
-        if len(set(row)) != len(row) or not all(d * k <= i < (d + 1) * k for i in row):
-            raise ValueError(f"{meta_path}: teacher_dominant row {d} must hold distinct "
-                             f"indices of class {d}'s concepts, [{d * k}, {(d + 1) * k})")
-        if len(row) != n_dom:
-            raise ValueError(f"{meta_path}: teacher_dominant row {d} has {len(row)} indices, "
-                             f"expected round(teacher_dominance * {k}) = {n_dom}")
-    try:
-        # np.load does not close a handle it opened when the zip is rejected
-        with open(arrays_path, "rb") as f, np.load(f, allow_pickle=False) as npz:
-            columns = {key: npz[key] for key in npz.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
-        raise ValueError(f"{arrays_path}: unreadable array file: {e}") from e
-
-    known = {"mixing_teacher", *(f"{m}.{s}.{c}" for m in MODALITIES for s in SPLITS for c in "xy")}
-    unknown = sorted(set(columns) - known)
-    if unknown:
-        raise ValueError(f"{arrays_path}: unknown arrays {', '.join(unknown)}")
-    mixing = _column(columns, "mixing_teacher", np.float64, 2, f"{arrays_path} (ground truth)")
-    if mixing.shape != (cfg.num_classes * k, cfg.feature_dim):
-        raise ValueError(f"{arrays_path} (ground truth): mixing_teacher is {mixing.shape}, "
-                         f"expected {(cfg.num_classes * k, cfg.feature_dim)}")
-    if not np.isfinite(mixing).all():
-        raise ValueError(f"{arrays_path} (ground truth): mixing_teacher must be finite")
-    arrays = {}
-    for modality in MODALITIES:
-        for split in SPLITS:
-            where = f"{arrays_path} ({modality}, {split})"
-            x = _column(columns, f"{modality}.{split}.x", np.float64, 2, where)
-            y = _column(columns, f"{modality}.{split}.y", np.int64, 1, where)
-            if x.shape[1] != cfg.feature_dim:
-                raise ValueError(
-                    f"{where}: {x.shape[1]} features, meta.json feature_dim is {cfg.feature_dim}"
-                )
-            if len(x) != len(y):
-                raise ValueError(f"{where}: {len(x)} feature rows, {len(y)} labels")
-            if not np.isfinite(x).all():
-                raise ValueError(f"{where}: features must be finite")
-            if y.size and (y.min() < 0 or y.max() >= cfg.num_classes):
-                raise ValueError(f"{where}: label outside [0, {cfg.num_classes})")
-            per_class = np.bincount(y, minlength=cfg.num_classes).tolist()
-            if per_class != cfg.counts[modality][split]:
-                raise ValueError(
-                    f"{where}: rows per class {per_class}, "
-                    f"meta.json counts {cfg.counts[modality][split]}"
-                )
-            arrays[modality, split] = (x, y)
-    return SyntheticDataset(config=cfg, arrays=arrays,
-                            ground_truth=GroundTruth(cfg, dominant, mixing))
+        raise ValueError(f"{path}: invalid config: {e}") from e
+    ds, _ = generate(cfg)
+    crc = _crc32(ds)
+    if crc != meta["crc32"]:
+        raise ValueError(f"{path}: crc32 is {meta['crc32']!r}, but the config generates a "
+                         f"dataset with crc32 {crc}")
+    return ds

@@ -220,6 +220,8 @@ def train_student(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptP
     Validation macro P-R F1 picks the returned epoch snapshot.
     """
     if teacher is not None:
+        if teacher.modality != "teacher":
+            raise ValueError(f"teacher must be a teacher model, got a {teacher.modality} one")
         if not teacher.frozen:
             raise ValueError("teacher must be frozen before distillation")
         if teacher.pool_fingerprint != pool.fingerprint():

@@ -95,6 +95,15 @@ class TestGeneratorConfig:
                                                  rf"tuple, got {re.escape(repr(value))}$"):
                 small_config(class_names=value, counts=GeneratorConfig().counts)
         assert small_config(class_names=("a", "b", "c")).class_names == ["a", "b", "c"]
+        # generate ignores unknown counts keys, so they would only be stored
+        counts = small_config().counts
+        counts["extra"] = {"train": [1, 1, 1], "val": [1, 1, 1], "test": [1, 1, 1]}
+        with pytest.raises(ValueError, match=r"counts has unknown keys \[extra\]$"):
+            small_config(counts=counts)
+        counts = small_config().counts
+        counts["teacher"]["tset"] = [1, 2]
+        with pytest.raises(ValueError, match=r"counts has unknown keys \[teacher\]\[tset\]$"):
+            small_config(counts=counts)
 
     def test_round_trip_dict(self):
         cfg = small_config()
@@ -180,19 +189,6 @@ def written(tmp_path) -> tuple[SyntheticDataset, Path]:
     return ds, tmp_path / "data"
 
 
-def rewrite_arrays(directory: Path, changes: dict) -> None:
-    """Save arrays.npz again with some arrays replaced; a value of None drops one."""
-    path = directory / "arrays.npz"
-    with np.load(path) as npz:
-        columns = {key: npz[key] for key in npz.files}
-    for key, value in changes.items():
-        if value is None:
-            del columns[key]
-        else:
-            columns[key] = value
-    np.savez(path, **columns)
-
-
 def rewrite_meta(directory: Path, edit) -> None:
     """Save meta.json again after ``edit`` has changed its parsed dict in place."""
     path = directory / "meta.json"
@@ -211,14 +207,22 @@ class TestRoundTrip:
         write_dataset(ds, tmp_path / "data")
         assert read_dataset(tmp_path / "data") == ds
 
+    def test_tuple_counts_read_back_equal(self, tmp_path):
+        counts = {m: {s: tuple(c) for s, c in splits.items()}
+                  for m, splits in small_config().counts.items()}
+        ds, _ = generate(small_config(counts=counts))
+        assert ds.config == small_config()  # lists, as meta.json reads them back
+        write_dataset(ds, tmp_path / "data")
+        assert read_dataset(tmp_path / "data") == ds
+
     def test_written_arrays(self, tmp_path):
-        _, directory = written(tmp_path)
-        with np.load(directory / "arrays.npz") as npz:
-            keys = sorted(npz.files)
-        assert keys == sorted(["mixing_teacher"] + [
-            f"{modality}.{split}.{column}" for modality in ("student", "teacher")
-            for split in ("train", "val", "test") for column in "xy"])
-        assert len(keys) == 13
+        # no array is stored: the config regenerates them all
+        ds, directory = written(tmp_path)
+        assert [p.name for p in directory.iterdir()] == ["meta.json"]
+        meta = json.loads((directory / "meta.json").read_text())
+        assert sorted(meta) == ["config", "crc32"]
+        assert meta["config"] == asdict(ds.config)
+        assert type(meta["crc32"]) is int
 
     def test_default_config_reads_back(self, tmp_path):
         ds, _ = generate(GeneratorConfig())
@@ -229,8 +233,8 @@ class TestRoundTrip:
         ds, _ = generate(small_config())
         write_dataset(ds, tmp_path / "a")
         write_dataset(ds, tmp_path / "b")
-        for name in ("meta.json", "arrays.npz"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert (tmp_path / "a" / "meta.json").read_bytes() == \
+            (tmp_path / "b" / "meta.json").read_bytes()
 
     def test_missing_meta_file(self, tmp_path):
         _, directory = written(tmp_path)
@@ -238,17 +242,17 @@ class TestRoundTrip:
         with pytest.raises(FileNotFoundError, match="meta.json"):
             read_dataset(directory)
 
-    def test_missing_split_file(self, tmp_path):
-        _, directory = written(tmp_path)
-        (directory / "arrays.npz").unlink()
-        with pytest.raises(FileNotFoundError, match="arrays.npz"):
-            read_dataset(directory)
-
-    @pytest.mark.parametrize("key", ["config", "teacher_dominant"])
+    @pytest.mark.parametrize("key", ["config", "crc32"])
     def test_meta_without_key_rejected(self, tmp_path, key):
         _, directory = written(tmp_path)
         rewrite_meta(directory, lambda meta: meta.pop(key))
         with pytest.raises(ValueError, match=rf"meta\.json: missing {key}"):
+            read_dataset(directory)
+
+    def test_meta_unknown_key_rejected(self, tmp_path):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, lambda meta: meta.update(note="x", arrays=[]))
+        with pytest.raises(ValueError, match=r"meta\.json: unknown keys arrays, note$"):
             read_dataset(directory)
 
     @pytest.mark.parametrize("text, message", [
@@ -277,18 +281,8 @@ class TestRoundTrip:
          r"invalid config: counts\[teacher\]\[val\] must hold integers"),
         (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, True),
          r"invalid config: counts\[teacher\]\[val\] must hold integers"),
-        (lambda meta: meta.update(teacher_dominant=3),
-         "teacher_dominant must be a list of integer lists"),
-        (lambda meta: meta.update(teacher_dominant=[[999]]),
-         r"teacher_dominant has 1 rows, expected one per class \(3\)"),
-        (lambda meta: meta["teacher_dominant"][1].__setitem__(0, 999),
-         r"teacher_dominant row 1 must hold distinct indices of class 1's concepts, \[4, 8\)"),
-        (lambda meta: meta["teacher_dominant"][2].__setitem__(0, 4),
-         r"teacher_dominant row 2 must hold distinct indices"),
-        (lambda meta: meta["teacher_dominant"][0].__setitem__(1, meta["teacher_dominant"][0][0]),
-         r"teacher_dominant row 0 must hold distinct indices"),
-        (lambda meta: meta["teacher_dominant"][1].pop(),
-         r"teacher_dominant row 1 has 1 indices, expected round\(teacher_dominance \* 4\) = 2"),
+        (lambda meta: meta["config"]["counts"]["student"].update(tset=[1]),
+         r"invalid config: counts has unknown keys \[student\]\[tset\]$"),
         (lambda meta: meta["config"].update(seed=-5),
          "invalid config: seed must be an integer >= 0, got -5"),
         (lambda meta: meta["config"].update(attenuation=True),
@@ -296,10 +290,7 @@ class TestRoundTrip:
         (lambda meta: meta["config"].update(class_names="abc"),
          "invalid config: class_names must be strings in a list or tuple, got 'abc'"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
-            "float_count", "bool_count", "teacher_dominant_not_list",
-            "teacher_dominant_row_count", "teacher_dominant_past_block",
-            "teacher_dominant_other_block", "teacher_dominant_repeat",
-            "teacher_dominant_row_cut", "negative_seed", "bool_attenuation",
+            "float_count", "bool_count", "unknown_split", "negative_seed", "bool_attenuation",
             "string_class_names"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
@@ -307,116 +298,39 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=rf"meta\.json: {message}"):
             read_dataset(directory)
 
-    def test_default_dataset_with_cut_dominant_row_rejected(self, tmp_path):
-        ds, _ = generate(GeneratorConfig())
+    @pytest.mark.parametrize("case", ["old_format"])
+    def test_unknown_arrays_rejected(self, tmp_path, case):
+        # the older format stored teacher_dominant in meta.json and the columns in
+        # arrays.npz; it has no crc32, so it is refused rather than misread
+        ds, _ = generate(small_config())
+        directory = tmp_path / "data"
+        directory.mkdir()
+        meta = {"config": asdict(ds.config),
+                "teacher_dominant": ds.ground_truth.teacher_dominant}
+        (directory / "meta.json").write_text(json.dumps(meta))
+        np.savez(directory / "arrays.npz", mixing_teacher=ds.ground_truth.mixing_teacher,
+                 **{f"{m}.{s}.{c}": a for (m, s), pair in ds.arrays.items()
+                    for c, a in zip("xy", pair)})
+        with pytest.raises(ValueError, match=r"meta\.json: missing crc32$"):
+            read_dataset(directory)
+
+    def test_edited_seed_rejected(self, tmp_path):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, lambda meta: meta["config"].update(seed=8))
+        with pytest.raises(ValueError, match=r"meta\.json: crc32 is \d+, but the config "
+                                             r"generates a dataset with crc32 \d+$"):
+            read_dataset(directory)
+
+    def test_edited_crc_rejected(self, tmp_path):
+        _, directory = written(tmp_path)
+        rewrite_meta(directory, lambda meta: meta.update(crc32=meta["crc32"] ^ 1))
+        with pytest.raises(ValueError, match=r"meta\.json: crc32 is \d+, but the config"):
+            read_dataset(directory)
+
+    def test_dataset_generate_did_not_produce_rejected(self, tmp_path):
+        # the writer stores what the dataset holds; the reader sees that it differs
+        ds, _ = generate(small_config())
+        ds.records.pop()
         write_dataset(ds, tmp_path / "data")
-        rewrite_meta(tmp_path / "data", lambda meta: meta["teacher_dominant"][0].__delitem__(
-            slice(1, None)))
-        with pytest.raises(ValueError, match=r"meta\.json: teacher_dominant row 0 has 1 indices, "
-                                             r"expected round\(teacher_dominance \* 10\) = 6"):
+        with pytest.raises(ValueError, match=r"meta\.json: crc32 is \d+, but the config"):
             read_dataset(tmp_path / "data")
-
-    @pytest.mark.parametrize("case, unknown", [
-        ("unattenuated", "mixing_student"),
-        ("extra_row", "mixing_student"),
-        ("old_format", "class_profiles, mixing_student"),
-        ("wrong_profiles_and_junk", "class_profiles, junk"),
-    ], ids=["unattenuated", "extra_row", "old_format", "wrong_profiles_and_junk"])
-    def test_unknown_arrays_rejected(self, tmp_path, case, unknown):
-        # class_profiles and mixing_student are derived, so a file holding either is refused
-        ds, directory = written(tmp_path)
-        gt = ds.ground_truth
-        if case == "unattenuated":
-            change = {"mixing_student": gt.mixing_teacher}
-        elif case == "extra_row":
-            student = gt.mixing_student
-            free = min(set(range(len(student))) - set(sum(gt.teacher_dominant, [])))
-            student[free] *= ds.config.attenuation
-            change = {"mixing_student": student}
-        elif case == "old_format":
-            change = {"class_profiles": gt.class_profiles, "mixing_student": gt.mixing_student}
-        else:
-            change = {"class_profiles": np.full((3, 5), 7.0), "junk": np.zeros(2)}
-        rewrite_arrays(directory, change)
-        with pytest.raises(ValueError, match=rf"arrays\.npz: unknown arrays {unknown}$"):
-            read_dataset(directory)
-
-    def test_mixing_shape_checked(self, tmp_path):
-        ds, directory = written(tmp_path)
-        rewrite_arrays(directory, {"mixing_teacher": ds.ground_truth.mixing_teacher[:-1]})
-        with pytest.raises(ValueError, match=r"mixing_teacher is \(11, 8\), expected \(12, 8\)"):
-            read_dataset(directory)
-
-    def test_nan_mixing_rejected(self, tmp_path):
-        ds, directory = written(tmp_path)
-        bad = ds.ground_truth.mixing_teacher.copy()
-        bad[1, 2] = np.nan
-        rewrite_arrays(directory, {"mixing_teacher": bad})
-        with pytest.raises(ValueError, match=r"arrays\.npz \(ground truth\): "
-                                             r"mixing_teacher must be finite"):
-            read_dataset(directory)
-
-    def test_truncated_arrays_rejected(self, tmp_path):
-        _, directory = written(tmp_path)
-        path = directory / "arrays.npz"
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(ValueError, match=r"arrays\.npz: unreadable array file"):
-            read_dataset(directory)
-
-    def test_schema_violation_reported(self, tmp_path):
-        # a missing array is named with its (modality, split)
-        _, directory = written(tmp_path)
-        rewrite_arrays(directory, {"teacher.val.y": None})
-        with pytest.raises(ValueError,
-                           match=r"\(teacher, val\): missing array 'teacher\.val\.y'"):
-            read_dataset(directory)
-
-    def test_wrong_dtype_rejected(self, tmp_path):
-        ds, directory = written(tmp_path)
-        _, y = ds.split_arrays("student", "test")
-        rewrite_arrays(directory, {"student.test.y": y.astype(np.float64)})
-        with pytest.raises(ValueError, match=r"\(student, test\): 'student\.test\.y' is 1-D "
-                                             r"float64, expected 1-D int64"):
-            read_dataset(directory)
-
-    def test_feature_width_checked_against_meta(self, tmp_path):
-        ds, directory = written(tmp_path)
-        x, _ = ds.split_arrays("student", "test")
-        rewrite_arrays(directory, {"student.test.x": x[:, :-2]})
-        with pytest.raises(ValueError, match=r"\(student, test\): 6 features, "
-                                             r"meta.json feature_dim is 8"):
-            read_dataset(directory)
-
-    def test_row_counts_checked_against_meta(self, tmp_path):
-        ds, directory = written(tmp_path)
-        x, y = ds.split_arrays("teacher", "val")
-        rewrite_arrays(directory, {"teacher.val.x": x[:-1], "teacher.val.y": y[:-1]})
-        with pytest.raises(ValueError, match=r"\(teacher, val\): rows per class \[5, 4, 2\]"):
-            read_dataset(directory)
-
-    def test_label_out_of_range_rejected(self, tmp_path):
-        ds, directory = written(tmp_path)
-        _, y = ds.split_arrays("student", "train")
-        bad = y.copy()
-        bad[3] = 3
-        rewrite_arrays(directory, {"student.train.y": bad})
-        with pytest.raises(ValueError, match=r"\(student, train\): label outside \[0, 3\)"):
-            read_dataset(directory)
-
-    def test_nan_feature_rejected(self, tmp_path):
-        ds, directory = written(tmp_path)
-        x, _ = ds.split_arrays("teacher", "train")
-        bad = x.copy()
-        bad[2, 5] = np.nan
-        rewrite_arrays(directory, {"teacher.train.x": bad})
-        with pytest.raises(ValueError, match=r"\(teacher, train\): features must be finite"):
-            read_dataset(directory)
-
-    def test_object_array_rejected(self, tmp_path):
-        # loading never unpickles: an object array is refused, not executed
-        _, directory = written(tmp_path)
-        labels = np.array([{"label": 0}] * 20, dtype=object)
-        rewrite_arrays(directory, {"student.train.y": labels})
-        with pytest.raises(ValueError, match="unreadable array file.*allow_pickle"):
-            read_dataset(directory)

@@ -297,6 +297,13 @@ class TestDistillStudent:
         with pytest.raises(ValueError, match="frozen"):
             train_student(quick_train_config(), ds, pool, teacher=teacher)
 
+    def test_student_as_teacher_rejected(self):
+        # a frozen student has the teacher's input width, so nothing else would catch it
+        ds, pool = tiny_dataset()
+        student = train_student(quick_train_config(epochs=1), ds, pool).freeze()
+        with pytest.raises(ValueError, match="teacher must be a teacher model, got a student"):
+            train_student(quick_train_config(), ds, pool, teacher=student)
+
     def test_pool_mismatch_rejected(self):
         ds, pool = tiny_dataset()
         other_pool = make_pool({"x": 4, "y": 4, "z": 4}, dim=ds.config.embed_dim)
