@@ -31,7 +31,7 @@ other candidates summed again, shifted by the second-largest logit.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,7 @@ class DistillConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")

@@ -14,16 +14,18 @@ read through ``ModelParams.arrays``, a read-only name -> view mapping in
 layer order: ``encoder.{i}.weight`` (fan_in x fan_out) and
 ``encoder.{i}.bias`` (1 x fan_out) for each encoder layer i, then
 ``classifier.weight`` (n_concepts x n_classes) and ``classifier.bias``
-(1 x n_classes). A checkpoint (format ``concept-model-v2``) is one JSON
-object with ``format``, ``modality``, ``frozen``, ``pool_fingerprint`` and
-``arrays``, which maps each name to ``{"shape": [rows, cols], "values": [...]}``
-with the values in row-major order.
+(1 x n_classes). ``_layout`` alone names and shapes these arrays, from the
+layer sizes ``[feature_dim, *hidden, pool dim]`` and the concept and class
+counts. A checkpoint (format ``concept-model-v3``) is one JSON object with
+``format``, ``modality``, ``frozen``, ``pool_fingerprint``, ``sizes``,
+``num_concepts``, ``num_classes`` and ``values``, the flat vector as a list.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,38 +38,37 @@ from .autodiff import Matrix, Tape
 from .concepts import ConceptPool
 
 
+def _layout(sizes, num_concepts: int, num_classes: int) -> dict[str, tuple[int, int]]:
+    """Name -> shape of each parameter array, in layer order (see the module docstring)."""
+    layers = [(f"encoder.{i}", *pair) for i, pair in enumerate(zip(sizes, sizes[1:]))]
+    layers.append(("classifier", num_concepts, num_classes))
+    return {f"{layer}.{kind}": shape for layer, rows, cols in layers
+            for kind, shape in (("weight", (rows, cols)), ("bias", (1, cols)))}
+
+
 class ModelParams:
     """One model's parameters: one flat float64 vector, ``flat``, and its views.
 
-    ``arrays`` is a read-only name -> 2-D view mapping over ``flat``, one
-    view per entry of ``shapes``, laid end to end in the layer order of the
-    module docstring. Hashing and checkpoints read the views; binding, the
-    optimizer, ``copy`` and ``freeze`` act on the vector. Replacing an entry
-    of ``arrays`` raises, so no view can drift from the vector.
+    ``arrays`` is a read-only name -> 2-D view mapping over ``flat``, one view
+    per entry of ``_layout(sizes, num_concepts, num_classes)``, end to end.
+    Hashing reads the views; binding, the optimizer, checkpoints, ``copy`` and
+    ``freeze`` act on the vector. Replacing an entry of ``arrays`` raises, so
+    no view can drift from the vector.
     """
 
-    def __init__(self, modality: str, flat: np.ndarray, shapes: dict, pool_fingerprint: str):
+    def __init__(self, modality: str, flat: np.ndarray, sizes, num_concepts: int,
+                 num_classes: int, pool_fingerprint: str):
         if modality not in ("student", "teacher"):  # load_checkpoint refuses any other
             raise ValueError(f"modality must be 'student' or 'teacher', got {modality!r}")
-        self.modality = modality
-        self.flat, self.shapes, self.pool_fingerprint = flat, shapes, pool_fingerprint
+        self.modality, self.flat, self.pool_fingerprint = modality, flat, pool_fingerprint
+        self.sizes = tuple(map(int, sizes))  # plain ints, as a checkpoint stores them
+        self.num_concepts, self.num_classes = int(num_concepts), int(num_classes)
         self.frozen = False
         views, start = {}, 0
-        for name, (rows, cols) in shapes.items():
+        for name, (rows, cols) in _layout(sizes, num_concepts, num_classes).items():
             views[name] = flat[start:start + rows * cols].reshape(rows, cols)
             start += rows * cols
         self.arrays = MappingProxyType(views)
-
-    @classmethod
-    def of(cls, modality: str, arrays: dict[str, np.ndarray], pool_fingerprint: str):
-        """Parameters holding a copy of ``arrays`` (name -> 2-D array, in layer order)."""
-        shapes = {name: arr.shape for name, arr in arrays.items()}
-        return cls(modality, np.concatenate([a.ravel() for a in arrays.values()]), shapes,
-                   pool_fingerprint)
-
-    @property
-    def num_classes(self) -> int:
-        return self.arrays["classifier.weight"].shape[1]
 
     def freeze(self) -> "ModelParams":
         self.frozen = True
@@ -76,7 +77,8 @@ class ModelParams:
         return self
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.modality, self.flat.copy(), self.shapes, self.pool_fingerprint)
+        return ModelParams(self.modality, self.flat.copy(), self.sizes, self.num_concepts,
+                           self.num_classes, self.pool_fingerprint)
 
     def params_hash(self) -> str:
         h = hashlib.sha256()
@@ -105,14 +107,13 @@ def init_params(modality: str, feature_dim: int, pool: ConceptPool, num_classes:
     check_hidden_sizes(hidden)
     rng = np.random.default_rng([seed, 0 if modality == "student" else 1])
     sizes = [feature_dim, *hidden, pool.dim]
-    arrays = {}
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        arrays[f"encoder.{i}.weight"] = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-        arrays[f"encoder.{i}.bias"] = np.zeros((1, fan_out))
-    n = len(pool)
-    arrays["classifier.weight"] = rng.standard_normal((n, num_classes)) / np.sqrt(n)
-    arrays["classifier.bias"] = np.zeros((1, num_classes))
-    return ModelParams.of(modality, arrays, pool.fingerprint())
+    size = sum(rows * cols for rows, cols in _layout(sizes, len(pool), num_classes).values())
+    params = ModelParams(modality, np.zeros(size), sizes, len(pool), num_classes,
+                         pool.fingerprint())
+    for name, arr in params.arrays.items():  # biases stay zero
+        if name.endswith(".weight"):
+            arr[:] = rng.standard_normal(arr.shape) / np.sqrt(arr.shape[0])
+    return params
 
 
 class ModelBinding:
@@ -162,94 +163,75 @@ def forward(model, features, pool: ConceptPool) -> tuple[Matrix, Prediction]:
 
 # --- checkpoint files -------------------------------------------------------
 
-CHECKPOINT_FORMAT = "concept-model-v2"
-_CHECKPOINT_KEYS = ("format", "modality", "frozen", "pool_fingerprint", "arrays")
+CHECKPOINT_FORMAT = "concept-model-v3"
+# the writer's and the reader's order of a checkpoint's keys
+_CHECKPOINT_KEYS = ("format", "modality", "frozen", "pool_fingerprint", "sizes", "num_concepts",
+                    "num_classes", "values")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "modality": params.modality,
-        "frozen": params.frozen,
-        "pool_fingerprint": params.pool_fingerprint,
-        "arrays": {
-            name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
-            for name, arr in params.arrays.items()
-        },
-    }
+    """Write ``params`` as the sizes it was built from plus its flat vector."""
+    entries = (CHECKPOINT_FORMAT, params.modality, params.frozen, params.pool_fingerprint,
+               list(params.sizes), params.num_concepts, params.num_classes, params.flat.tolist())
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(dict(zip(_CHECKPOINT_KEYS, entries)), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _read_array(entry, where: str) -> np.ndarray:
-    """One ``{"shape": [r, c], "values": [...]}`` entry as a finite r x c float array."""
-    if not isinstance(entry, dict) or set(entry) != {"shape", "values"}:
-        raise ValueError(f"{where}: expected an object with 'shape' and 'values'")
-    shape, values = entry["shape"], entry["values"]
-    if (not isinstance(shape, list) or len(shape) != 2
-            or not all(type(d) is int and d > 0 for d in shape)):
-        raise ValueError(f"{where}: shape must be two positive integers, got {shape!r}")
-    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-        raise ValueError(f"{where}: values must be a flat list of numbers")
-    if len(values) != shape[0] * shape[1]:
-        raise ValueError(f"{where}: {len(values)} values for shape {shape}")
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{where}: values must be finite")
-    return arr.reshape(shape)
 
 
 def load_checkpoint(path, pool: ConceptPool | None = None) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``, checking it before use.
 
-    Raises ``ValueError`` naming the file for a missing key, an unexpected
-    set of array names, a values count that does not fill its shape, a
-    non-finite or non-numeric value, layer widths that do not chain, or,
-    when ``pool`` is given, a different pool fingerprint or a model whose
-    output width and classifier rows do not fit ``pool``.
+    Raises ``FileNotFoundError`` for a missing file and ``ValueError``
+    naming the file for anything else: not JSON, another format (v2
+    included), a missing key, a modality, ``frozen`` or fingerprint of the
+    wrong type, a size that is not a positive integer or more than 2 hidden
+    layers, a value that is not a finite number (bools and integers beyond
+    float range included), a values count that does not fill the layout,
+    or, when ``pool`` is given, a different pool fingerprint or an output
+    width or concept count that does not fit ``pool``.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not a JSON checkpoint: {e}") from e
+        try:  # json raises a ValueError too, for bad syntax or an int of too many digits
+            return _params_of(json.load(f), pool)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
+
+
+def _params_of(payload, pool: ConceptPool | None) -> ModelParams:
+    """The parameters of a parsed checkpoint, checked as ``load_checkpoint`` lists."""
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {path}")
+        raise ValueError("unrecognized checkpoint format")
     missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
     if missing:
-        raise ValueError(f"{path}: missing {', '.join(missing)}")
-    modality, frozen, fingerprint, stored = (payload[key] for key in _CHECKPOINT_KEYS[1:])
+        raise ValueError(f"missing {', '.join(missing)}")
+    modality, frozen, fingerprint, sizes, num_concepts, num_classes, values = (
+        payload[key] for key in _CHECKPOINT_KEYS[1:])
     if (modality not in ("student", "teacher") or not isinstance(frozen, bool)
-            or not isinstance(fingerprint, str) or not isinstance(stored, dict)):
-        raise ValueError(f"{path}: modality, frozen, pool_fingerprint or arrays has the wrong type")
+            or not isinstance(fingerprint, str)):
+        raise ValueError("modality, frozen or pool_fingerprint has the wrong type")
+    counts = [*sizes, num_concepts, num_classes] if isinstance(sizes, list) else []
+    if len(counts) < 4 or not all(type(n) is int and n > 0 for n in counts):
+        raise ValueError(f"sizes (at least 2), num_concepts and num_classes must be positive "
+                         f"integers, got {sizes!r}, {num_concepts!r}, {num_classes!r}")
+    check_hidden_sizes(sizes[1:-1])
     if pool is not None and fingerprint != pool.fingerprint():
-        raise ValueError(
-            "checkpoint was trained against a different concept pool "
-            f"(fingerprint {fingerprint[:12]}... vs {pool.fingerprint()[:12]}...)"
-        )
-    # sort_keys stored the names alphabetically; rebuild them in layer order
-    n_layers = max(sum(name.startswith("encoder.") for name in stored) // 2, 1)
-    names = [f"encoder.{i}.{kind}" for i in range(n_layers) for kind in ("weight", "bias")]
-    names += ["classifier.weight", "classifier.bias"]
-    if set(stored) != set(names):
-        raise ValueError(f"{path}: arrays {sorted(stored)}, expected {names}")
-    arrays = {name: _read_array(stored[name], f"{path} ({name})") for name in names}
-    width = arrays["encoder.0.weight"].shape[0]
-    for i in range(n_layers):
-        w, b = arrays[f"encoder.{i}.weight"], arrays[f"encoder.{i}.bias"]
-        if w.shape[0] != width or b.shape != (1, w.shape[1]):
-            raise ValueError(f"{path}: encoder layer {i} shapes {w.shape}, {b.shape} "
-                             f"do not follow a width of {width}")
-        width = w.shape[1]
-    cw, cb = arrays["classifier.weight"], arrays["classifier.bias"]
-    if cb.shape != (1, cw.shape[1]):
-        raise ValueError(f"{path}: classifier bias {cb.shape} does not fit weight {cw.shape}")
-    if pool is not None and (width, cw.shape[0]) != (pool.dim, len(pool)):
-        raise ValueError(f"{path}: encoder output width {width} and {cw.shape[0]} classifier "
-                         f"rows do not fit a pool of {len(pool)} concepts of dim {pool.dim}")
-    params = ModelParams.of(modality, arrays, fingerprint)
+        raise ValueError(f"trained against a different concept pool (fingerprint "
+                         f"{fingerprint[:12]}... vs {pool.fingerprint()[:12]}...)")
+    if pool is not None and (sizes[-1], num_concepts) != (pool.dim, len(pool)):
+        raise ValueError(f"encoder output width {sizes[-1]} and {num_concepts} concepts do not "
+                         f"fit a pool of {len(pool)} concepts of dim {pool.dim}")
+    # an int beyond float range would make np.array raise OverflowError
+    if not isinstance(values, list) or not all(
+            type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError("values must be a list of numbers within float range")
+    size = sum(rows * cols for rows, cols in _layout(sizes, num_concepts, num_classes).values())
+    if len(values) != size:
+        raise ValueError(f"{len(values)} values for a layout of {size}")
+    flat = np.array(values, dtype=np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("values must be finite")
+    params = ModelParams(modality, flat, sizes, num_concepts, num_classes, fingerprint)
     return params.freeze() if frozen else params

@@ -31,7 +31,7 @@ of its config, seed included, so on disk a dataset is one file,
 from __future__ import annotations
 
 import json
-import math
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -83,7 +83,7 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
@@ -270,7 +270,7 @@ def read_dataset(directory) -> SyntheticDataset:
     with open(path, encoding="utf-8") as f:
         try:
             meta = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an int of too many digits
             raise ValueError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(meta).__name__}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +61,7 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.distill, DistillConfig):
             raise ValueError(f"distill must be a DistillConfig, got {self.distill!r}")

@@ -114,10 +114,8 @@ class TestConceptSimilarity:
     @staticmethod
     def similarity(emb, pool: ConceptPool) -> Matrix:
         k = emb.shape[1]  # x @ I + 0 is x exactly
-        shapes = [(k, k), (1, k), (len(pool), 1), (1, 1)]
-        params = ModelParams.of("student", {name: np.zeros(shape) for name, shape in zip(
-            ["encoder.0.weight", "encoder.0.bias", "classifier.weight", "classifier.bias"],
-            shapes)}, "")
+        flat = np.zeros(k * k + k + len(pool) + 1)
+        params = ModelParams("student", flat, [k, k], len(pool), 1, "")
         params.arrays["encoder.0.weight"][:] = np.eye(k)
         return ad.concept_model(emb, Matrix(params.flat), list(params.arrays.values()),
                                 pool.embeddings_t)[0]
@@ -444,42 +442,44 @@ class TestEndToEndGradient:
 
 
 def _corrupt(payload: dict, case: str) -> None:
-    """Edit a saved teacher's payload (hidden=(4,), pool of 8 concepts of dim 6)."""
-    arrays = payload["arrays"]
-
-    def resize(name, shape):
-        arrays[name] = {"shape": shape, "values": arrays[name]["values"][: shape[0] * shape[1]]}
-
+    """Edit a saved teacher's payload (sizes [7, 4, 6], 8 concepts, 2 classes: 80 values)."""
+    values = payload["values"]
     if case == "nan_value":
-        arrays["classifier.weight"]["values"][0] = float("nan")
+        values[70] = float("nan")
     elif case == "string_value":
-        arrays["encoder.0.bias"]["values"][1] = "0.5"
+        values[29] = "0.5"
     elif case == "bool_value":
-        arrays["encoder.0.bias"]["values"][1] = True
-    elif case in ("missing_frozen", "missing_arrays"):
+        values[29] = True
+    elif case == "huge_int_value":  # beyond float range: np.array would raise OverflowError
+        values[0] = 10**400
+    elif case in ("missing_frozen", "missing_values"):
         del payload[case.removeprefix("missing_")]
     elif case == "frozen_not_bool":
         payload["frozen"] = "yes"
-    elif case == "missing_array":
-        del arrays["classifier.bias"]
-    elif case == "extra_array":
-        arrays["encoder.5.weight"] = arrays["encoder.1.weight"]
-    elif case == "no_encoder":
-        for name in [n for n in arrays if n.startswith("encoder.")]:
-            del arrays[name]
     elif case == "short_values":
-        arrays["encoder.1.weight"]["values"].pop()
-    elif case == "bad_shape":
-        arrays["classifier.bias"]["shape"] = [2]
-    elif case == "unchained_widths":
-        arrays["encoder.1.weight"]["shape"] = [6, 4]  # same count, rows != 4
-    elif case == "bias_width":
-        resize("classifier.bias", [1, 1])
-    elif case == "pool_dim":  # chains, but ends at width 5, not the pool's 6
-        resize("encoder.1.weight", [4, 5])
-        resize("encoder.1.bias", [1, 5])
-    elif case == "pool_size":  # 7 classifier rows for 8 concepts
-        resize("classifier.weight", [7, 2])
+        values.pop()
+    elif case == "extra_value":
+        values.append(0.0)
+    elif case == "sizes_not_list":
+        payload["sizes"] = 7
+    elif case == "zero_size":
+        payload["sizes"][1] = 0
+    elif case == "bool_size":
+        payload["sizes"][1] = True
+    elif case == "no_encoder":  # the classifier's 18 values alone
+        payload["sizes"] = [6]
+        del values[:-18]
+    elif case == "three_hidden":  # [7, 4, 4, 4, 6]: 2 x 20 more values
+        payload["sizes"] = [7, 4, 4, 4, 6]
+        values[32:32] = [0.0] * 40
+    elif case == "float_classes":
+        payload["num_classes"] = 2.0
+    elif case == "pool_dim":  # fills [7, 4, 5], whose output width is not the pool's 6
+        payload["sizes"][-1] = 5
+        del values[52:57]
+    elif case == "pool_size":  # fills 7 classifier rows for 8 concepts
+        payload["num_concepts"] = 7
+        del values[-2:]
     else:
         raise AssertionError(case)
 
@@ -505,6 +505,14 @@ class TestCheckpoints:
             assert loaded.arrays[name].flags.writeable is not frozen
         assert loaded.params_hash() == params.params_hash()
 
+    def test_numpy_integer_sizes_round_trip(self, tmp_path):
+        pool = make_pool({"a": 4}, dim=6)
+        params = init_params("student", np.int64(7), pool, np.int32(2), seed=5,
+                             hidden=(np.int64(3),))
+        save_checkpoint(params, tmp_path / "model.json")
+        assert load_checkpoint(tmp_path / "model.json", pool).params_hash() == \
+            params.params_hash()
+
     def test_unknown_modality_rejected(self, tmp_path):
         # no parameters of another modality are built, so none reach a file that
         # load_checkpoint would refuse; the two known ones round-trip
@@ -513,7 +521,8 @@ class TestCheckpoints:
             init_params("fundus", 7, pool, 2, seed=5)
         params = init_params("student", 7, pool, 2, seed=5)
         with pytest.raises(ValueError, match="modality"):
-            ModelParams.of("fundus", dict(params.arrays), params.pool_fingerprint)
+            ModelParams("fundus", params.flat, params.sizes, params.num_concepts,
+                        params.num_classes, params.pool_fingerprint)
         for modality in ("student", "teacher"):
             save_checkpoint(init_params(modality, 7, pool, 2, seed=5), tmp_path / "model.json")
             assert load_checkpoint(tmp_path / "model.json", pool).modality == modality
@@ -524,22 +533,45 @@ class TestCheckpoints:
             load_checkpoint(tmp_path / "model.json", pool)
 
     @pytest.mark.parametrize("case", [
-        "nan_value", "string_value", "bool_value", "missing_frozen", "missing_arrays",
-        "frozen_not_bool", "missing_array", "extra_array", "no_encoder", "short_values",
-        "bad_shape", "unchained_widths", "bias_width", "pool_dim", "pool_size",
+        "nan_value", "string_value", "bool_value", "huge_int_value", "missing_frozen",
+        "missing_values", "frozen_not_bool", "short_values", "extra_value", "sizes_not_list",
+        "zero_size", "bool_size", "no_encoder", "three_hidden", "float_classes", "pool_dim",
+        "pool_size",
     ])
     def test_malformed_file_rejected(self, tmp_path, case):
         pool = make_pool({"a": 4, "b": 4}, dim=6)
         path = tmp_path / "model.json"
         save_checkpoint(init_params("teacher", 7, pool, 2, seed=5, hidden=(4,)), path)
         payload = json.loads(path.read_text())
+        assert payload["sizes"] == [7, 4, 6] and len(payload["values"]) == 80
         _corrupt(payload, case)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path, pool)
-        if not case.startswith("pool_"):  # these fit some other pool
+        if case.startswith("pool_"):  # a well-formed file that fits some other pool
+            load_checkpoint(path)
+        else:
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 load_checkpoint(path)
+
+    def test_v2_file_rejected(self, tmp_path):
+        # the previous format stored one {"shape", "values"} object per named array
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "concept-model-v2", "modality": "teacher", "frozen": True,
+            "pool_fingerprint": "", "arrays": {"classifier.bias": {"shape": [1, 1],
+                                                                   "values": [0.0]}},
+        }))
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ": unrecognized checkpoint format"):
+            load_checkpoint(path)
+
+    def test_integer_of_too_many_digits_rejected(self, tmp_path):
+        # json refuses to parse it with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "model.json"
+        path.write_text('{"values": [' + "1" * 5000 + "]}")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"

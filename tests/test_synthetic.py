@@ -258,7 +258,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("text, message", [
         ("{", r"meta\.json: not valid JSON"),
         ("[]", r"meta\.json: expected a JSON object, got list"),
-    ], ids=["truncated", "list"])
+        # json's own ValueError for an int of over 4300 digits is not a JSONDecodeError
+        ('{"crc32": ' + "1" * 5000 + "}", r"meta\.json: not valid JSON"),
+    ], ids=["truncated", "list", "too_many_digits"])
     def test_meta_not_an_object_rejected(self, tmp_path, text, message):
         _, directory = written(tmp_path)
         (directory / "meta.json").write_text(text)
@@ -277,6 +279,8 @@ class TestRoundTrip:
          r"invalid config: counts has no \[teacher\]\[train\] entry"),
         (lambda meta: meta["config"].update(noise_sigma="0.2"),
          "invalid config: noise_sigma must be a real number, got '0.2'"),
+        (lambda meta: meta["config"].update(noise_sigma=10**400),  # was an OverflowError
+         "invalid config: noise_sigma must be finite, got 1000"),
         (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, 2.5),
          r"invalid config: counts\[teacher\]\[val\] must hold integers"),
         (lambda meta: meta["config"]["counts"]["teacher"]["val"].__setitem__(0, True),
@@ -290,8 +294,8 @@ class TestRoundTrip:
         (lambda meta: meta["config"].update(class_names="abc"),
          "invalid config: class_names must be strings in a list or tuple, got 'abc'"),
     ], ids=["config_not_object", "counts_without_teacher", "string_noise_sigma",
-            "float_count", "bool_count", "unknown_split", "negative_seed", "bool_attenuation",
-            "string_class_names"])
+            "huge_int_noise_sigma", "float_count", "bool_count", "unknown_split", "negative_seed",
+            "bool_attenuation", "string_class_names"])
     def test_malformed_meta_values_rejected(self, tmp_path, edit, message):
         _, directory = written(tmp_path)
         rewrite_meta(directory, edit)

@@ -550,9 +550,10 @@ class TestConfigValidation:
         (small_config, "noise_sigma"),
         (small_config, "attenuation"),
     ], ids=lambda v: v if isinstance(v, str) else v.__name__)
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
-                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "huge_int"])
     def test_non_finite_rejected(self, make, name, value):
+        # an int beyond float range used to escape as an OverflowError
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(**{name: value})
 
