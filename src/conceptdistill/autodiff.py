@@ -11,15 +11,15 @@ own array unchecked, which the optimizer keeps finite.
 
 The operations are the ones a training step records, one for the model
 and one per loss, each with a hand-written gradient: ``concept_model``
-(the whole model, features to similarity rows and logits, its parameters
-and their gradient one 1 x P row each), ``matmul`` (basis coordinates),
-the losses ``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
+(the whole model, features to pool coordinates and logits, its parameters
+and their gradient one 1 x P row each), the losses
+``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
 ``class_mean_distance`` (two sets of class means and their squared
 distance), and ``loss_sum``, the weighted total of the loss terms. Every
 one ends in ``_finish``, which rejects a non-finite result. An op has one
 output or two (``concept_model`` returns, and checks itself, the
-similarity rows and the logits); ``backward`` hands its VJP one adjoint
-per output, None for an output that received none.
+coordinates and the logits); ``backward`` hands its VJP one adjoint per
+output, None for an output that received none.
 """
 
 from __future__ import annotations
@@ -171,33 +171,22 @@ def _finish(op: str, out, inputs: tuple[Matrix, ...], vjp: Callable):
     return tape._record(out, inputs, vjp)
 
 
-def matmul(a, b) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    a_tracked, b_tracked = a.tracked, b.tracked
-
-    def vjp(g):
-        # an untracked operand's adjoint would be dropped by backward
-        return (g @ bd.T if a_tracked else None), (ad.T @ g if b_tracked else None)
-
-    return _finish("matmul", ad @ bd, (a, b), vjp)
-
-
-def concept_model(features, params, arrays, unit_t) -> tuple[Matrix, Matrix]:
-    """A whole concept model as one op: ``features`` to similarity rows and logits.
+def concept_model(features, params, arrays, basis, coords_t) -> tuple[Matrix, Matrix]:
+    """A whole concept model as one op: ``features`` to pool coordinates and logits.
 
     ``params`` is a 1 x P row; ``arrays``, its layout, is a list of views that
     tile it (each encoder layer's weight and bias, then the classifier's), as
     ``ModelParams`` holds them. Encoder layers ``x @ w + b`` have tanh between
     them; their unit-length rows (a row of norm <= 1e-12 scores 0 and passes
-    no adjoint) are scored against the constant unit columns ``unit_t`` and
-    classified. Each stage checks its shapes and result under its own name.
-    The VJP writes each parameter's gradient into its span of a fresh 1 x P row.
+    no adjoint) map to ``coords = unit @ coords_t`` and then
+    ``logits = coords @ (basis^T W) + b``, for the constant factors
+    ``E = basis coords_t^T`` of the pool's QR. Each stage checks its shapes
+    and result under its own name. The VJP writes each parameter's gradient
+    into its span of a fresh 1 x P row, the classifier weight W's as
+    ``basis @ (coords^T g)``.
     """
-    x, p, unit_t = as_matrix(features), as_matrix(params), as_matrix(unit_t)
-    for name, m in (("features", x), ("unit_t", unit_t)):
+    x, p, q, rt = as_matrix(features), as_matrix(params), as_matrix(basis), as_matrix(coords_t)
+    for name, m in (("features", x), ("basis", q), ("coords_t", rt)):
         if m.tracked:  # rejected rather than given no adjoint
             raise ValueError(f"concept_model: {name} must be a constant")
     ends = [0, *accumulate([a.size for a in arrays])]
@@ -217,9 +206,9 @@ def concept_model(features, params, arrays, unit_t) -> tuple[Matrix, Matrix]:
         if i < n_enc - 1:
             h = np.tanh(h)
             _check_finite(h, "tanh")
-    td = unit_t.data
-    if h.shape[1] != td.shape[0]:
-        raise ShapeError(f"cosine_similarity: {h.shape} x {td.shape}")
+    qd, rtd = q.data, rt.data
+    if h.shape[1] != rtd.shape[0]:
+        raise ShapeError(f"cosine_similarity: {h.shape} x {rtd.shape}")
     # what np.linalg.norm(h, axis=1) evaluates for real input, without its wrapper
     norms = np.sqrt(np.add.reduce(h * h, axis=1, keepdims=True))
     safe = np.maximum(norms, 1e-12)
@@ -227,25 +216,26 @@ def concept_model(features, params, arrays, unit_t) -> tuple[Matrix, Matrix]:
     unit = np.divide(h, safe, out=h)  # in place: h is this op's own array
     if dead.size:
         unit[dead] = 0.0
-    sims = unit @ td
-    _check_finite(sims, "cosine_similarity")
+    coords = unit @ rtd
+    _check_finite(coords, "cosine_similarity")
     cw, cb = arrays[-2], arrays[-1]
-    if sims.shape[1] != cw.shape[0] or cb.shape != (1, cw.shape[1]):
-        raise ShapeError(f"affine: {sims.shape} x {cw.shape} + {cb.shape}")
-    logits = sims @ cw + cb
+    if qd.shape != (cw.shape[0], rtd.shape[1]) or cb.shape != (1, cw.shape[1]):
+        raise ShapeError(f"affine: {coords.shape} x {qd.shape}^T {cw.shape} + {cb.shape}")
+    v = qd.T @ cw  # k x C: the weight in the basis
+    logits = coords @ v + cb
     _check_finite(logits, "affine")
 
-    def vjp(g_sims, g_logits):
+    def vjp(g_coords, g_logits):
         # matmuls and column sums into the spans; the classifier's stays 0 without logits
         grad = np.empty(ends[-1]) if g_logits is not None else np.zeros(ends[-1])
-        g = g_sims
+        g = g_coords
         if g_logits is not None:
-            np.matmul(sims.T, g_logits, out=grad[ends[-3]:ends[-2]].reshape(cw.shape))
+            np.matmul(qd, coords.T @ g_logits, out=grad[ends[-3]:ends[-2]].reshape(cw.shape))
             np.add.reduce(g_logits, axis=0, out=grad[ends[-2]:])
-            g = g_logits @ cw.T
-            if g_sims is not None:
-                g += g_sims  # the distill path's adjoint of the similarity rows
-        g = g @ td.T
+            g = g_logits @ v.T
+            if g_coords is not None:
+                g += g_coords  # the distill path's adjoint of the coordinates
+        g = g @ rtd.T
         dot = np.add.reduce(g * unit, axis=1, keepdims=True)
         g = (g - unit * dot) / safe
         if dead.size:
@@ -256,9 +246,9 @@ def concept_model(features, params, arrays, unit_t) -> tuple[Matrix, Matrix]:
             np.add.reduce(g, axis=0, out=grad[mid:hi])
             if i:
                 g = (g @ arrays[2 * i].T) * (1.0 - a * a)  # a is the tanh before layer i
-        return None, grad.reshape(1, -1), None
+        return None, grad.reshape(1, -1), None, None
 
-    return _finish("concept_model", (sims, logits), (x, p, unit_t), vjp)
+    return _finish("concept_model", (coords, logits), (x, p, q, rt), vjp)
 
 
 def softmax_cross_entropy(logits, labels) -> Matrix:

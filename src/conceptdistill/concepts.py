@@ -5,20 +5,20 @@ read-only N x dim embedding matrix, row i embedding concept i. That order
 is the concept axis of every similarity row downstream, so the teacher's
 and the student's rows are comparable column by column. A concept's class
 is the part of its id before the first "." (``DR.concept3`` is a DR concept).
-The pool also holds ``embeddings_t``, the transposed matrix as a constant
-autodiff operand, built once so a similarity product does not copy it.
 Every row must be a unit vector, L2 norm within 1e-9 of 1:
 ``autodiff.concept_model`` normalises only the embedding side, so a
 longer row would score a "cosine" above 1.
 
-``basis`` is the N x k matrix Q of the reduced QR factorization
-``embeddings = Q R``, k = min(N, dim), with orthonormal columns and
-read-only data. A similarity row is ``E u`` for an embedding ``u``, so it
-lies in the column span of Q: for rows S, ``S Q Q^T = S``. Mapping rows to
-their coordinates ``S Q`` therefore keeps every inner product, class mean
-and squared distance between rows, in k columns instead of N. The losses
-that use rows only through those quantities (GPD and LCD) are trained on
-these coordinates.
+The reduced QR factorization ``embeddings = Q R``, k = min(N, dim), is
+taken once and held as two read-only constant autodiff operands: ``basis``,
+the N x k matrix Q with orthonormal columns, and ``coords_t``, the dim x k
+matrix R^T. A similarity row is ``E u`` for an embedding ``u``, so it lies
+in the column span of Q: for rows S, ``S Q Q^T = S``. Their coordinates
+``S Q``, which equal ``U R^T`` for the unit embedding rows U, therefore keep
+every inner product, class mean and squared distance between rows, in k
+columns instead of N. The model computes them as ``U @ coords_t`` and never
+forms S; the losses that use rows only through those quantities (GPD and
+LCD) are trained on them.
 """
 
 from __future__ import annotations
@@ -52,11 +52,9 @@ class ConceptPool:
             raise ValueError(f"embedding row {i} ({self.ids[i]!r}) has L2 norm "
                              f"{float(norms[i])!r}; pool rows must be unit vectors")
         self.embeddings.flags.writeable = False
-        # C-contiguous, so products equal those against embeddings.T.copy() bit for bit
-        self.embeddings_t = Matrix(np.ascontiguousarray(self.embedding_matrix().T))
-        self.embeddings_t.data.flags.writeable = False
-        self.basis = Matrix(np.linalg.qr(self.embeddings)[0])
-        self.basis.data.flags.writeable = False
+        q, r = np.linalg.qr(self.embedding_matrix())
+        self.basis, self.coords_t = Matrix(q), Matrix(np.ascontiguousarray(r.T))
+        q.flags.writeable = self.coords_t.data.flags.writeable = False
 
     @property
     def dim(self) -> int:

@@ -7,10 +7,10 @@ modality. Teacher rows always enter as constants; gradients flow only
 through the student's tape.
 
 Both losses see rows only through inner products, class means and squared
-distances, so they accept any rows of a common width. Training passes
-coordinates on the pool's orthonormal ``basis`` (``rows @ pool.basis``, see
-``concepts``): 16 columns instead of 90 for the generator's default pool,
-with the same loss values up to rounding.
+distances, so they accept any rows of a common width. Training passes the
+rows' coordinates on the pool's orthonormal ``basis``, as ``model.forward``
+returns them (see ``concepts``): 16 columns instead of 90 for the
+generator's default pool, with the same loss values up to rounding.
 
 Each loss is one autodiff operation with a hand-written gradient.
 ``class_prototypes`` only builds a batch's constant class-mean weights and
@@ -52,7 +52,8 @@ class DistillConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
+                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0 or self.beta < 0:

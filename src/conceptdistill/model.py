@@ -3,11 +3,12 @@
 ``forward`` runs the whole model as one autodiff op, ``autodiff.concept_model``:
 a small trainable projection of the features (``x @ w + b`` per layer, tanh
 between layers), its rows L2-normalized and scored against the frozen concept
-embeddings, and a linear classifier on those similarity rows, kept linear so
-each (concept, class) weight reads as a direct contribution. Every stage's
-shapes are checked (``autodiff.ShapeError``). Cross-entropy is one more op on
-the logits; the predicted probabilities are a softmax of their values, off
-the tape.
+embeddings as coordinates on the pool's ``basis`` Q, and a linear classifier
+on those similarity rows, which reads its weight through Q (see ``concepts``),
+kept linear so each (concept, class) weight reads as a direct contribution.
+Every stage's shapes are checked (``autodiff.ShapeError``). Cross-entropy is
+one more op on the logits; the predicted probabilities are a softmax of their
+values, off the tape.
 
 A model's parameters are one flat float64 vector, ``ModelParams.flat``,
 read through ``ModelParams.arrays``, a read-only name -> view mapping in
@@ -97,7 +98,10 @@ def check_hidden_sizes(hidden) -> tuple[int, ...]:
         raise ValueError("at most 2 hidden layers are supported")
     if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
                for h in hidden):
-        raise ValueError(f"encoder_hidden sizes must be positive integers, got {hidden!r}")
+        # repr would raise for an int of over 4300 digits
+        big = any(isinstance(h, int) and h.bit_length() >= 10_000 for h in hidden)
+        raise ValueError("encoder_hidden sizes must be positive integers"
+                         + ("" if big else f", got {hidden!r}"))
     return hidden
 
 
@@ -153,12 +157,14 @@ def forward(model, features, pool: ConceptPool) -> tuple[Matrix, Prediction]:
 
     ``model`` is a ``ModelBinding`` (its leaf puts the op on its tape) or a
     ``ModelParams`` (its vector, checked finite once, enters as a constant).
-    Returns the B x n_concepts similarity rows and their ``Prediction``.
+    Returns the B x k coordinates of the similarity rows on ``pool.basis``
+    and their ``Prediction``.
     """
     bound = isinstance(model, ModelBinding)
     flat, params = (model.leaf, model.params) if bound else (Matrix(model.flat), model)
-    sims, logits = ad.concept_model(features, flat, [*params.arrays.values()], pool.embeddings_t)
-    return sims, Prediction(logits)
+    coords, logits = ad.concept_model(features, flat, [*params.arrays.values()], pool.basis,
+                                      pool.coords_t)
+    return coords, Prediction(logits)
 
 
 # --- checkpoint files -------------------------------------------------------
@@ -183,8 +189,8 @@ def load_checkpoint(path, pool: ConceptPool | None = None) -> ModelParams:
 
     Raises ``FileNotFoundError`` for a missing file and ``ValueError``
     naming the file for anything else: not JSON, another format (v2
-    included), a missing key, a modality, ``frozen`` or fingerprint of the
-    wrong type, a size that is not a positive integer or more than 2 hidden
+    included), a missing or unknown key, a modality, ``frozen`` or
+    fingerprint of the wrong type, a size that is not a positive integer or more than 2 hidden
     layers, a value that is not a finite number (bools and integers beyond
     float range included), a values count that does not fill the layout,
     or, when ``pool`` is given, a different pool fingerprint or an output
@@ -205,8 +211,10 @@ def _params_of(payload, pool: ConceptPool | None) -> ModelParams:
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("unrecognized checkpoint format")
     missing = [key for key in _CHECKPOINT_KEYS if key not in payload]
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
+    unknown = sorted(set(payload) - set(_CHECKPOINT_KEYS))
+    if missing or unknown:
+        raise ValueError(f"missing {', '.join(missing)}" if missing
+                         else f"unknown keys {', '.join(unknown)}")
     modality, frozen, fingerprint, sizes, num_concepts, num_classes, values = (
         payload[key] for key in _CHECKPOINT_KEYS[1:])
     if (modality not in ("student", "teacher") or not isinstance(frozen, bool)

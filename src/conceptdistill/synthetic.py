@@ -84,7 +84,8 @@ class GeneratorConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
+                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name, low in (("concepts_per_class", 1), ("feature_dim", 1), ("embed_dim", 1),

@@ -3,16 +3,16 @@
 ``pretrain_teacher`` and ``train_student`` both call ``_fit``: seeded
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
-frozen teacher when their weights are non-zero, on similarity rows as
-coordinates on the concept pool's ``basis`` (see ``concepts``). The
-teacher's coordinates for its whole train split are computed once per run
-and indexed per batch; its parameter hash is checked after every epoch.
-The teacher keeps its last epoch; the student keeps the epoch with the
-best validation macro P-R F1. Validation runs only when its score is
-read: for the student's epoch choice, or for the epoch record of a run
-that writes a log. Each step record carries the loss terms, the learning
-rate, the number of classes GPD compared and the number of anchors LCD
-skipped (null when the term is off).
+frozen teacher when their weights are non-zero, on the pool coordinates
+that ``forward`` returns (see ``concepts``). The teacher's coordinates for
+its whole train split are computed once per run and indexed per batch; its
+parameter hash is checked after every epoch. The teacher keeps its last
+epoch; the student keeps the epoch with the best validation macro P-R F1.
+Validation runs only when its score is read: for the student's epoch
+choice, or for the epoch record of a run that writes a log. Each step
+record carries the loss terms, the learning rate, the number of classes
+GPD compared and the number of anchors LCD skipped (null when the term is
+off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Matrix, Tape, backward, matmul
+from .autodiff import Matrix, Tape, backward
 from .concepts import ConceptPool
 from .losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
 from .metrics import confusion_counts, per_class_metrics
@@ -62,7 +62,8 @@ class TrainConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
+                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
         if not isinstance(self.distill, DistillConfig):
             raise ValueError(f"distill must be a DistillConfig, got {self.distill!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
@@ -255,7 +256,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
         xt, yt = dataset.split_arrays("teacher", "train")
         teacher_stream = EpochStream(len(yt), config.seed, "teacher")
         # the teacher is frozen, so its coordinates are computed once and indexed per batch
-        teacher_coords = Matrix(forward(teacher, xt, pool)[0].data @ pool.basis.data)
+        teacher_coords = forward(teacher, xt, pool)[0]
     teacher_hash = teacher.params_hash() if teacher is not None else None
     steps_per_epoch = max(1, len(y) // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
@@ -274,7 +275,7 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                 lr_t = cosine_lr(step, total_steps, config.learning_rate)
                 tape = Tape()
                 binding = ModelBinding(params, tape)
-                sims, pred = forward(binding, x.take_rows(idx), pool)
+                coords, pred = forward(binding, x.take_rows(idx), pool)
                 cls = cross_entropy(pred, labels)
                 cls_v = cls.item()
                 gpd_v, lcd_v = 0.0, 0.0
@@ -284,7 +285,6 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                     t_idx = teacher_stream.batch(step, config.batch_size)
                     t_coords = teacher_coords.take_rows(t_idx)
                     t_labels = yt[t_idx]
-                    coords = matmul(sims, pool.basis)
                     gpd = lcd = None
                     if cfg_d.alpha > 0:
                         t_protos = class_prototypes(t_coords, t_labels, num_classes)

@@ -32,35 +32,6 @@ def check_against_fd(build, x0: np.ndarray, tol: float = 1e-4, h: float = 1e-5):
     assert rel_err(analytic, fd) < tol, f"analytic {analytic} vs fd {fd}"
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = ad.matmul(np.eye(2), [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_orthogonal_rows(self):
-        out = ad.matmul([[1.0, 0.0]], [[0.0], [5.0]])
-        np.testing.assert_array_equal(out.data, [[0.0]])
-
-    def test_hand_expansion(self):
-        out = ad.matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 2\).*\(3, 1\)"):
-            ad.matmul(np.eye(2), np.zeros((3, 1)))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            dims = rng.integers(1, 9, size=4)
-            a = rng.uniform(-2, 2, (dims[0], dims[1]))
-            b = rng.uniform(-2, 2, (dims[1], dims[2]))
-            c = rng.uniform(-2, 2, (dims[2], dims[3]))
-            left = ad.matmul(ad.matmul(a, b), c).data
-            right = ad.matmul(a, ad.matmul(b, c)).data
-            assert rel_err(left, right) < 1e-9
-
-
 def identity_model(k: int, n_classes: int = 1):
     """A model for k-wide features whose encoder is the identity map: its layer shapes and 1 x P row.
 
@@ -79,21 +50,22 @@ def tiles(row: np.ndarray, shapes) -> list[np.ndarray]:
     return [row[0, lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
 
 
-def concept_model(x, row, shapes, unit_t):
+def concept_model(x, row, shapes, basis, coords_t):
     """``ad.concept_model`` on ``row`` (a 1 x P array or matrix) laid out as ``shapes``."""
     return ad.concept_model(x, row, tiles(row.data if isinstance(row, Matrix) else row, shapes),
-                            unit_t)
+                            basis, coords_t)
 
 
 def normalize_rows(rows) -> Matrix:
-    """Row L2 normalization: ``concept_model``'s similarity rows, identity encoder and ``unit_t``."""
+    """Row L2 normalization: ``concept_model``'s coordinates, identity encoder and pool factors."""
     rows = np.asarray(rows.data if isinstance(rows, Matrix) else rows, dtype=np.float64)
     shapes, flat = identity_model(rows.shape[1])
-    return concept_model(rows, flat, shapes, np.eye(rows.shape[1]))[0]
+    eye = np.eye(rows.shape[1])
+    return concept_model(rows, flat, shapes, eye, eye)[0]
 
 
 class TestL2NormalizeRows:
-    """The row normalization inside ``concept_model``, read through an identity ``unit_t``."""
+    """The row normalization inside ``concept_model``, read through identity pool factors."""
 
     def test_three_four_five(self):
         out = normalize_rows([[3.0, 4.0]])
@@ -139,15 +111,17 @@ def random_model(rng, widths, n_concepts, n_classes):
     return arrays, [a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays])[None]
 
 
-def unit_columns(rng, rows, cols):
-    unit_t = rng.standard_normal((rows, cols))
-    return unit_t / np.linalg.norm(unit_t, axis=0)
+def pool_factors(rng, dim, n):
+    """Q (n x k) and R^T (dim x k) of the reduced QR of ``n`` random unit rows of width ``dim``."""
+    e = rng.standard_normal((n, dim))
+    q, r = np.linalg.qr(e / np.linalg.norm(e, axis=1, keepdims=True))
+    return q, np.ascontiguousarray(r.T)
 
 
-def per_layer_reference(x, arrays, unit_t, g_sims, g_logits):
+def per_layer_reference(x, arrays, basis, coords_t, g_coords, g_logits):
     """Values and parameter adjoints by the per-layer NumPy expressions ``concept_model`` fuses.
 
-    The similarity rows' adjoint is the distill path's plus the classifier's,
+    The coordinates' adjoint is the distill path's plus the classifier's,
     summed in the order ``backward`` once accumulated them; a missing output
     adjoint leaves its layers' gradients zero.
     """
@@ -161,15 +135,17 @@ def per_layer_reference(x, arrays, unit_t, g_sims, g_logits):
     safe = np.maximum(norms, 1e-12)
     live = (norms > 1e-12).astype(np.float64)
     unit = u / safe * live
-    sims = unit @ unit_t
-    logits = sims @ arrays[-2] + arrays[-1]
+    coords = unit @ coords_t
+    v = basis.T @ arrays[-2]
+    logits = coords @ v + arrays[-1]
     grads = [np.zeros_like(a) for a in arrays]
-    g = g_sims
+    g = g_coords
     if g_logits is not None:
-        grads[-2], grads[-1] = sims.T @ g_logits, g_logits.sum(axis=0, keepdims=True)
-        g_cls = g_logits @ arrays[-2].T
+        grads[-2] = basis @ (coords.T @ g_logits)
+        grads[-1] = g_logits.sum(axis=0, keepdims=True)
+        g_cls = g_logits @ v.T
         g = g_cls if g is None else g + g_cls
-    gn = g @ unit_t.T
+    gn = g @ coords_t.T
     dot = (gn * unit).sum(axis=1, keepdims=True)
     g = live * (gn - unit * dot) / safe
     for i in reversed(range(n_enc)):
@@ -177,7 +153,7 @@ def per_layer_reference(x, arrays, unit_t, g_sims, g_logits):
         grads[2 * i], grads[2 * i + 1] = a.T @ g, g.sum(axis=0, keepdims=True)
         if i:
             g = (g @ arrays[2 * i].T) * (1.0 - a * a)
-    return sims, logits, grads
+    return coords, logits, grads
 
 
 def assert_flat_gradient_equal(grad, arrays, want):
@@ -199,48 +175,50 @@ class TestFusedOpsExact:
         rng = np.random.default_rng(len(hidden))
         arrays, shapes, flat0 = random_model(rng, [5, *hidden, 6], 7, 3)
         x = rng.standard_normal((8, 5))
-        unit_t = unit_columns(rng, 6, 7)
+        basis, coords_t = pool_factors(rng, 6, 7)
         # without encoder biases, feature rows 2 and 5 give a zero row and one below eps
         for b in arrays[1:-2:2]:
             b[:] = 0.0
         x[2], x[5] = 0.0, [1e-13, 0.0, 0.0, 0.0, 0.0]
         flat0 = np.concatenate([a.ravel() for a in arrays])[None]
-        g_sims, g_logits = rng.standard_normal((8, 7)), rng.standard_normal((8, 3))
+        g_coords, g_logits = rng.standard_normal((8, 6)), rng.standard_normal((8, 3))
         tape = Tape()
-        sims, logits = concept_model(x, tape.leaf(flat0), shapes, unit_t)
-        want_sims, want_logits, want_grads = per_layer_reference(x, arrays, unit_t,
-                                                                 g_sims, g_logits)
-        np.testing.assert_array_equal(sims.data, want_sims)
-        np.testing.assert_array_equal(sims.data[[2, 5]], 0.0)
+        coords, logits = concept_model(x, tape.leaf(flat0), shapes, basis, coords_t)
+        want_coords, want_logits, want_grads = per_layer_reference(x, arrays, basis, coords_t,
+                                                                   g_coords, g_logits)
+        np.testing.assert_array_equal(coords.data, want_coords)
+        np.testing.assert_array_equal(coords.data[[2, 5]], 0.0)
         np.testing.assert_array_equal(logits.data, want_logits)
-        d_x, grad, d_unit_t = recorded_vjp(logits)(g_sims, g_logits)
-        assert d_x is None and d_unit_t is None
+        d_x, grad, d_basis, d_coords_t = recorded_vjp(logits)(g_coords, g_logits)
+        assert d_x is None and d_basis is None and d_coords_t is None
         assert_flat_gradient_equal(grad, arrays, want_grads)
 
     def test_affine(self):
         # the two layers, encoder and classifier, with only the logits' adjoint
         rng = np.random.default_rng(0)
         arrays, shapes, flat0 = random_model(rng, [3, 4], 5, 2)
-        x, unit_t, g = rng.standard_normal((5, 3)), unit_columns(rng, 4, 5), rng.standard_normal((5, 2))
+        x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        basis, coords_t = pool_factors(rng, 4, 5)
         tape = Tape()
-        sims, logits = concept_model(x, tape.leaf(flat0), shapes, unit_t)
-        np.testing.assert_array_equal(logits.data, sims.data @ arrays[2] + arrays[3])
-        _, grad, _ = recorded_vjp(logits)(None, g)
-        _, _, want = per_layer_reference(x, arrays, unit_t, None, g)
+        coords, logits = concept_model(x, tape.leaf(flat0), shapes, basis, coords_t)
+        np.testing.assert_array_equal(logits.data, coords.data @ (basis.T @ arrays[2]) + arrays[3])
+        _, grad, _, _ = recorded_vjp(logits)(None, g)
+        _, _, want = per_layer_reference(x, arrays, basis, coords_t, None, g)
         assert_flat_gradient_equal(grad, arrays, want)
-        np.testing.assert_array_equal(want[2], sims.data.T @ g)
+        np.testing.assert_array_equal(want[2], basis @ (coords.data.T @ g))
         np.testing.assert_array_equal(want[3], g.sum(axis=0, keepdims=True))
 
     def test_affine_skips_untracked_adjoints(self):
         # constants get no adjoint, and without the logits' adjoint the classifier's is zero
         tape = Tape()
         shapes, flat = identity_model(2, n_classes=3)
-        sims, _ = concept_model(np.ones((4, 2)), tape.leaf(flat), shapes, np.eye(2))
-        d_x, grad, d_unit_t = recorded_vjp(sims)(np.ones((4, 2)), None)
-        assert d_x is None and d_unit_t is None
+        eye = np.eye(2)
+        coords, _ = concept_model(np.ones((4, 2)), tape.leaf(flat), shapes, eye, eye)
+        d_x, grad, d_basis, d_coords_t = recorded_vjp(coords)(np.ones((4, 2)), None)
+        assert d_x is None and d_basis is None and d_coords_t is None
         np.testing.assert_array_equal(grad[0, 6:], 0.0)
         with pytest.raises(ValueError, match="features must be a constant"):
-            concept_model(tape.leaf(np.ones((4, 2))), flat, shapes, np.eye(2))
+            concept_model(tape.leaf(np.ones((4, 2))), flat, shapes, eye, eye)
 
     def test_cosine_similarity(self):
         # features I and encoder weight u0: the encoder outputs u0, and its weight's
@@ -249,40 +227,46 @@ class TestFusedOpsExact:
         u0 = rng.standard_normal((6, 4))
         u0[2] = 0.0  # a zero row: output zero, adjoint zero
         u0[4] = [0.0, 1e-13, 0.0, 0.0]  # below eps: guarded like a zero row
-        unit_t = unit_columns(rng, 4, 7)
-        g = rng.standard_normal((6, 7))
-        sims, du = similarity_and_adjoint(u0, unit_t, g)
+        basis, coords_t = pool_factors(rng, 4, 7)
+        g = rng.standard_normal((6, 4))
+        coords, du = similarity_and_adjoint(u0, basis, coords_t, g)
 
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
         live = (norms > 1e-12).astype(np.float64)
         unit = u0 / safe * live
-        np.testing.assert_array_equal(sims, unit @ unit_t)
-        gn = g @ unit_t.T
+        np.testing.assert_array_equal(coords, unit @ coords_t)
+        gn = g @ coords_t.T
         dot = (gn * unit).sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
-        np.testing.assert_array_equal(sims[[2, 4]], 0.0)
+        np.testing.assert_array_equal(coords[[2, 4]], 0.0)
         np.testing.assert_array_equal(du[[2, 4]], 0.0)
 
     def test_concept_model_checks_each_stage(self):
         # an overflowing encoder or classifier layer is named as the layer that overflowed
         shapes, flat = identity_model(2, n_classes=2)
-        unit_t = np.eye(2)
+        eye = np.eye(2)
         with pytest.raises(ValueError, match="affine produced non-finite"), \
                 np.errstate(all="ignore"):
-            concept_model(np.full((1, 2), 1e308), flat * 10.0, shapes, unit_t)
+            concept_model(np.full((1, 2), 1e308), flat * 10.0, shapes, eye, eye)
         flat[0, -6:] = 1e308  # the classifier: (0.71 + 0.71) * 1e308 + 1e308 overflows
         with pytest.raises(ValueError, match="affine produced non-finite"), \
                 np.errstate(all="ignore"):
-            concept_model(np.ones((1, 2)), flat, shapes, unit_t)
+            concept_model(np.ones((1, 2)), flat, shapes, eye, eye)
 
     def test_cosine_similarity_rejects_tracked_unit_t(self):
+        # the similarity stage's constant operands are the pool's factors Q and R^T
         tape = Tape()
         shapes, flat = identity_model(3)
-        with pytest.raises(ValueError, match="unit_t must be a constant"):
-            concept_model(np.ones((2, 3)), flat, shapes, tape.leaf(np.eye(3)))
+        eye = np.eye(3)
+        with pytest.raises(ValueError, match="basis must be a constant"):
+            concept_model(np.ones((2, 3)), flat, shapes, tape.leaf(eye), eye)
+        with pytest.raises(ValueError, match="coords_t must be a constant"):
+            concept_model(np.ones((2, 3)), flat, shapes, eye, tape.leaf(eye))
         with pytest.raises(ShapeError, match=r"cosine_similarity: \(2, 3\) x \(4, 4\)"):
-            concept_model(np.ones((2, 3)), flat, shapes, np.eye(4))
+            concept_model(np.ones((2, 3)), flat, shapes, np.eye(4), np.eye(4))
+        with pytest.raises(ShapeError, match=r"affine: \(2, 3\) x \(3, 2\)\^T \(3, 1\)"):
+            concept_model(np.ones((2, 3)), flat, shapes, np.eye(3, 2), eye)
 
     def test_loss_sum(self):
         cls0, gpd0, lcd0, alpha, beta = 0.7310585786, 0.123456789, 2.718281828, 0.6, 0.05
@@ -337,32 +321,33 @@ class TestFusedOpsExact:
         rng = np.random.default_rng(7)
         u0 = rng.standard_normal((9, 5)) * scale
         u0[3] = 0.0
-        unit_t = unit_columns(rng, 5, 4)
+        basis, coords_t = pool_factors(rng, 5, 4)
         g = rng.standard_normal((9, 4))
-        sims, du = similarity_and_adjoint(u0, unit_t, g)
+        coords, du = similarity_and_adjoint(u0, basis, coords_t, g)
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
         live = (norms > 1e-12).astype(np.float64)
         unit = u0 / safe * live
-        np.testing.assert_array_equal(sims, unit @ unit_t)
-        gn = g @ unit_t.T
+        np.testing.assert_array_equal(coords, unit @ coords_t)
+        gn = g @ coords_t.T
         dot = (gn * unit).sum(axis=1, keepdims=True)
         np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
 
 
-def similarity_and_adjoint(u0, unit_t, g):
-    """``concept_model``'s similarity rows of ``u0`` and the adjoint of ``u0`` for ``g`` on them.
+def similarity_and_adjoint(u0, basis, coords_t, g):
+    """``concept_model``'s coordinates of ``u0`` and the adjoint of ``u0`` for ``g`` on them.
 
     With features I and encoder weight ``u0`` (bias 0), the encoder's output
     is ``u0`` exactly and its weight's gradient, ``I^T d_u``, is ``d_u``.
     """
     n, k = u0.shape
-    shapes = [(n, k), (1, k), (unit_t.shape[1], 1), (1, 1)]
-    flat = np.concatenate([u0.ravel(), np.zeros(k + unit_t.shape[1] + 1)])[None]
+    n_concepts = basis.shape[0]
+    shapes = [(n, k), (1, k), (n_concepts, 1), (1, 1)]
+    flat = np.concatenate([u0.ravel(), np.zeros(k + n_concepts + 1)])[None]
     tape = Tape()
-    sims, _ = concept_model(np.eye(n), tape.leaf(flat), shapes, unit_t)
-    _, grad, _ = recorded_vjp(sims)(g, None)
-    return sims.data, grad[0, :n * k].reshape(n, k)
+    coords, _ = concept_model(np.eye(n), tape.leaf(flat), shapes, basis, coords_t)
+    _, grad, _, _ = recorded_vjp(coords)(g, None)
+    return coords.data, grad[0, :n * k].reshape(n, k)
 
 
 class TestSharedData:
@@ -434,33 +419,33 @@ class TestBackward:
     def test_square_at_three(self):
         tape = Tape()
         x = tape.leaf([[3.0]])
-        loss = ad.matmul(x, x)
+        loss = _mean_sq_distance(x, np.zeros((1, 1)), np.ones(1, dtype=bool))  # x^2
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads[x.slot], [[6.0]])
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
-        x = tape.leaf(np.ones((2, 2)))
-        y = ad.matmul(x, x)
+        shapes, flat = identity_model(2)
+        coords, _ = concept_model(np.ones((2, 2)), tape.leaf(flat), shapes, np.eye(2), np.eye(2))
         with pytest.raises(ShapeError):
-            backward(tape, y)
+            backward(tape, coords)
 
     def test_loss_from_other_tape_rejected(self):
         t1, t2 = Tape(), Tape()
         x = t1.leaf([[1.0]])
         with pytest.raises(ValueError):
-            backward(t2, ad.matmul(x, x))
+            backward(t2, ad.loss_sum(x, [(x, 1.0)]))
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
-            ad.matmul(t1.leaf([[1.0]]), t2.leaf([[1.0]]))
+            ad.loss_sum(t1.leaf([[1.0]]), [(t2.leaf([[1.0]]), 1.0)])
 
     def test_untracked_leaf_absent_from_gradients(self):
         tape = Tape()
         x = tape.leaf([[1.0, 2.0]])
         unused = tape.leaf([[5.0]])
-        grads = backward(tape, ad.matmul(x, x.data.T))
+        grads = backward(tape, _mean_sq_distance(x, np.zeros((1, 2)), np.ones(1, dtype=bool)))
         assert grads[unused.slot] is None and grads[x.slot] is not None
 
     def test_softmax_cross_entropy_matches_fd(self):
@@ -488,11 +473,10 @@ def _random_shape(rng):
 
 
 OP_CASES = {
-    "matmul": lambda rng: _matmul_case(rng),
     "concept_model": lambda rng: _concept_model_case(rng, int(rng.integers(3)), "both"),
     # concept_model again, under the names of the per-layer ops it replaced
     "affine": lambda rng: _concept_model_case(rng, 0, "logits"),
-    "affine_w": lambda rng: _concept_model_case(rng, 0, "sims"),
+    "affine_w": lambda rng: _concept_model_case(rng, 0, "coords"),
     "affine_b": lambda rng: _concept_model_case(rng, 0, "both"),
     "tanh": lambda rng: _concept_model_case(rng, int(rng.integers(1, 3)), "logits"),
     "cosine_similarity": lambda rng: _cosine_case(rng),
@@ -546,7 +530,7 @@ def _reduce(shape, rng):
 def _concept_model_case(rng, n_hidden, scored):
     """The op on random constants, its 1 x P parameters tracked.
 
-    ``scored`` picks the outputs the loss reads: "sims", "logits" or "both".
+    ``scored`` picks the outputs the loss reads: "coords", "logits" or "both".
     Encoder outputs are redrawn until every row has norm >= 0.3, where the
     normalization is smooth on the scale of a finite-difference step.
     """
@@ -561,22 +545,22 @@ def _concept_model_case(rng, n_hidden, scored):
             h = np.tanh(h) if i < n_hidden else h
         if np.linalg.norm(h, axis=1).min() >= 0.3:
             break
-    unit_t = unit_columns(rng, widths[-1], n)
-    reduce_sims, reduce_logits = _reduce((m, n), rng), _reduce((m, c), rng)
+    basis, coords_t = pool_factors(rng, widths[-1], n)
+    reduce_coords, reduce_logits = _reduce((m, basis.shape[1]), rng), _reduce((m, c), rng)
 
     def build(leaf):
-        sims, logits = concept_model(x, leaf, shapes, unit_t)
-        if scored == "sims":
-            return reduce_sims(sims)
+        coords, logits = concept_model(x, leaf, shapes, basis, coords_t)
+        if scored == "coords":
+            return reduce_coords(coords)
         if scored == "logits":
             return reduce_logits(logits)
-        return ad.loss_sum(reduce_sims(sims), [(reduce_logits(logits), 1.0)])
+        return ad.loss_sum(reduce_coords(coords), [(reduce_logits(logits), 1.0)])
 
     return build, flat0
 
 
 def _cosine_case(rng):
-    """Encoder rows of norm 0.2 to ~3.5, scored through the similarity rows only.
+    """Encoder rows of norm 0.2 to ~3.5, scored through the coordinates only.
 
     Half the time a zero feature row, which without an encoder bias is a
     zero embedding row: its output and adjoint are zero, and since a
@@ -586,7 +570,7 @@ def _cosine_case(rng):
     m, k = int(rng.integers(2, 9)), int(rng.integers(1, 9))
     n = int(rng.integers(1, 9))
     x = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
-    unit_t = unit_columns(rng, k, n)
+    basis, coords_t = pool_factors(rng, k, n)
     shapes = [(k, k), (1, k), (n, 1), (1, 1)]
     flat0 = np.zeros((1, k * k + k + n + 1))
     # an encoder near the identity, without bias: rows stay long, and a zero row stays zero
@@ -596,10 +580,10 @@ def _cosine_case(rng):
         zero = int(rng.integers(m))
         x[zero] = 0.0
         scored[zero] = False
-    w = rng.uniform(-1, 1, (m, n))
+    w = rng.uniform(-1, 1, (m, basis.shape[1]))
 
     def build(leaf):
-        return _mean_sq_distance(concept_model(x, leaf, shapes, unit_t)[0], w, scored)
+        return _mean_sq_distance(concept_model(x, leaf, shapes, basis, coords_t)[0], w, scored)
 
     return build, flat0
 
@@ -615,15 +599,6 @@ def _loss_sum_case(rng):
         return ad.loss_sum(ops[0], list(zip(ops[1:], weights)))
 
     return build, values[tracked]
-
-
-def _matmul_case(rng):
-    m, k = _random_shape(rng)
-    n = int(rng.integers(1, 9))
-    x0 = rng.uniform(-2, 2, (m, k))
-    other = rng.uniform(-2, 2, (k, n))
-    reduce = _reduce((m, n), rng)
-    return (lambda x: reduce(ad.matmul(x, other))), x0
 
 
 def class_weights(labels, num_classes):
@@ -692,20 +667,20 @@ class TestValidation:
 
     def test_rejects_inf_result(self):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
-            ad.matmul(Matrix([[1e300]]), Matrix([[1e10]]))
+            ad.loss_sum(Matrix([[0.0]]), [(Matrix([[1e300]]), 1e10)])
 
     def test_broadcast_shape_mismatch(self):
         # a layer's bias is one row of its output's width, never a matrix, column or scalar
-        x, unit_t = np.ones((2, 3)), np.eye(4)
+        x, eye = np.ones((2, 3)), np.eye(4)
         classifier = [(4, 2), (1, 2)]
         for b_shape in [(2, 4), (4, 1), (1, 1), (1, 3)]:
             for shapes in ([(3, 4), b_shape, *classifier], [(3, 4), (1, 4), (4, 2), b_shape]):
                 flat = np.zeros((1, sum(r * c for r, c in shapes)))
                 with pytest.raises(ShapeError, match="affine"):
-                    concept_model(x, flat, shapes, unit_t)
+                    concept_model(x, flat, shapes, eye, eye)
         shapes = [(2, 4), (1, 4), *classifier]  # the weight does not take 3-wide features
         with pytest.raises(ShapeError, match="affine"):
-            concept_model(x, np.zeros((1, 22)), shapes, unit_t)
+            concept_model(x, np.zeros((1, 22)), shapes, eye, eye)
         shapes = [(3, 4), (1, 4), *classifier]
         row = np.zeros((1, 26))
         for bad_row, arrays in [
@@ -716,7 +691,7 @@ class TestValidation:
         ]:
             arrays = tiles(bad_row, shapes) if arrays is None else arrays
             with pytest.raises(ShapeError, match="concept_model: .* do not tile"):
-                ad.concept_model(x, bad_row, arrays, unit_t)
+                ad.concept_model(x, bad_row, arrays, eye, eye)
 
     def test_class_mean_distance_inputs_checked(self):
         w, rows, shared = np.full((2, 3), 1 / 3), np.ones((3, 2)), np.array([True, False])

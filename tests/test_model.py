@@ -21,7 +21,7 @@ from conceptdistill.model import (
 )
 
 from gradcheck import finite_diff_grad
-from test_concepts import make_pool
+from test_concepts import basis_pools, make_pool
 
 
 def simple_params(feature_dim=3, pool=None, num_classes=2, seed=0, hidden=()):
@@ -109,22 +109,27 @@ class TestEncode:
 
 
 class TestConceptSimilarity:
-    """The similarity stage against the pool's transposed rows, read through an identity encoder."""
+    """The similarity stage, read through an identity encoder as cosines ``coords @ Q^T``."""
 
     @staticmethod
-    def similarity(emb, pool: ConceptPool) -> Matrix:
+    def coordinates(emb, pool: ConceptPool) -> Matrix:
         k = emb.shape[1]  # x @ I + 0 is x exactly
         flat = np.zeros(k * k + k + len(pool) + 1)
         params = ModelParams("student", flat, [k, k], len(pool), 1, "")
         params.arrays["encoder.0.weight"][:] = np.eye(k)
         return ad.concept_model(emb, Matrix(params.flat), list(params.arrays.values()),
-                                pool.embeddings_t)[0]
+                                pool.basis, pool.coords_t)[0]
+
+    @classmethod
+    def similarity(cls, emb, pool: ConceptPool) -> Matrix:
+        """The cosines of ``emb``'s rows against the pool's rows, from their coordinates."""
+        return Matrix(cls.coordinates(emb, pool).data @ pool.basis.data.T)
 
     def test_matching_concept_scores_one(self):
         pool = make_pool({"a": 4}, dim=8)
         emb = pool.embeddings[2].reshape(1, -1)
         sims = self.similarity(emb, pool).data
-        assert sims[0, 2] == pytest.approx(1.0)
+        assert sims[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_scores_zero(self):
         v = np.zeros(4)
@@ -133,7 +138,7 @@ class TestConceptSimilarity:
         w[1] = 1.0
         pool = ConceptPool(["c"], [v])
         sims = self.similarity(w.reshape(1, -1), pool).data
-        assert sims[0, 0] == pytest.approx(0.0)
+        assert sims[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_45_degree_pair(self):
         v = np.array([1.0, 0.0])
@@ -159,15 +164,17 @@ class TestConceptSimilarity:
 
     def test_pool_operand_built_once(self):
         pool = make_pool({"a": 4, "b": 3}, dim=6)
-        concepts_t = pool.embeddings_t.data
-        assert concepts_t.flags.c_contiguous and not concepts_t.flags.writeable
-        np.testing.assert_array_equal(concepts_t, pool.embeddings.T)
+        coords_t = pool.coords_t.data
+        assert coords_t.flags.c_contiguous and not coords_t.flags.writeable
+        assert np.abs(pool.basis.data @ coords_t.T - pool.embeddings).max() <= 1e-13
         emb = np.random.default_rng(1).standard_normal((5, 6))
-        first = self.similarity(emb, pool)
-        assert pool.embeddings_t.data is concepts_t
-        # bit-equal to normalising and multiplying by a fresh transposed copy
+        first = self.coordinates(emb, pool)
+        assert pool.coords_t.data is coords_t
+        # bit-equal to normalising and multiplying by the pool's R^T
         unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        np.testing.assert_array_equal(first.data, unit @ pool.embeddings.T.copy())
+        np.testing.assert_array_equal(first.data, unit @ coords_t)
+        cosines = first.data @ pool.basis.data.T
+        assert np.abs(cosines - unit @ pool.embeddings.T).max() <= 1e-12
 
 
 class TestPredict:
@@ -244,6 +251,48 @@ class TestForward:
         assert not sims.tracked and bound_sims.tracked and bound_pred.logits.tracked
         np.testing.assert_array_equal(bound_sims.data, sims.data)
         np.testing.assert_array_equal(bound_pred.logits.data, pred.logits.data)
+
+
+class TestUnusualPools:
+    """The model op on pools whose QR is not square or not full rank."""
+
+    @staticmethod
+    def rel(got, want) -> float:
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    @staticmethod
+    def pool(name) -> ConceptPool:
+        if name == "n_below_dim":  # 7 concepts in 16 dims, so k = N
+            return basis_pools()[name]
+        twin = make_pool({"a": 5}, dim=8, seed=4).embeddings.copy()
+        twin[3] = twin[1]  # E has rank 4 < k = 5
+        return ConceptPool([f"a.concept{i}" for i in range(5)], twin)
+
+    @pytest.mark.parametrize("name", ["n_below_dim", "equal_rows"])
+    def test_factors_and_model_op(self, name):
+        pool = self.pool(name)
+        assert np.linalg.matrix_rank(pool.embeddings) == (7 if name == "n_below_dim" else 4)
+        q, rt = pool.basis.data, pool.coords_t.data
+        assert np.abs(q @ rt.T - pool.embeddings).max() <= 1e-13
+        for factor in (q, rt):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+        rng = np.random.default_rng(6)
+        d, n, c = pool.dim, len(pool), 4
+        params = ModelParams("student", np.zeros(d * d + d + n * c + c), [d, d], n, c,
+                             pool.fingerprint())
+        params.arrays["encoder.0.weight"][:] = np.eye(d)  # x @ I + 0 is x exactly
+        w, b = params.arrays["classifier.weight"], params.arrays["classifier.bias"]
+        w[:], b[:] = rng.standard_normal((n, c)), rng.standard_normal((1, c))
+        x, g = rng.standard_normal((6, d)), rng.standard_normal((6, c))
+        tape = Tape()
+        _, pred = forward(ModelBinding(params, tape), x, pool)
+        grad = tape._ops[-1][2](None, g)[1]
+        # the N-wide formulas the op replaces: S = unit E^T, logits S W + b, W's gradient S^T g
+        sims = x / np.linalg.norm(x, axis=1, keepdims=True) @ pool.embeddings.T
+        assert self.rel(pred.logits.data, sims @ w + b) <= 1e-12
+        start = d * d + d
+        assert self.rel(grad[0, start:start + n * c].reshape(n, c), sims.T @ g) <= 1e-12
 
 
 class TestPredictionProbabilities:
@@ -454,6 +503,8 @@ def _corrupt(payload: dict, case: str) -> None:
         values[0] = 10**400
     elif case in ("missing_frozen", "missing_values"):
         del payload[case.removeprefix("missing_")]
+    elif case == "unknown_keys":  # v2's layout key and a stray one
+        payload["arrays"], payload["note"] = {}, "extra"
     elif case == "frozen_not_bool":
         payload["frozen"] = "yes"
     elif case == "short_values":
@@ -534,7 +585,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("case", [
         "nan_value", "string_value", "bool_value", "huge_int_value", "missing_frozen",
-        "missing_values", "frozen_not_bool", "short_values", "extra_value", "sizes_not_list",
+        "missing_values", "unknown_keys", "frozen_not_bool", "short_values", "extra_value", "sizes_not_list",
         "zero_size", "bool_size", "no_encoder", "three_hidden", "float_classes", "pool_dim",
         "pool_size",
     ])
@@ -546,8 +597,10 @@ class TestCheckpoints:
         assert payload["sizes"] == [7, 4, 6] and len(payload["values"]) == 80
         _corrupt(payload, case)
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             load_checkpoint(path, pool)
+        if case == "unknown_keys":
+            assert str(err.value).endswith("unknown keys arrays, note")
         if case.startswith("pool_"):  # a well-formed file that fits some other pool
             load_checkpoint(path)
         else:

@@ -426,8 +426,8 @@ class TestFrozenTeacherRows:
         for step, (rows, labels) in enumerate(seen):
             idx = stream.batch(step, config.batch_size)
             np.testing.assert_array_equal(labels, yt[idx])
-            # LCD receives the teacher's rows as coordinates on the pool basis
-            want = forward(teacher, xt[idx], pool)[0].data @ pool.basis.data
+            # LCD receives the teacher's coordinates on the pool basis, as forward returns them
+            want = forward(teacher, xt[idx], pool)[0].data
             assert np.abs(rows - want).max() <= self.TOL
 
 
@@ -451,6 +451,30 @@ class TestOpsRecorded:
         train_student(quick_train_config(epochs=1, encoder_hidden=(4,)), ds, pool)
         train_student(quick_train_config(epochs=1), ds, pool, teacher=teacher)
         assert recorded == public_ops
+
+    def test_each_step_kind_records_its_ops(self, monkeypatch):
+        # the model is one op whose coordinates feed GPD and LCD directly
+        tapes = []
+        real_backward = train_module.backward
+
+        def spy_backward(tape, loss):
+            tapes.append([vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops])
+            return real_backward(tape, loss)
+
+        ds, pool = tiny_dataset()
+        teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
+        monkeypatch.setattr(train_module, "backward", spy_backward)
+        head = ["concept_model", "softmax_cross_entropy"]
+        for alpha, beta, tail in [
+            (0.0, 0.0, []),
+            (0.6, 0.0, ["class_mean_distance", "loss_sum"]),
+            (0.0, 0.05, ["supcon_loss", "loss_sum"]),
+            (0.6, 0.05, ["class_mean_distance", "supcon_loss", "loss_sum"]),
+        ]:
+            tapes.clear()
+            config = quick_train_config(epochs=1, distill=DistillConfig(alpha=alpha, beta=beta))
+            train_student(config, ds, pool, teacher=teacher)
+            assert tapes and all(names == head + tail for names in tapes), (alpha, beta)
 
 
 class TestValidationSelection:
@@ -556,6 +580,18 @@ class TestConfigValidation:
         # an int beyond float range used to escape as an OverflowError
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             make(**{name: value})
+
+    @pytest.mark.parametrize("make, kwargs, message", [
+        (DistillConfig, {"alpha": 10**5000}, "alpha must be finite$"),
+        (TrainConfig, {"learning_rate": 10**5000}, "learning_rate must be finite$"),
+        (GeneratorConfig, {"noise_sigma": 10**5000}, "noise_sigma must be finite$"),
+        (TrainConfig, {"encoder_hidden": (0, 10**5000)},
+         "encoder_hidden sizes must be positive integers$"),
+    ], ids=["alpha", "learning_rate", "noise_sigma", "encoder_hidden"])
+    def test_int_of_too_many_digits_named(self, make, kwargs, message):
+        # repr of an int of over 4300 digits raises, so the message used to fail itself
+        with pytest.raises(ValueError, match=message):
+            make(**kwargs)
 
     @pytest.mark.parametrize("make, name", [
         (DistillConfig, "alpha"),
