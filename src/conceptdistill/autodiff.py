@@ -9,17 +9,17 @@ adjoints. A tape is meant to live for one forward/backward pass.
 ``Tape.leaf`` tracks a checked copy; ``Tape.param`` tracks a parameter's
 own array unchecked, which the optimizer keeps finite.
 
-The operations are the ones a training step records, one for the model
-and one per loss, each with a hand-written gradient: ``concept_model``
-(the whole model, features to pool coordinates and logits, its parameters
-and their gradient one 1 x P row each), the losses
-``softmax_cross_entropy`` (from logits), ``supcon_loss`` and
-``class_mean_distance`` (two sets of class means and their squared
-distance), and ``loss_sum``, the weighted total of the loss terms. Every
-one ends in ``_finish``, which rejects a non-finite result. An op has one
-output or two (``concept_model`` returns, and checks itself, the
-coordinates and the logits); ``backward`` hands its VJP one adjoint per
-output, None for an output that received none.
+The operations here are the model's and cross-entropy's, each with a
+hand-written gradient: ``concept_model`` (the whole model, features to
+pool coordinates and logits, its parameters and their gradient one 1 x P
+row each) and ``softmax_cross_entropy`` (from logits). The distillation
+terms and the weighted total are ops of their own in ``losses``
+(``gpd_loss``, ``lcd_loss``, ``total_loss``), built on the same record.
+Every op ends in ``_finish``, which rejects a non-finite result and
+records the op when an operand is tracked. An op has one output or two
+(``concept_model`` returns, and checks itself, the coordinates and the
+logits); ``backward`` hands its VJP one adjoint per output, None for an
+output that received none.
 """
 
 from __future__ import annotations
@@ -279,184 +279,6 @@ def softmax_cross_entropy(logits, labels) -> Matrix:
         return (grad * (g[0, 0] / n),)
 
     return _finish("softmax_cross_entropy", np.array([[loss]]), (z,), vjp)
-
-
-def supcon_loss(anchors, others, positive, anchor_weight, tau: float) -> Matrix:
-    """Weighted supervised-contrastive loss of ``anchors`` against ``[anchors; others]``.
-
-    With ``z = anchors [anchors; others]^T / tau``, the candidates of anchor
-    i are the columns of row i except i itself, and the loss is
-    ``-sum_i anchor_weight_i sum_{j positive} (z_ij - log sum_{q != i, j} exp z_iq)``:
-    each positive pair (i, j) scores candidate j against every other
-    candidate of anchor i. ``positive`` is an n x (n + m) boolean mask,
-    false on the diagonal of its first n columns; an anchor with a positive
-    needs two candidates or more, so a positive with n + m < 3 is rejected.
-    With no positive at all the loss is 0 and no gradient flows.
-
-    The sums are taken in log space after a shift by each row's largest
-    logit, with one pass of exponentials. ``rest_i``, the shifted sum over
-    the candidates other than the argmax, is summed directly with the
-    argmax column zeroed, so nothing cancels. A positive j other than the
-    argmax uses ``rest_i + 1 - exp z_ij``, which keeps the argmax's term of
-    1 and so is >= 1; an argmax positive uses ``log rest_i``. Only a row
-    whose ``rest_i`` is below 1e-290 or underflows (every other candidate
-    ~668 logits or more below the argmax) sums its other candidates again,
-    shifted by the second-largest logit, from logits computed anew.
-
-    One n x (n + m) buffer carries the op from logits to gradient: the
-    pairs' logits are gathered from it before it is overwritten with its
-    exponentials, which the VJP scales in place into the gradient. The
-    pairs are the mask's flat indices, one run per anchor: ``searchsorted``
-    finds where each run starts and which pair, if any, is the anchor's
-    argmax; the VJP sums each run with ``np.add.reduceat``. The gradient,
-    its argmax column set rather than corrected, maps back by
-    ``grad @ [anchors; others] + grad[:, :n]^T @ anchors``, and to
-    ``others`` too when tracked. So the VJP runs once: a second call raises
-    RuntimeError. These sums round differently from a term-by-term
-    evaluation, by ~1e-15 relative.
-    """
-    s, t = as_matrix(anchors), as_matrix(others)
-    if tau <= 0:
-        raise ValueError(f"supcon_loss: tau must be positive, got {tau}")
-    if s.cols != t.cols:
-        raise ShapeError(f"supcon_loss: row widths differ: {s.cols} vs {t.cols}")
-    n, width = s.rows, s.rows + t.rows
-    positive = np.asarray(positive, dtype=bool)
-    weight = np.asarray(anchor_weight, dtype=np.float64)
-    if positive.shape != (n, width) or weight.shape != (n,):
-        raise ShapeError(f"supcon_loss: need an {(n, width)} mask and {n} anchor weights")
-    rows = np.arange(n)
-    if positive.diagonal().any():
-        raise ValueError("supcon_loss: an anchor cannot be its own positive")
-    flat = np.flatnonzero(positive)  # positive pairs, row-major
-    if not flat.size:  # nothing to score; a lone anchor's row would be all -inf
-        return _finish("supcon_loss", np.zeros((1, 1)), (s, t), lambda g: (None, None))
-    if width < 3:
-        raise ValueError("supcon_loss: an anchor with a positive needs two candidates or more")
-    sd, td = s.data, t.data
-    cand = np.concatenate([sd, td])
-    z = (sd / tau) @ cand.T
-    z[rows, rows] = -np.inf
-    top = z.argmax(axis=1)
-    z -= z[rows, top][:, None]  # shifted: row maxima are 0
-    zp = z.ravel()[flat]  # the pairs' logits, before z turns into exponentials
-    e = np.exp(z, out=z)  # 0 on the self column
-    e[rows, top] = 0.0
-    rest = e.sum(axis=1)  # shifted sum without the argmax column
-    e[rows, top] = 1.0
-
-    starts = np.searchsorted(flat, np.arange(n + 1) * width)  # anchor i's pairs start
-    count = starts[1:] - starts[:-1]
-    top_cell = rows * width + top
-    at = np.searchsorted(flat, top_cell)
-    hit = flat.take(at, mode="clip") == top_cell
-    at_top, hard, w_hard = at[hit], rows[hit], weight[hit]  # argmax pairs and their anchors
-    wp = weight.repeat(count)
-    ep = e.ravel()[flat]
-    den = (rest + 1.0).repeat(count) - ep  # shifted sum without column j, >= 1
-    den[at_top] = 1.0  # the argmax column's sum is rest, taken below
-    inv = wp / den
-    inv[at_top] = 0.0
-    np.log(den, out=den)
-    den -= zp
-    loss = np.dot(wp, den)
-
-    # rest underflowed, or sums subnormal terms: shift by the second-largest logit
-    gone = rest[hard] < 1e-290
-    easy, w_easy = hard[~gone], w_hard[~gone]
-    loss += np.dot(w_easy, np.log(rest[easy]))
-    fall, w_fall = hard[gone], w_hard[gone]
-    if fall.size:
-        k, top_f = np.arange(fall.size), top[fall]
-        zf = (sd[fall] / tau) @ cand.T  # z holds exponentials now: these rows' logits again
-        zf -= zf[k, top_f][:, None]
-        zf[k, fall] = zf[k, top_f] = -np.inf  # self and argmax
-        second = zf.max(axis=1, keepdims=True)
-        ef = np.exp(zf - second)
-        sum_f = ef.sum(axis=1, keepdims=True)
-        loss += np.dot(w_fall, second[:, 0] + np.log(sum_f[:, 0]))
-        soft_f = ef / sum_f  # softmax over the candidates without the argmax
-
-    t_tracked = t.tracked
-
-    def vjp(g):
-        nonlocal e, ep
-        if e is None:
-            raise RuntimeError("supcon_loss: gradient already taken; its exponentials are spent")
-        grad, e = e, None
-        soft = np.zeros(n)  # each anchor's run of pairs, summed
-        soft[count > 0] = np.add.reduceat(inv, starts[:-1][count > 0])
-        coef = soft.copy()
-        coef[easy] += w_easy / rest[easy]
-        grad *= coef[:, None]
-        # set, not e*coef - w/rest: that difference cancels when rest is tiny
-        grad[rows, top] = soft
-        ep *= inv  # the pair cells' correction, ep * inv + wp
-        ep += wp
-        grad.ravel()[flat] -= ep
-        if fall.size:
-            grad[fall] += w_fall[:, None] * soft_f
-        c = g[0, 0] / tau
-        # anchors meet anchors twice, as rows and as candidates
-        d_s = c * (grad @ cand + grad[:, :n].T @ sd)
-        return d_s, (c * (grad[:, n:].T @ sd) if t_tracked else None)
-
-    return _finish("supcon_loss", np.array([[loss]]), (s, t), vjp)
-
-
-def class_mean_distance(a_weight, a, b_weight, b, shared) -> Matrix:
-    """Mean over the ``shared`` classes c of ``||(a_weight @ a)_c - (b_weight @ b)_c||^2``.
-
-    The weights are constant arrays, C x rows of ``a`` and of ``b``: row c
-    of ``a_weight`` averages class c's rows of ``a`` into its mean.
-    ``shared`` is a boolean mask over the C classes; with none shared the
-    result is a constant 0. The gradient is written out by hand:
-    ``2 (m_a - m_b) / |shared|`` on the shared classes' means, mapped back
-    through each side's weights.
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    wa, wb = np.asarray(a_weight, dtype=np.float64), np.asarray(b_weight, dtype=np.float64)
-    shared = np.asarray(shared)
-    if shared.dtype != bool or shared.ndim != 1:
-        raise ShapeError("class_mean_distance: shared must be a 1-D boolean mask")
-    if wa.shape != (len(shared), a.rows) or wb.shape != (len(shared), b.rows) or a.cols != b.cols:
-        raise ShapeError(f"class_mean_distance: {wa.shape} x {a.shape} vs {wb.shape} x {b.shape}"
-                         f" over {len(shared)} classes")
-    if not shared.any():
-        return Matrix._wrap(np.zeros((1, 1)))
-    c = 1.0 / np.count_nonzero(shared)
-    d = (wa @ a.data)[shared] - (wb @ b.data)[shared]
-    a_tracked, b_tracked = a.tracked, b.tracked
-
-    def vjp(g):
-        half = (g[0, 0] * c) * d
-        grad = np.zeros((len(shared), d.shape[1]))
-        grad[shared] = half + half
-        return (wa.T @ grad if a_tracked else None), (wb.T @ -grad if b_tracked else None)
-
-    return _finish("class_mean_distance", ((d * d).sum() * c).reshape(1, 1), (a, b), vjp)
-
-
-def loss_sum(base, terms) -> Matrix:
-    """``base + (w_1 * t_1 + ... + w_n * t_n)`` of 1x1 losses, for ``terms`` of ``(t_i, w_i)``.
-
-    The weighted terms are summed left to right before ``base`` is added.
-    """
-    base = as_matrix(base)
-    terms = [(as_matrix(t), float(w)) for t, w in terms]
-    if not terms:
-        raise ValueError("loss_sum: no terms")
-    if any(m.shape != (1, 1) for m in (base, *(t for t, _ in terms))):
-        raise ShapeError("loss_sum: every operand must be a 1x1 loss")
-    weighted = terms[0][0].data * terms[0][1]
-    for t, w in terms[1:]:
-        weighted = weighted + t.data * w
-    weights = [w for _, w in terms]  # not the matrices: the tape would then hold itself
-
-    def vjp(g):
-        return (g, *(g * w for w in weights))
-
-    return _finish("loss_sum", base.data + weighted, (base, *(t for t, _ in terms)), vjp)
 
 
 def backward(tape: Tape, loss: Matrix) -> list[np.ndarray | None]:

@@ -90,7 +90,7 @@ class ModelParams:
 
 
 def check_hidden_sizes(hidden) -> tuple[int, ...]:
-    """``hidden`` as a tuple of at most 2 positive integer widths, else ``ValueError``."""
+    """``hidden`` as a tuple of at most 2 positive widths that fit NumPy, else ``ValueError``."""
     if not isinstance(hidden, (tuple, list)):
         raise ValueError(f"encoder_hidden must be a tuple of widths, got {hidden!r}")
     hidden = tuple(hidden)
@@ -102,6 +102,8 @@ def check_hidden_sizes(hidden) -> tuple[int, ...]:
         big = any(isinstance(h, int) and h.bit_length() >= 10_000 for h in hidden)
         raise ValueError("encoder_hidden sizes must be positive integers"
                          + ("" if big else f", got {hidden!r}"))
+    if max(hidden, default=0) > np.iinfo(np.intp).max:  # no array could have the width
+        raise ValueError(f"encoder_hidden sizes must be at most {np.iinfo(np.intp).max}")
     return hidden
 
 

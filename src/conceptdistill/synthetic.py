@@ -92,7 +92,9 @@ class GeneratorConfig:
                           ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+                big = type(value) is int and value.bit_length() >= 10_000  # repr would raise
+                raise ValueError(f"{name} must be an integer >= {low}"
+                                 + ("" if big else f", got {value!r}"))
         if (not isinstance(self.class_names, (list, tuple))
                 or not all(isinstance(name, str) for name in self.class_names)):
             raise ValueError(f"class_names must be strings in a list or tuple, "

@@ -4,15 +4,17 @@
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
 frozen teacher when their weights are non-zero, on the pool coordinates
-that ``forward`` returns (see ``concepts``). The teacher's coordinates for
-its whole train split are computed once per run and indexed per batch; its
-parameter hash is checked after every epoch. The teacher keeps its last
-epoch; the student keeps the epoch with the best validation macro P-R F1.
-Validation runs only when its score is read: for the student's epoch
-choice, or for the epoch record of a run that writes a log. Each step
-record carries the loss terms, the learning rate, the number of classes
-GPD compared and the number of anchors LCD skipped (null when the term is
-off).
+that ``forward`` returns (see ``concepts``). A step's tape holds the model
+op and cross-entropy, then one op each from ``losses`` for the terms that
+are on (``gpd_loss``, ``lcd_loss``) and for their weighted ``total_loss``.
+The teacher's coordinates for its whole train split are computed once per
+run and indexed per batch; its parameter hash is checked after every
+epoch. The teacher keeps its last epoch; the student keeps the epoch with
+the best validation macro P-R F1. Validation runs only when its score is
+read: for the student's epoch choice, or for the epoch record of a run
+that writes a log. Each step record carries the loss terms, the learning
+rate, the number of classes GPD compared and the number of anchors LCD
+skipped (null when the term is off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptdistill import autodiff as ad
+from conceptdistill import losses
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
+from conceptdistill.losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
 
 from gradcheck import finite_diff_grad
 
@@ -269,13 +271,15 @@ class TestFusedOpsExact:
             concept_model(np.ones((2, 3)), flat, shapes, np.eye(3, 2), eye)
 
     def test_loss_sum(self):
+        # total_loss, which loss_sum was folded into: the weighted terms, then cls
         cls0, gpd0, lcd0, alpha, beta = 0.7310585786, 0.123456789, 2.718281828, 0.6, 0.05
+        cfg = DistillConfig(alpha=alpha, beta=beta)
         g = np.array([[1.3]])
         for terms in ([(gpd0, alpha), (lcd0, beta)], [(gpd0, alpha)], [(lcd0, beta)]):
             tape = Tape()
             cls = tape.leaf([[cls0]])
-            leaves = [(tape.leaf([[t]]), w) for t, w in terms]
-            out = ad.loss_sum(cls, leaves)
+            leaves = {w: tape.leaf([[t]]) for t, w in terms}
+            out = total_loss(cls, leaves.get(alpha), leaves.get(beta), cfg)
             weighted = terms[0][0] * terms[0][1]
             if len(terms) == 2:
                 weighted = weighted + terms[1][0] * terms[1][1]
@@ -286,19 +290,18 @@ class TestFusedOpsExact:
                 np.testing.assert_array_equal(adjoint, g * w)
 
     def test_class_mean_distance(self):
-        # the two ops it replaces: each side's class means by an indicator
-        # matmul, then the mean squared distance over the shared classes' rows
+        # gpd_loss, which class_mean_distance was folded into: each side's class
+        # means by its weights, then the mean squared distance over the shared classes
         rng = np.random.default_rng(3)
         a0, b0 = rng.standard_normal((7, 4)), rng.standard_normal((9, 4))
-        wa, present_a = class_weights(np.array([0, 2, 2, 4, 0, 2, 4]), 5)
-        wb, present_b = class_weights(np.array([1, 2, 4, 4, 2, 1, 0, 4, 2]), 5)
-        shared = present_a & present_b
         g = np.array([[0.6]])
         tape = Tape()
-        a, b = tape.leaf(a0), tape.leaf(b0)
-        out = ad.class_mean_distance(wa, a, wb, b, shared)
+        pa = class_prototypes(tape.leaf(a0), [0, 2, 2, 4, 0, 2, 4], 5)
+        pb = class_prototypes(tape.leaf(b0), [1, 2, 4, 4, 2, 1, 0, 4, 2], 5)
+        out = gpd_loss(pa, pb)
 
-        rows = np.flatnonzero(shared)
+        wa, wb = pa.weights, pb.weights
+        rows = np.flatnonzero(pa.present & pb.present)
         c = 1.0 / len(rows)
         d = (wa @ a0)[rows] - (wb @ b0)[rows]
         np.testing.assert_array_equal(out.data, ((d * d).sum() * c).reshape(1, 1))
@@ -308,12 +311,6 @@ class TestFusedOpsExact:
         da, db = recorded_vjp(out)(g)
         np.testing.assert_array_equal(da, wa.T @ grad)
         np.testing.assert_array_equal(db, wb.T @ -grad)
-
-    def test_loss_sum_inputs_checked(self):
-        with pytest.raises(ShapeError, match="1x1"):
-            ad.loss_sum([[1.0]], [(np.ones((1, 2)), 0.5)])
-        with pytest.raises(ValueError, match="no terms"):
-            ad.loss_sum([[1.0]], [])
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-3, 1.0, 1e3, 1e100])
     def test_cosine_similarity_norms_equal_linalg_norm(self, scale):
@@ -419,7 +416,7 @@ class TestBackward:
     def test_square_at_three(self):
         tape = Tape()
         x = tape.leaf([[3.0]])
-        loss = _mean_sq_distance(x, np.zeros((1, 1)), np.ones(1, dtype=bool))  # x^2
+        loss = _score((x, [[0.0]], ALL))  # x^2
         grads = backward(tape, loss)
         np.testing.assert_allclose(grads[x.slot], [[6.0]])
 
@@ -434,18 +431,18 @@ class TestBackward:
         t1, t2 = Tape(), Tape()
         x = t1.leaf([[1.0]])
         with pytest.raises(ValueError):
-            backward(t2, ad.loss_sum(x, [(x, 1.0)]))
+            backward(t2, _score((x, [[0.0]], ALL)))
 
     def test_mixed_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
         with pytest.raises(ValueError):
-            ad.loss_sum(t1.leaf([[1.0]]), [(t2.leaf([[1.0]]), 1.0)])
+            _score((t1.leaf([[1.0]]), [[0.0]], ALL), (t2.leaf([[1.0]]), [[0.0]], ALL))
 
     def test_untracked_leaf_absent_from_gradients(self):
         tape = Tape()
         x = tape.leaf([[1.0, 2.0]])
         unused = tape.leaf([[5.0]])
-        grads = backward(tape, _mean_sq_distance(x, np.zeros((1, 2)), np.ones(1, dtype=bool)))
+        grads = backward(tape, _score((x, np.zeros((1, 2)), ALL)))
         assert grads[unused.slot] is None and grads[x.slot] is not None
 
     def test_softmax_cross_entropy_matches_fd(self):
@@ -481,11 +478,15 @@ OP_CASES = {
     "tanh": lambda rng: _concept_model_case(rng, int(rng.integers(1, 3)), "logits"),
     "cosine_similarity": lambda rng: _cosine_case(rng),
     "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
-    "supcon_loss": lambda rng: _supcon_case(rng, tracked="anchors"),
-    "supcon_loss_others": lambda rng: _supcon_case(rng, tracked="others"),
-    "class_mean_distance": lambda rng: _class_mean_case(rng, tracked="a"),
-    "class_mean_distance_b": lambda rng: _class_mean_case(rng, tracked="b"),
-    "loss_sum": lambda rng: _loss_sum_case(rng),
+    "lcd_loss": lambda rng: _lcd_case(rng, tracked="student"),
+    "gpd_loss": lambda rng: _gpd_case(rng, tracked="b"),
+    "total_loss": lambda rng: _total_case(rng, both=True),
+    # the loss ops again, under the names of the autodiff ops folded into them
+    "supcon_loss": lambda rng: _lcd_case(rng, tracked="student", sparse=True),
+    "supcon_loss_others": lambda rng: _lcd_case(rng, tracked="teacher"),
+    "class_mean_distance": lambda rng: _gpd_case(rng, tracked="a"),
+    "class_mean_distance_b": lambda rng: _gpd_case(rng, tracked="b", one_shared=True),
+    "loss_sum": lambda rng: _total_case(rng, both=False),
 }
 
 
@@ -506,25 +507,50 @@ def test_tapes_hold_no_reference_cycle():
         gc.enable()
 
 
+def public_ops() -> set[str]:
+    """The public functions of ``autodiff`` and ``losses`` that record a tape op."""
+    names = set()
+    for module in (ad, losses):
+        names |= {name for name, fn in inspect.getmembers(module, inspect.isfunction)
+                  if fn.__module__ == module.__name__ and not name.startswith("_")}
+    return names - {"as_matrix", "backward", "class_prototypes"}
+
+
 def test_every_public_op_has_a_gradient_case():
-    public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-                  if fn.__module__ == ad.__name__ and not name.startswith("_")}
-    public_ops -= {"as_matrix", "backward"}
-    covered = {op for op in public_ops for case in OP_CASES
-               if case == op or case.startswith(op + "_")}
-    assert covered == public_ops
+    ops = public_ops()
+    covered = {op for op in ops for case in OP_CASES if case == op or case.startswith(op + "_")}
+    assert covered == ops
 
 
-def _mean_sq_distance(a, b, rows):
-    """Mean over ``rows`` (a boolean mask) of ``||a_r - b_r||^2``, with each row its own class."""
-    eye = np.eye(len(rows))
-    return ad.class_mean_distance(eye, a, eye, b, rows)
+ALL = np.ones(1, dtype=bool)  # the one row of a 1 x 1 value
+
+
+def _score(*terms):
+    """A scalar op local to these tests, which reduces op outputs to a loss.
+
+    For ``terms`` of ``(a, w, rows)`` it is the sum over terms of the mean
+    over the rows ``rows`` (a boolean mask) of ``||a_r - w_r||^2``, ``w``
+    constant. The adjoint of each ``a`` is ``2 (a - w) / |rows|`` on those
+    rows and 0 elsewhere.
+    """
+    ms = tuple([ad.as_matrix(a) for a, _, _ in terms])
+    parts = [(m.shape, rows, 1.0 / np.count_nonzero(rows), (m.data - np.asarray(w))[rows])
+             for m, (_, w, rows) in zip(ms, terms)]
+    value = sum([(d * d).sum() * c for _, _, c, d in parts])
+
+    def vjp(g):
+        grads = [np.zeros(shape) for shape, _, _, _ in parts]
+        for grad, (_, rows, c, d) in zip(grads, parts):
+            grad[rows] = (2.0 * c * g[0, 0]) * d
+        return grads
+
+    return ad._finish("score", np.array([[value]]), ms, vjp)
 
 
 def _reduce(shape, rng):
-    """Reduce an op's output y to a scalar whose cotangent, 2 (y - w) / rows, is a random matrix."""
+    """A ``_score`` term for an op's output y: its cotangent, 2 (y - w) / rows, is random."""
     w = rng.uniform(-1, 1, shape)
-    return lambda out: _mean_sq_distance(out, w, np.ones(shape[0], dtype=bool))
+    return lambda out: (out, w, np.ones(shape[0], dtype=bool))
 
 
 def _concept_model_case(rng, n_hidden, scored):
@@ -551,10 +577,10 @@ def _concept_model_case(rng, n_hidden, scored):
     def build(leaf):
         coords, logits = concept_model(x, leaf, shapes, basis, coords_t)
         if scored == "coords":
-            return reduce_coords(coords)
+            return _score(reduce_coords(coords))
         if scored == "logits":
-            return reduce_logits(logits)
-        return ad.loss_sum(reduce_coords(coords), [(reduce_logits(logits), 1.0)])
+            return _score(reduce_logits(logits))
+        return _score(reduce_coords(coords), reduce_logits(logits))
 
     return build, flat0
 
@@ -583,46 +609,44 @@ def _cosine_case(rng):
     w = rng.uniform(-1, 1, (m, basis.shape[1]))
 
     def build(leaf):
-        return _mean_sq_distance(concept_model(x, leaf, shapes, basis, coords_t)[0], w, scored)
+        return _score((concept_model(x, leaf, shapes, basis, coords_t)[0], w, scored))
 
     return build, flat0
 
 
-def _loss_sum_case(rng):
-    """``base + (w_1 t_1 [+ w_2 t_2])`` with one of its 1x1 operands tracked."""
-    values = rng.uniform(-2, 2, (int(rng.integers(2, 4)), 1, 1))
-    weights = rng.uniform(0, 2, len(values) - 1)
-    tracked = int(rng.integers(len(values)))
+def _total_case(rng, both):
+    """``total_loss`` of random 1x1 operands, one tracked; without ``both``, one term is None."""
+    values = list(rng.uniform(-2, 2, (3, 1, 1)))
+    cfg = DistillConfig(alpha=float(rng.uniform(0, 2)), beta=float(rng.uniform(0, 2)))
+    tracked = int(rng.integers(3))
+    dropped = None if both else int(rng.choice([i for i in (1, 2) if i != tracked]))
 
     def build(leaf):
         ops = [leaf if i == tracked else v for i, v in enumerate(values)]
-        return ad.loss_sum(ops[0], list(zip(ops[1:], weights)))
+        if dropped is not None:
+            ops[dropped] = None
+        return total_loss(*ops, cfg)
 
     return build, values[tracked]
 
 
-def class_weights(labels, num_classes):
-    """Row c averages the rows labelled c: the weights ``losses.class_prototypes`` builds."""
-    indicator = np.zeros((num_classes, len(labels)))
-    indicator[labels, np.arange(len(labels))] = 1.0
-    counts = indicator.sum(axis=1)
-    return indicator / np.maximum(counts, 1.0)[:, None], counts > 0
+def _gpd_case(rng, tracked, one_shared=False):
+    """GPD on the prototypes of two labelled row sets that share class 0 at least.
 
-
-def _class_mean_case(rng, tracked):
-    """Class means of two labelled row sets, with some class shared and some absent."""
+    With ``one_shared`` every other class is present on one side only.
+    """
     c, k = _random_shape(rng)
     n_a, n_b = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    wa, present_a = class_weights(rng.integers(0, c, n_a), c)
-    wb, present_b = class_weights(rng.integers(0, c, n_b), c)
-    shared = present_a & present_b & (rng.uniform(size=c) < 0.8)
-    if not shared.any():  # force one shared class: its mean is the only row of each side
-        wa[0], wb[0] = np.eye(n_a)[0], np.eye(n_b)[0]
-        shared[0] = True
+    if one_shared:
+        c = max(c, 3)
+        la, lb = rng.choice([0, *range(1, c, 2)], n_a), rng.choice(range(0, c, 2), n_b)
+    else:
+        la, lb = rng.integers(0, c, n_a), rng.integers(0, c, n_b)
+    la[0] = lb[0] = 0
     a0, b0 = rng.uniform(-2, 2, (n_a, k)), rng.uniform(-2, 2, (n_b, k))
     if tracked == "b":
-        return (lambda x: ad.class_mean_distance(wa, a0, wb, x, shared)), b0
-    return (lambda x: ad.class_mean_distance(wa, x, wb, b0, shared)), a0
+        return (lambda x: gpd_loss(class_prototypes(a0, la, c), class_prototypes(x, lb, c))), b0
+    return (lambda x: gpd_loss(class_prototypes(x, la, c), class_prototypes(b0, lb, c))), a0
 
 
 def _cross_entropy_case(rng):
@@ -630,26 +654,30 @@ def _cross_entropy_case(rng):
     c = int(rng.integers(2, 9))
     x0 = rng.uniform(-2, 2, (n, c))
     labels = rng.integers(0, c, n)
-    w = float(rng.uniform(0.5, 2.0))  # an upstream adjoint other than 1
-    return (lambda x: ad.loss_sum([[0.0]], [(ad.softmax_cross_entropy(x, labels), w)])), x0
+    w = -rng.uniform(0.5, 2.0, (1, 1))  # an upstream adjoint 2 (loss - w), other than 1
+    return (lambda x: _score((ad.softmax_cross_entropy(x, labels), w, ALL))), x0
 
 
-def _supcon_case(rng, tracked):
+def _lcd_case(rng, tracked, sparse=False):
+    """LCD on random rows; the teacher rows hold every student class and one more.
+
+    So every anchor has a positive and a negative, or the loss can be flat
+    and finite differences compare rounding against an exact zero.
+    ``sparse`` spreads the labels out and below 0, which ``lcd_loss``
+    numbers densely.
+    """
     n, k = _random_shape(rng)
-    m = int(rng.integers(2, 6))  # every anchor has two candidates or more
+    c = int(rng.integers(1, 4))
+    ls = rng.integers(0, c, n)
+    lt = np.concatenate([np.arange(c + 1), rng.integers(0, c + 1, int(rng.integers(0, 4)))])
+    if sparse:
+        ls, lt = 100 * ls - 7, 100 * lt - 7
     # logits within +-8: a saturated softmax has gradients below rounding
-    anchors = rng.uniform(-1, 1, (n, k))
-    others = rng.uniform(-1, 1, (m, k))
-    positive = rng.uniform(size=(n, n + m)) < 0.5
-    positive[np.arange(n), np.arange(n)] = False
-    # one positive and one negative per anchor, or the loss can be flat and
-    # finite differences compare rounding against an exact zero
-    positive[:, n], positive[:, -1] = True, False
-    weight = rng.uniform(0, 1, n)
+    s0, t0 = rng.uniform(-1, 1, (n, k)), rng.uniform(-1, 1, (len(lt), k))
     tau = float(rng.uniform(1.0, 3.0))
-    if tracked == "others":
-        return (lambda x: ad.supcon_loss(anchors, x, positive, weight, tau)), others
-    return (lambda x: ad.supcon_loss(x, others, positive, weight, tau)), anchors
+    if tracked == "teacher":
+        return (lambda x: lcd_loss(s0, ls, x, lt, tau)[0]), t0
+    return (lambda x: lcd_loss(x, ls, t0, lt, tau)[0]), s0
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -667,7 +695,7 @@ class TestValidation:
 
     def test_rejects_inf_result(self):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
-            ad.loss_sum(Matrix([[0.0]]), [(Matrix([[1e300]]), 1e10)])
+            total_loss(Matrix([[0.0]]), Matrix([[1e300]]), None, DistillConfig(alpha=1e10))
 
     def test_broadcast_shape_mismatch(self):
         # a layer's bias is one row of its output's width, never a matrix, column or scalar
@@ -694,36 +722,33 @@ class TestValidation:
                 ad.concept_model(x, bad_row, arrays, eye, eye)
 
     def test_class_mean_distance_inputs_checked(self):
-        w, rows, shared = np.full((2, 3), 1 / 3), np.ones((3, 2)), np.array([True, False])
-        for bad in [(np.ones((3, 3)), rows, w, rows, shared),  # class counts differ
-                    (w, rows, w, np.ones((3, 4)), shared),  # row widths differ
-                    (w, np.ones((4, 2)), w, rows, shared),  # weights do not match the rows
-                    (w, rows, w, rows, np.array([True]))]:  # mask of another class count
-            with pytest.raises(ShapeError, match="class_mean_distance: .* classes"):
-                ad.class_mean_distance(*bad)
-        for bad in ([1, 0], [[True, False]], True):
-            with pytest.raises(ShapeError, match="boolean mask"):
-                ad.class_mean_distance(w, rows, w, rows, np.array(bad))
+        # gpd_loss, which class_mean_distance was folded into: the two sides must
+        # agree in class count and row width
+        rows = np.ones((3, 2))
+        base = class_prototypes(rows, [0, 1, 1], 2)
+        for other in (class_prototypes(rows, [0, 1, 2], 3),
+                      class_prototypes(np.ones((3, 4)), [0, 1, 1], 2)):
+            for a, b in ((base, other), (other, base)):
+                with pytest.raises(ShapeError, match="gpd_loss: .* classes"):
+                    gpd_loss(a, b)
 
     def test_class_mean_distance_by_hand(self):
         # class means (3, 4), (9, 9), (0, 1) against zero; classes 0 and 2 are
         # shared: (25 + 1) / 2, and only their means pass an adjoint back
-        a = Matrix([[3.0, 4.0], [9.0, 9.0], [0.0, 1.0]])
+        a = class_prototypes([[3.0, 4.0], [9.0, 9.0], [0.0, 1.0]], [0, 1, 2], 3)
         tape = Tape()
-        b = tape.leaf(np.zeros((2, 2)))
-        wb = np.array([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]])
-        loss = ad.class_mean_distance(np.eye(3), a, wb, b, np.array([True, False, True]))
+        b = tape.leaf(np.zeros((3, 2)))
+        loss = gpd_loss(a, class_prototypes(b, [0, 0, 2], 3))
         assert loss.item() == 13.0
         grads = backward(tape, loss)
-        # -(m_a - m_b) on the shared means (-3, -4) and (0, -1), mapped back through wb^T
-        np.testing.assert_array_equal(grads[b.slot], [[-1.5, -3.0], [-1.5, -2.0]])
+        # -(m_a - m_b) on the shared means (-3, -4) and (0, -1), through the class weights
+        np.testing.assert_array_equal(grads[b.slot], [[-1.5, -2.0], [-1.5, -2.0], [0.0, -1.0]])
 
     def test_class_mean_distance_nothing_shared_is_zero(self):
         tape = Tape()
-        a = tape.leaf(np.ones((2, 3)))
-        loss = ad.class_mean_distance(np.eye(2), a, np.eye(2), np.zeros((2, 3)),
-                                      np.zeros(2, dtype=bool))
-        assert loss.item() == 0.0 and not loss.tracked
+        a = class_prototypes(tape.leaf(np.ones((2, 3))), [0, 0], 2)
+        loss = gpd_loss(a, class_prototypes(np.zeros((2, 3)), [1, 1], 2))
+        assert loss.item() == 0.0 and not loss.tracked and tape._ops == []
 
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
@@ -739,36 +764,35 @@ class TestValidation:
             assert ad.softmax_cross_entropy(logits, good).item() == pytest.approx(np.log(3))
 
     def test_supcon_inputs_checked(self):
-        rows, weight = np.ones((2, 3)), np.ones(2)
-        mask = np.zeros((2, 4), dtype=bool)
-        with pytest.raises(ValueError, match="own positive"):
-            ad.supcon_loss(rows, rows, np.eye(2, 4, dtype=bool), weight, 1.0)
-        with pytest.raises(ShapeError):
-            ad.supcon_loss(rows, rows, np.zeros((2, 3), dtype=bool), weight, 1.0)
-        with pytest.raises(ShapeError):
-            ad.supcon_loss(rows, rows, mask, np.ones(3), 1.0)
+        # lcd_loss, which supcon_loss was folded into, checks its caller's inputs once
+        rows = np.ones((2, 3))
         with pytest.raises(ValueError, match="tau"):
-            ad.supcon_loss(rows, rows, mask, weight, 0.0)
+            lcd_loss(rows, [0, 1], rows, [0, 1], 0.0)
+        with pytest.raises(ShapeError, match="widths differ"):
+            lcd_loss(rows, [0, 1], np.ones((2, 4)), [0, 1], 1.0)
+        for ls, lt in (([0, 1, 1], [0, 1]), ([0, 1], [[0, 1]])):
+            with pytest.raises(ValueError, match="label vectors"):
+                lcd_loss(rows, ls, rows, lt, 1.0)
 
     def test_supcon_positive_needs_two_candidates(self):
-        # one anchor, one other row: the positive has nothing to be scored against
-        with pytest.raises(ValueError, match="two candidates or more"):
-            ad.supcon_loss([[1.0, 0.0]], [[1.0, 0.0]], [[False, True]], [1.0], 1.0)
+        # one anchor, one other row: the positive has nothing to be scored
+        # against, so the anchor is skipped
+        tape = Tape()
+        loss, skipped = lcd_loss(tape.leaf([[1.0, 0.0]]), [0], [[1.0, 0.0]], [0], 1.0)
+        assert skipped == 1 and loss.item() == 0.0 and not loss.tracked
 
     def test_supcon_gradient_is_taken_once(self):
         # the recorded VJP scales the op's exponentials in place
         tape = Tape()
         s = tape.leaf([[1.0, 0.0], [0.6, 0.8]])
-        loss = ad.supcon_loss(s, [[0.0, 1.0]], [[False, False, True], [False, False, True]],
-                              [0.5, 0.5], 1.0)
+        loss, _ = lcd_loss(s, [0, 0], [[0.0, 1.0]], [1], 1.0)
         backward(tape, loss)
-        with pytest.raises(RuntimeError, match="already taken"):
+        with pytest.raises(RuntimeError, match="lcd_loss: gradient already taken"):
             backward(tape, loss)
 
     def test_supcon_no_positive_is_zero(self):
         # a lone anchor with no other rows has no candidate at all
         tape = Tape()
-        s = tape.leaf([[1.0, 0.0]])
-        loss = ad.supcon_loss(s, np.zeros((0, 2)), [[False]], [1.0], 1.0)
-        assert loss.item() == 0.0
-        assert backward(tape, loss)[s.slot] is None
+        loss, skipped = lcd_loss(tape.leaf([[1.0, 0.0]]), [0], np.zeros((0, 2)), [], 1.0)
+        assert loss.item() == 0.0 and skipped == 1
+        assert not loss.tracked and tape._ops == []

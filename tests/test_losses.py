@@ -223,8 +223,7 @@ class TestGpdLoss:
         a = class_prototypes(rng.uniform(-1, 1, (4, 3)), [0, 1, 1, 2], 3)
         b = class_prototypes(tape.leaf(rng.uniform(-1, 1, (5, 3))), [2, 2, 0, 1, 0], 3)
         gpd_loss(a, b)
-        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == [
-            "class_mean_distance"]
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["gpd_loss"]
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
@@ -329,6 +328,44 @@ class TestLcdLoss:
         for ls, lt in (([0.4, 0.6, 1.2], good), (good, [0.0, 1.9, 2.5]), (good, [True] * 3)):
             with pytest.raises(ValueError, match="lcd_loss: .* integer dtype"):
                 lcd_loss(np.eye(3), ls, np.eye(3), lt, 1.0)
+
+    def test_sparse_labels_score_as_their_dense_renumbering(self):
+        # the class codes are the same, so the loss and both adjoints are bit-equal
+        rng = np.random.default_rng(13)
+        sims_s, sims_t = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (4, 4))
+        dense_s, dense_t = np.array([0, 1, 1, 0, 1]), np.array([1, 0, 0, 1])
+        results = []
+        for ls, lt in ((dense_s, dense_t), (100 * dense_s, 100 * dense_t)):
+            tape = Tape()
+            s, t = tape.leaf(sims_s), tape.leaf(sims_t)
+            loss, skipped = lcd_loss(s, ls, t, lt, 2.0)
+            grads = backward(tape, loss)
+            results.append((loss.item(), skipped, grads[s.slot], grads[t.slot]))
+        (want, want_skipped, want_s, want_t), (got, skipped, got_s, got_t) = results
+        assert got == want and skipped == want_skipped == 0
+        np.testing.assert_array_equal(got_s, want_s)
+        np.testing.assert_array_equal(got_t, want_t)
+
+    def test_every_anchor_skipped_records_nothing(self):
+        # no anchor has a same-class candidate: a constant 0, off the tape
+        tape = Tape()
+        rows = tape.leaf(np.ones((3, 2)))
+        loss, skipped = lcd_loss(rows, [0, 1, 2], np.ones((2, 2)), [3, 4], 1.0)
+        assert skipped == 3 and loss.item() == 0.0
+        assert not loss.tracked and tape._ops == []
+
+    def test_anchor_without_a_same_class_candidate_is_skipped(self):
+        # anchor 2's class 5 is nowhere else; the other anchors still score
+        rng = np.random.default_rng(14)
+        sims_s, sims_t = rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (3, 3))
+        ls, lt = np.array([0, 1, 5, 0]), np.array([1, 0, 2])
+        tape = Tape()
+        s = tape.leaf(sims_s)
+        loss, skipped = lcd_loss(s, ls, sims_t, lt, 1.0)
+        want, want_skipped = oracle_lcd(sims_s, ls, sims_t, lt, 1.0)
+        assert skipped == want_skipped == 1
+        assert loss.item() == pytest.approx(want, abs=1e-12)
+        assert backward(tape, loss)[s.slot] is not None
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -537,19 +574,24 @@ class TestTotalLoss:
             got = total_loss(Matrix([[c]]), Matrix([[g]]), Matrix([[l]]), cfg).item()
             assert got == pytest.approx(c + 0.3 * g + 0.7 * l, abs=1e-12)
 
+    def test_no_term_returns_cls(self):
+        tape = Tape()
+        cls = tape.leaf(Matrix([[0.4]]))
+        assert total_loss(cls, None, None, DistillConfig()) is cls and tape._ops == []
+
     def test_single_term_records_one_op(self):
         tape = Tape()
         cls, lcd = tape.leaf(Matrix([[0.4]])), tape.leaf(Matrix([[2.0]]))
         loss = total_loss(cls, None, lcd, DistillConfig(alpha=0.0, beta=0.5))
         assert loss.item() == 1.4
-        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["loss_sum"]
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["total_loss"]
 
     def test_both_terms_record_one_op(self):
         tape = Tape()
         cls, gpd, lcd = (tape.leaf(Matrix([[v]])) for v in (0.4, 0.3, 2.0))
         loss = total_loss(cls, gpd, lcd, DistillConfig(alpha=0.6, beta=0.05))
         assert loss.item() == 0.4 + (0.3 * 0.6 + 2.0 * 0.05)
-        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["loss_sum"]
+        assert [vjp.__qualname__.split(".")[0] for _, _, vjp in tape._ops] == ["total_loss"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import inspect
 import json
 
 import numpy as np
@@ -22,6 +21,7 @@ from conceptdistill.train import (
     train_student,
 )
 
+from test_autodiff import public_ops
 from test_concepts import make_pool
 from test_synthetic import small_config
 
@@ -433,10 +433,7 @@ class TestFrozenTeacherRows:
 
 class TestOpsRecorded:
     def test_training_records_every_public_op(self, monkeypatch):
-        # every public autodiff op is recorded on a tape by some training step
-        public_ops = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-                      if fn.__module__ == ad.__name__ and not name.startswith("_")}
-        public_ops -= {"as_matrix", "backward"}
+        # every public op of autodiff and losses is recorded on a tape by some training step
         recorded = set()
         real_finish = ad._finish
 
@@ -450,7 +447,7 @@ class TestOpsRecorded:
         monkeypatch.setattr(ad, "_finish", spy_finish)
         train_student(quick_train_config(epochs=1, encoder_hidden=(4,)), ds, pool)
         train_student(quick_train_config(epochs=1), ds, pool, teacher=teacher)
-        assert recorded == public_ops
+        assert recorded == public_ops()
 
     def test_each_step_kind_records_its_ops(self, monkeypatch):
         # the model is one op whose coordinates feed GPD and LCD directly
@@ -467,9 +464,9 @@ class TestOpsRecorded:
         head = ["concept_model", "softmax_cross_entropy"]
         for alpha, beta, tail in [
             (0.0, 0.0, []),
-            (0.6, 0.0, ["class_mean_distance", "loss_sum"]),
-            (0.0, 0.05, ["supcon_loss", "loss_sum"]),
-            (0.6, 0.05, ["class_mean_distance", "supcon_loss", "loss_sum"]),
+            (0.6, 0.0, ["gpd_loss", "total_loss"]),
+            (0.0, 0.05, ["lcd_loss", "total_loss"]),
+            (0.6, 0.05, ["gpd_loss", "lcd_loss", "total_loss"]),
         ]:
             tapes.clear()
             config = quick_train_config(epochs=1, distill=DistillConfig(alpha=alpha, beta=beta))
@@ -587,7 +584,16 @@ class TestConfigValidation:
         (GeneratorConfig, {"noise_sigma": 10**5000}, "noise_sigma must be finite$"),
         (TrainConfig, {"encoder_hidden": (0, 10**5000)},
          "encoder_hidden sizes must be positive integers$"),
-    ], ids=["alpha", "learning_rate", "noise_sigma", "encoder_hidden"])
+        (GeneratorConfig, {"seed": -10**5000}, "seed must be an integer >= 0$"),
+        (GeneratorConfig, {"concepts_per_class": -10**5000},
+         "concepts_per_class must be an integer >= 1$"),
+        (GeneratorConfig, {"feature_dim": -10**5000}, "feature_dim must be an integer >= 1$"),
+        (GeneratorConfig, {"embed_dim": -10**5000}, "embed_dim must be an integer >= 1$"),
+        # positive, but wider than any array NumPy can allocate
+        (TrainConfig, {"encoder_hidden": (10**5000,)},
+         rf"encoder_hidden sizes must be at most {np.iinfo(np.intp).max}$"),
+    ], ids=["alpha", "learning_rate", "noise_sigma", "encoder_hidden", "seed",
+            "concepts_per_class", "feature_dim", "embed_dim", "encoder_hidden_width"])
     def test_int_of_too_many_digits_named(self, make, kwargs, message):
         # repr of an int of over 4300 digits raises, so the message used to fail itself
         with pytest.raises(ValueError, match=message):
