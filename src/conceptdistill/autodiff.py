@@ -9,22 +9,19 @@ adjoints. A tape is meant to live for one forward/backward pass.
 ``Tape.leaf`` tracks a checked copy; ``Tape.param`` tracks a parameter's
 own array unchecked, which the optimizer keeps finite.
 
-The operations here are the model's and cross-entropy's, each with a
-hand-written gradient: ``concept_model`` (the whole model, features to
-pool coordinates and logits, its parameters and their gradient one 1 x P
-row each) and ``softmax_cross_entropy`` (from logits). The distillation
-terms and the weighted total are ops of their own in ``losses``
-(``gpd_loss``, ``lcd_loss``, ``total_loss``), built on the same record.
-Every op ends in ``_finish``, which rejects a non-finite result and
-records the op when an operand is tracked. An op has one output or two
-(``concept_model`` returns, and checks itself, the coordinates and the
-logits); ``backward`` hands its VJP one adjoint per output, None for an
-output that received none.
+The ops are defined where they are used, each with a hand-written gradient:
+``model.forward`` and ``model.cross_entropy``, and ``gpd_loss``,
+``lcd_loss`` and ``total_loss`` in ``losses``. Each ends in ``_finish``,
+which rejects a non-finite result and records the op when an operand is
+tracked. An op has one output or two (``forward``'s coordinates and
+logits, which it checks itself); ``backward`` hands its VJP one adjoint per
+output, None for one that received none. The input checks that the ops and
+the configs share are here too.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+import sys
 from typing import Callable
 
 import numpy as np
@@ -45,6 +42,22 @@ def _int_labels(labels, fn: str) -> np.ndarray:
     if labels.dtype.kind not in "iu" and labels.size:
         raise ValueError(f"{fn}: labels must have an integer dtype, got {labels.dtype}")
     return labels.astype(np.int64, copy=False)
+
+
+def _got(value) -> str:
+    """``", got <repr>"`` for a message, or "" if ``value`` holds an int too long for repr."""
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    if any(isinstance(v, int) and v.bit_length() >= 10_000 for v in items):
+        return ""
+    return f", got {value!r}"
+
+
+def _check_real(name: str, value) -> None:
+    """``value`` a finite ``int`` or ``float``, not ``bool``; else ValueError naming ``name``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
+        raise ValueError(f"{name} must be finite" + _got(value))
 
 
 class Matrix:
@@ -169,116 +182,6 @@ def _finish(op: str, out, inputs: tuple[Matrix, ...], vjp: Callable):
     if tape is None:
         return tuple([Matrix._wrap(o) for o in out]) if type(out) is tuple else Matrix._wrap(out)
     return tape._record(out, inputs, vjp)
-
-
-def concept_model(features, params, arrays, basis, coords_t) -> tuple[Matrix, Matrix]:
-    """A whole concept model as one op: ``features`` to pool coordinates and logits.
-
-    ``params`` is a 1 x P row; ``arrays``, its layout, is a list of views that
-    tile it (each encoder layer's weight and bias, then the classifier's), as
-    ``ModelParams`` holds them. Encoder layers ``x @ w + b`` have tanh between
-    them; their unit-length rows (a row of norm <= 1e-12 scores 0 and passes
-    no adjoint) map to ``coords = unit @ coords_t`` and then
-    ``logits = coords @ (basis^T W) + b``, for the constant factors
-    ``E = basis coords_t^T`` of the pool's QR. Each stage checks its shapes
-    and result under its own name. The VJP writes each parameter's gradient
-    into its span of a fresh 1 x P row, the classifier weight W's as
-    ``basis @ (coords^T g)``.
-    """
-    x, p, q, rt = as_matrix(features), as_matrix(params), as_matrix(basis), as_matrix(coords_t)
-    for name, m in (("features", x), ("basis", q), ("coords_t", rt)):
-        if m.tracked:  # rejected rather than given no adjoint
-            raise ValueError(f"concept_model: {name} must be a constant")
-    ends = [0, *accumulate([a.size for a in arrays])]
-    row = p.data if p.data.base is None else p.data.base
-    if (p.rows != 1 or ends[-1] != p.cols or len(arrays) < 4 or len(arrays) % 2
-            or any([a.base is not row for a in arrays])):
-        raise ShapeError(f"concept_model: {[a.shape for a in arrays]} do not tile {p.shape}")
-    n_enc = len(arrays) // 2 - 1
-    h, layer_in = x.data, []
-    for i in range(n_enc):
-        w, b = arrays[2 * i], arrays[2 * i + 1]
-        if h.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-            raise ShapeError(f"affine: {h.shape} x {w.shape} + {b.shape}")
-        layer_in.append(h if p.tracked else None)  # a constant forward keeps no layer
-        h = h @ w + b
-        _check_finite(h, "affine")
-        if i < n_enc - 1:
-            h = np.tanh(h)
-            _check_finite(h, "tanh")
-    qd, rtd = q.data, rt.data
-    if h.shape[1] != rtd.shape[0]:
-        raise ShapeError(f"cosine_similarity: {h.shape} x {rtd.shape}")
-    # what np.linalg.norm(h, axis=1) evaluates for real input, without its wrapper
-    norms = np.sqrt(np.add.reduce(h * h, axis=1, keepdims=True))
-    safe = np.maximum(norms, 1e-12)
-    dead = (norms[:, 0] <= 1e-12).nonzero()[0]
-    unit = np.divide(h, safe, out=h)  # in place: h is this op's own array
-    if dead.size:
-        unit[dead] = 0.0
-    coords = unit @ rtd
-    _check_finite(coords, "cosine_similarity")
-    cw, cb = arrays[-2], arrays[-1]
-    if qd.shape != (cw.shape[0], rtd.shape[1]) or cb.shape != (1, cw.shape[1]):
-        raise ShapeError(f"affine: {coords.shape} x {qd.shape}^T {cw.shape} + {cb.shape}")
-    v = qd.T @ cw  # k x C: the weight in the basis
-    logits = coords @ v + cb
-    _check_finite(logits, "affine")
-
-    def vjp(g_coords, g_logits):
-        # matmuls and column sums into the spans; the classifier's stays 0 without logits
-        grad = np.empty(ends[-1]) if g_logits is not None else np.zeros(ends[-1])
-        g = g_coords
-        if g_logits is not None:
-            np.matmul(qd, coords.T @ g_logits, out=grad[ends[-3]:ends[-2]].reshape(cw.shape))
-            np.add.reduce(g_logits, axis=0, out=grad[ends[-2]:])
-            g = g_logits @ v.T
-            if g_coords is not None:
-                g += g_coords  # the distill path's adjoint of the coordinates
-        g = g @ rtd.T
-        dot = np.add.reduce(g * unit, axis=1, keepdims=True)
-        g = (g - unit * dot) / safe
-        if dead.size:
-            g[dead] = 0.0
-        for i in reversed(range(n_enc)):
-            a, (lo, mid, hi) = layer_in[i], ends[2 * i:2 * i + 3]
-            np.matmul(a.T, g, out=grad[lo:mid].reshape(arrays[2 * i].shape))
-            np.add.reduce(g, axis=0, out=grad[mid:hi])
-            if i:
-                g = (g @ arrays[2 * i].T) * (1.0 - a * a)  # a is the tanh before layer i
-        return None, grad.reshape(1, -1), None, None
-
-    return _finish("concept_model", (coords, logits), (x, p, q, rt), vjp)
-
-
-def softmax_cross_entropy(logits, labels) -> Matrix:
-    """Mean over rows of ``log sum_k exp z_ik - z_i,labels_i``: cross-entropy from logits.
-
-    Each row is shifted by its largest logit before the exponentials, so the
-    sum inside the log is >= 1, nothing overflows, and a true class whose
-    probability rounds to zero still gets its full loss and gradient. The
-    gradient is written out by hand: ``(softmax - onehot) / n``.
-    """
-    z = as_matrix(logits)
-    labels = _int_labels(labels, "softmax_cross_entropy")
-    if labels.shape != (z.rows,):
-        raise ValueError(f"labels must be 1-D of length {z.rows}")
-    if labels.min() < 0 or labels.max() >= z.cols:
-        raise ValueError(f"label outside [0, {z.cols})")
-    n = z.rows
-    rows = np.arange(n)
-    shifted = z.data - z.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    # np.mean's own arithmetic, without its wrapper
-    loss = np.add.reduce(np.log(total[:, 0]) - shifted[rows, labels]) / n
-
-    def vjp(g):
-        grad = e / total
-        grad[rows, labels] -= 1.0
-        return (grad * (g[0, 0] / n),)
-
-    return _finish("softmax_cross_entropy", np.array([[loss]]), (z,), vjp)
 
 
 def backward(tape: Tape, loss: Matrix) -> list[np.ndarray | None]:

@@ -6,11 +6,11 @@ is the concept axis of every similarity row downstream, so the teacher's
 and the student's rows are comparable column by column. A concept's class
 is the part of its id before the first "." (``DR.concept3`` is a DR concept).
 Every row must be a unit vector, L2 norm within 1e-9 of 1:
-``autodiff.concept_model`` normalises only the embedding side, so a
-longer row would score a "cosine" above 1.
+``model.forward`` normalises only the embedding side, so a longer row
+would score a "cosine" above 1.
 
 The reduced QR factorization ``embeddings = Q R``, k = min(N, dim), is
-taken once and held as two read-only constant autodiff operands: ``basis``,
+taken once and held as two read-only constant matrices: ``basis``,
 the N x k matrix Q with orthonormal columns, and ``coords_t``, the dim x k
 matrix R^T. A similarity row is ``E u`` for an embedding ``u``, so it lies
 in the column span of Q: for rows S, ``S Q Q^T = S``. Their coordinates

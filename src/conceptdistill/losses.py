@@ -14,19 +14,18 @@ generator's default pool, with the same loss values up to rounding.
 
 ``gpd_loss``, ``lcd_loss`` and ``total_loss`` (the weighted sum of the
 cross-entropy and the terms) are tape operations themselves, each with a
-hand-written gradient and ending in ``autodiff._finish`` like the ops of
-``autodiff``. Each checks its caller's inputs once and builds its class
-weights or positive-pair mask itself. ``class_prototypes`` only builds a
-batch's constant class-mean weights and the mask of classes present,
-recording nothing; ``gpd_loss`` takes both sides' class means and their
-squared distance over the classes present in both. ``lcd_loss`` works in
-log space with one pass of exponentials per call; its docstring has the
-numerics.
+hand-written gradient and ending in ``autodiff._finish``, as ``model``'s
+ops do. Each checks its caller's inputs once and builds its class weights
+or positive-pair mask itself. ``class_prototypes`` only builds a batch's
+constant class-mean weights and the mask of classes present, recording
+nothing; ``gpd_loss`` takes both sides' class means and their squared
+distance over the classes present in both, and counts those. ``lcd_loss``
+works in log space with one pass of exponentials per call; its docstring
+has the numerics.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,7 @@ class DistillConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "tau"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
-                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
+            ad._check_real(name, getattr(self, name))
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha < 0 or self.beta < 0:
@@ -78,23 +72,24 @@ def class_prototypes(similarity, labels, num_classes: int) -> ClassPrototypes:
     return ClassPrototypes(indicator / np.maximum(counts, 1.0)[:, None], counts > 0, sim)
 
 
-def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> Matrix:
+def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> tuple[Matrix, int]:
     """Squared L2 distance between class means, averaged over classes present in both.
 
     One op over both sides' rows: the class means are ``weights @ rows``,
     and the gradient, ``2 (m_a - m_b) / |shared|`` on the shared classes'
-    means, maps back through each side's weights. With no class shared the
-    result is a constant 0.
+    means, maps back through each side's weights. Returns the loss and the
+    number of shared classes; with none shared the loss is a constant 0.
     """
     ra, rb = a.rows, b.rows
     if len(a.present) != len(b.present) or ra.cols != rb.cols:
         raise ShapeError(f"gpd_loss: {len(a.present)} classes of width {ra.cols} vs "
                          f"{len(b.present)} of width {rb.cols}")
     shared = a.present & b.present
-    if not shared.any():
-        return Matrix([[0.0]])
+    n_shared = int(np.count_nonzero(shared))
+    if not n_shared:
+        return Matrix([[0.0]]), 0
     wa, wb = a.weights, b.weights
-    c = 1.0 / np.count_nonzero(shared)
+    c = 1.0 / n_shared
     d = (wa @ ra.data)[shared] - (wb @ rb.data)[shared]
     a_tracked, b_tracked = ra.tracked, rb.tracked
 
@@ -104,7 +99,7 @@ def gpd_loss(a: ClassPrototypes, b: ClassPrototypes) -> Matrix:
         grad[shared] = half + half
         return (wa.T @ grad if a_tracked else None), (wb.T @ -grad if b_tracked else None)
 
-    return ad._finish("gpd_loss", ((d * d).sum() * c).reshape(1, 1), (ra, rb), vjp)
+    return ad._finish("gpd_loss", ((d * d).sum() * c).reshape(1, 1), (ra, rb), vjp), n_shared
 
 
 def lcd_loss(student_sims, student_labels, teacher_sims, teacher_labels,

@@ -1,14 +1,15 @@
 """Concept-decoupled classifier for one modality.
 
-``forward`` runs the whole model as one autodiff op, ``autodiff.concept_model``:
-a small trainable projection of the features (``x @ w + b`` per layer, tanh
-between layers), its rows L2-normalized and scored against the frozen concept
-embeddings as coordinates on the pool's ``basis`` Q, and a linear classifier
-on those similarity rows, which reads its weight through Q (see ``concepts``),
-kept linear so each (concept, class) weight reads as a direct contribution.
-Every stage's shapes are checked (``autodiff.ShapeError``). Cross-entropy is
-one more op on the logits; the predicted probabilities are a softmax of their
-values, off the tape.
+``forward`` runs the whole model as one autodiff op: a small trainable
+projection of the features (``x @ w + b`` per layer, tanh between layers),
+its rows L2-normalized and scored against the frozen concept embeddings as
+coordinates on the pool's ``basis`` Q, and a linear classifier on those
+similarity rows, which reads its weight through Q (see ``concepts``), kept
+linear so each (concept, class) weight reads as a direct contribution.
+Every stage's shapes are checked (``autodiff.ShapeError``).
+``cross_entropy`` is one more op on the logits; the predicted probabilities
+are a softmax of their values, off the tape. Both ops end in
+``autodiff._finish``, which records them on the tape.
 
 A model's parameters are one flat float64 vector, ``ModelParams.flat``,
 read through ``ModelParams.arrays``, a read-only name -> view mapping in
@@ -29,13 +30,14 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Matrix, Tape
+from .autodiff import Matrix, ShapeError, Tape
 from .concepts import ConceptPool
 
 
@@ -65,11 +67,13 @@ class ModelParams:
         self.sizes = tuple(map(int, sizes))  # plain ints, as a checkpoint stores them
         self.num_concepts, self.num_classes = int(num_concepts), int(num_classes)
         self.frozen = False
-        views, start = {}, 0
-        for name, (rows, cols) in _layout(sizes, num_concepts, num_classes).items():
-            views[name] = flat[start:start + rows * cols].reshape(rows, cols)
-            start += rows * cols
-        self.arrays = MappingProxyType(views)
+        layout = _layout(sizes, num_concepts, num_classes)
+        ends = [0, *accumulate([rows * cols for rows, cols in layout.values()])]
+        if len(self.sizes) < 2 or flat.shape != (ends[-1],):  # forward relies on both
+            raise ValueError(f"a vector of shape {flat.shape} for a layout of {ends[-1]} values "
+                             f"(from {len(self.sizes)} sizes, at least 2)")
+        self.arrays = MappingProxyType({name: flat[lo:hi].reshape(shape) for (name, shape), lo, hi
+                                        in zip(layout.items(), ends, ends[1:])})
 
     def freeze(self) -> "ModelParams":
         self.frozen = True
@@ -98,10 +102,7 @@ def check_hidden_sizes(hidden) -> tuple[int, ...]:
         raise ValueError("at most 2 hidden layers are supported")
     if not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
                for h in hidden):
-        # repr would raise for an int of over 4300 digits
-        big = any(isinstance(h, int) and h.bit_length() >= 10_000 for h in hidden)
-        raise ValueError("encoder_hidden sizes must be positive integers"
-                         + ("" if big else f", got {hidden!r}"))
+        raise ValueError("encoder_hidden sizes must be positive integers" + ad._got(hidden))
     if max(hidden, default=0) > np.iinfo(np.intp).max:  # no array could have the width
         raise ValueError(f"encoder_hidden sizes must be at most {np.iinfo(np.intp).max}")
     return hidden
@@ -150,23 +151,109 @@ class Prediction:
 
 
 def cross_entropy(pred: Prediction, labels) -> Matrix:
-    """Mean negative log-probability of the true class, from the prediction's logits."""
-    return ad.softmax_cross_entropy(pred.logits, labels)
+    """Mean over rows of ``log sum_k exp z_ik - z_i,labels_i`` for the logits z, as one op.
+
+    Each row is shifted by its largest logit before the exponentials, so the
+    sum inside the log is >= 1, nothing overflows, and a true class whose
+    probability rounds to zero still gets its full loss and gradient. The
+    gradient is written out by hand: ``(softmax - onehot) / n``.
+    """
+    z = pred.logits
+    labels = ad._int_labels(labels, "cross_entropy")
+    if labels.shape != (z.rows,):
+        raise ValueError(f"labels must be 1-D of length {z.rows}")
+    if labels.min() < 0 or labels.max() >= z.cols:
+        raise ValueError(f"label outside [0, {z.cols})")
+    n = z.rows
+    rows = np.arange(n)
+    shifted = z.data - z.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    # np.mean's own arithmetic, without its wrapper
+    loss = np.add.reduce(np.log(total[:, 0]) - shifted[rows, labels]) / n
+
+    def vjp(g):
+        grad = e / total
+        grad[rows, labels] -= 1.0
+        return (grad * (g[0, 0] / n),)
+
+    return ad._finish("cross_entropy", np.array([[loss]]), (z,), vjp)
 
 
 def forward(model, features, pool: ConceptPool) -> tuple[Matrix, Prediction]:
     """Features -> encoder -> cosine similarity to ``pool`` -> classifier, as one op.
 
     ``model`` is a ``ModelBinding`` (its leaf puts the op on its tape) or a
-    ``ModelParams`` (its vector, checked finite once, enters as a constant).
-    Returns the B x k coordinates of the similarity rows on ``pool.basis``
-    and their ``Prediction``.
+    ``ModelParams`` (its vector, checked finite here, enters as a constant).
+    Encoder layers ``x @ w + b`` have tanh between them; their unit rows (a
+    row of norm <= 1e-12 scores 0 and passes no adjoint) give the B x k
+    coordinates ``unit @ coords_t`` on ``pool.basis`` and the logits
+    ``coords @ (basis^T W) + b``, which are returned as a ``Prediction``.
+    Each stage checks its shapes and result under its own name. The VJP
+    writes each array's gradient into its span of a fresh 1 x P row.
     """
     bound = isinstance(model, ModelBinding)
-    flat, params = (model.leaf, model.params) if bound else (Matrix(model.flat), model)
-    coords, logits = ad.concept_model(features, flat, [*params.arrays.values()], pool.basis,
-                                      pool.coords_t)
-    return coords, Prediction(logits)
+    params, p = (model.params, model.leaf) if bound else (model, Matrix(model.flat))
+    x = ad.as_matrix(features)
+    if x.tracked:  # rejected rather than given no adjoint
+        raise ValueError("forward: features must be a constant")
+    arrays = [*params.arrays.values()]
+    ends = [0, *accumulate([a.size for a in arrays])]
+    n_enc = len(arrays) // 2 - 1
+    h, layer_in = x.data, []
+    if h.shape[1] != arrays[0].shape[0]:
+        raise ShapeError(f"affine: {h.shape} x {arrays[0].shape} + {arrays[1].shape}")
+    for i in range(n_enc):
+        layer_in.append(h if bound else None)  # a constant forward keeps no layer
+        h = h @ arrays[2 * i] + arrays[2 * i + 1]
+        ad._check_finite(h, "affine")
+        if i < n_enc - 1:
+            h = np.tanh(h)
+            ad._check_finite(h, "tanh")
+    qd, rtd = pool.basis.data, pool.coords_t.data
+    if h.shape[1] != rtd.shape[0]:
+        raise ShapeError(f"cosine_similarity: {h.shape} x {rtd.shape}")
+    # what np.linalg.norm(h, axis=1) evaluates for real input, without its wrapper
+    norms = np.sqrt(np.add.reduce(h * h, axis=1, keepdims=True))
+    safe = np.maximum(norms, 1e-12)
+    dead = (norms[:, 0] <= 1e-12).nonzero()[0]
+    unit = np.divide(h, safe, out=h)  # in place: h is this op's own array
+    if dead.size:
+        unit[dead] = 0.0
+    coords = unit @ rtd
+    ad._check_finite(coords, "cosine_similarity")
+    cw, cb = arrays[-2], arrays[-1]
+    if qd.shape != (cw.shape[0], rtd.shape[1]):
+        raise ShapeError(f"affine: {coords.shape} x {qd.shape}^T {cw.shape} + {cb.shape}")
+    v = qd.T @ cw  # k x C: the weight in the basis
+    logits = coords @ v + cb
+    ad._check_finite(logits, "affine")
+
+    def vjp(g_coords, g_logits):
+        # matmuls and column sums into the spans; the classifier's stays 0 without logits
+        grad = np.empty(ends[-1]) if g_logits is not None else np.zeros(ends[-1])
+        g = g_coords
+        if g_logits is not None:
+            np.matmul(qd, coords.T @ g_logits, out=grad[ends[-3]:ends[-2]].reshape(cw.shape))
+            np.add.reduce(g_logits, axis=0, out=grad[ends[-2]:])
+            g = g_logits @ v.T
+            if g_coords is not None:
+                g += g_coords  # the distill path's adjoint of the coordinates
+        g = g @ rtd.T
+        dot = np.add.reduce(g * unit, axis=1, keepdims=True)
+        g = (g - unit * dot) / safe
+        if dead.size:
+            g[dead] = 0.0
+        for i in reversed(range(n_enc)):
+            a, (lo, mid, hi) = layer_in[i], ends[2 * i:2 * i + 3]
+            np.matmul(a.T, g, out=grad[lo:mid].reshape(arrays[2 * i].shape))
+            np.add.reduce(g, axis=0, out=grad[mid:hi])
+            if i:
+                g = (g @ arrays[2 * i].T) * (1.0 - a * a)  # a is the tanh before layer i
+        return None, grad.reshape(1, -1)
+
+    out = ad._finish("forward", (coords, logits), (x, p), vjp)  # the VJP reads coords
+    return out[0], Prediction(out[1])
 
 
 # --- checkpoint files -------------------------------------------------------
@@ -237,9 +324,6 @@ def _params_of(payload, pool: ConceptPool | None) -> ModelParams:
     if not isinstance(values, list) or not all(
             type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values):
         raise ValueError("values must be a list of numbers within float range")
-    size = sum(rows * cols for rows, cols in _layout(sizes, num_concepts, num_classes).values())
-    if len(values) != size:
-        raise ValueError(f"{len(values)} values for a layout of {size}")
     flat = np.array(values, dtype=np.float64)
     if not np.isfinite(flat).all():
         raise ValueError("values must be finite")

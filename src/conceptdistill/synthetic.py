@@ -12,9 +12,10 @@ is ``len(class_names)``, the names must be distinct, and ``counts`` holds
 one list of that length per (modality, split) and no other key. Class names
 must be strings. Integer fields must be of type ``int``, not ``bool`` and
 not a NumPy integer (which ``json.dump`` refuses): ``seed`` >= 0, the sizes
->= 1. The real fields ``teacher_dominance``, ``attenuation`` and
-``noise_sigma`` must be finite ``int`` or ``float`` values >= 0, not
-``bool``; ``teacher_dominance`` is also <= 1.
+>= 1, each at most ``np.iinfo(np.intp).max``. The real fields
+``teacher_dominance``, ``attenuation`` and ``noise_sigma`` must be finite
+``int`` or ``float`` values >= 0, not ``bool``; ``teacher_dominance`` is
+also <= 1.
 
 The ground truth stores each fact once: the config, ``teacher_dominant``
 and ``mixing_teacher``. The class profiles (the block indicator) and
@@ -31,13 +32,13 @@ of its config, seed included, so on disk a dataset is one file,
 from __future__ import annotations
 
 import json
-import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import _check_real, _got
 from .concepts import ConceptPool
 
 MODALITIES = ("student", "teacher")
@@ -81,20 +82,16 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("teacher_dominance", "attenuation", "noise_sigma"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
-                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
+            _check_real(name, value)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name, low in (("concepts_per_class", 1), ("feature_dim", 1), ("embed_dim", 1),
                           ("seed", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < low:
-                big = type(value) is int and value.bit_length() >= 10_000  # repr would raise
-                raise ValueError(f"{name} must be an integer >= {low}"
-                                 + ("" if big else f", got {value!r}"))
+                raise ValueError(f"{name} must be an integer >= {low}" + _got(value))
+            if value > np.iinfo(np.intp).max:  # no array could have the size, nor a file the seed
+                raise ValueError(f"{name} must be at most {np.iinfo(np.intp).max}")
         if (not isinstance(self.class_names, (list, tuple))
                 or not all(isinstance(name, str) for name in self.class_names)):
             raise ValueError(f"class_names must be strings in a list or tuple, "

@@ -4,9 +4,9 @@
 init, AdamW on a cosine learning-rate schedule, one JSONL record per step
 and per epoch. The student's loop adds the GPD and LCD terms against a
 frozen teacher when their weights are non-zero, on the pool coordinates
-that ``forward`` returns (see ``concepts``). A step's tape holds the model
-op and cross-entropy, then one op each from ``losses`` for the terms that
-are on (``gpd_loss``, ``lcd_loss``) and for their weighted ``total_loss``.
+that ``forward`` returns (see ``concepts``). A step's tape holds the ops
+``forward`` and ``cross_entropy``, then one op each from ``losses`` for the
+terms that are on (``gpd_loss``, ``lcd_loss``) and for their ``total_loss``.
 The teacher's coordinates for its whole train split are computed once per
 run and indexed per batch; its parameter hash is checked after every
 epoch. The teacher keeps its last epoch; the student keeps the epoch with
@@ -14,7 +14,7 @@ the best validation macro P-R F1. Validation runs only when its score is
 read: for the student's epoch choice, or for the epoch record of a run
 that writes a log. Each step record carries the loss terms, the learning
 rate, the number of classes GPD compared and the number of anchors LCD
-skipped (null when the term is off).
+skipped, as the two losses return them (null when the term is off).
 
 Fully deterministic: every stochastic choice is derived from the run seed,
 so one (config, seed, dataset, pool) tuple maps to exactly one parameter
@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Matrix, Tape, backward
+from .autodiff import Matrix, Tape, _check_real, _got, backward
 from .concepts import ConceptPool
 from .losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
 from .metrics import confusion_counts, per_class_metrics
@@ -60,18 +59,15 @@ class TrainConfig:
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("learning_rate", "weight_decay"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int too large
-                big = isinstance(value, int) and value.bit_length() >= 10_000  # repr would raise
-                raise ValueError(f"{name} must be finite" + ("" if big else f", got {value!r}"))
+            _check_real(name, getattr(self, name))
         if not isinstance(self.distill, DistillConfig):
             raise ValueError(f"distill must be a DistillConfig, got {self.distill!r}")
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
             raise ValueError("learning_rate, batch_size must be positive; epochs >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        if self.seed < 0:  # NumPy's seeding would refuse it without naming the field
+            raise ValueError("seed must be >= 0" + _got(self.seed))
         self.encoder_hidden = check_hidden_sizes(self.encoder_hidden)
 
 
@@ -291,9 +287,8 @@ def _fit(config: TrainConfig, dataset: SyntheticDataset, pool: ConceptPool, moda
                     if cfg_d.alpha > 0:
                         t_protos = class_prototypes(t_coords, t_labels, num_classes)
                         s_protos = class_prototypes(coords, labels, num_classes)
-                        gpd = gpd_loss(t_protos, s_protos)
+                        gpd, gpd_shared = gpd_loss(t_protos, s_protos)
                         gpd_v = gpd.item()
-                        gpd_shared = int((t_protos.present & s_protos.present).sum())
                     if cfg_d.beta > 0:
                         lcd, lcd_skipped = lcd_loss(coords, labels, t_coords, t_labels, cfg_d.tau)
                         lcd_v = lcd.item()

@@ -2,6 +2,7 @@ import gc
 import inspect
 import weakref
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conceptdistill import autodiff as ad
-from conceptdistill import losses
+from conceptdistill import losses, model
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.losses import DistillConfig, class_prototypes, gpd_loss, lcd_loss, total_loss
+from conceptdistill.model import ModelBinding, ModelParams, Prediction, cross_entropy, forward
 
 from gradcheck import finite_diff_grad
 
@@ -20,54 +22,68 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-12))
 
 
-def grad_of(build, x0: np.ndarray) -> np.ndarray:
-    """Analytic gradient of scalar build(x) w.r.t. the single leaf x."""
+def track(tape: Tape, x0):
+    """``x0`` on ``tape`` and its adjoint's slot: a ``ModelParams`` bound, anything else a leaf."""
+    if isinstance(x0, ModelParams):
+        binding = ModelBinding(x0, tape)
+        return binding, binding.leaf.slot
+    leaf = tape.leaf(x0)
+    return leaf, leaf.slot
+
+
+def with_flat(params: ModelParams, flat: np.ndarray) -> ModelParams:
+    """A model laid out like ``params`` on the values of ``flat`` (1 x P or P)."""
+    return ModelParams(params.modality, flat.reshape(-1), params.sizes, params.num_concepts,
+                       params.num_classes, params.pool_fingerprint)
+
+
+def grad_of(build, x0) -> np.ndarray:
+    """Analytic gradient of scalar build(x) w.r.t. x, a leaf of ``x0`` or a binding of it."""
     tape = Tape()
-    x = tape.leaf(x0)
-    loss = build(x)
-    return backward(tape, loss)[x.slot]
+    x, slot = track(tape, x0)
+    return backward(tape, build(x))[slot]
 
 
-def check_against_fd(build, x0: np.ndarray, tol: float = 1e-4, h: float = 1e-5):
+def check_against_fd(build, x0, tol: float = 1e-4, h: float = 1e-5):
     analytic = grad_of(build, x0)
-    fd = finite_diff_grad(lambda m: build(m).item(), Matrix(x0), h=h).data
-    assert rel_err(analytic, fd) < tol, f"analytic {analytic} vs fd {fd}"
+    if isinstance(x0, ModelParams):  # the same model, each entry of its vector moved
+        fd = finite_diff_grad(lambda m: build(with_flat(x0, m.data)).item(), Matrix(x0.flat), h=h)
+    else:
+        fd = finite_diff_grad(lambda m: build(m).item(), Matrix(x0), h=h)
+    assert rel_err(analytic, fd.data) < tol, f"analytic {analytic} vs fd {fd.data}"
 
 
-def identity_model(k: int, n_classes: int = 1):
-    """A model for k-wide features whose encoder is the identity map: its layer shapes and 1 x P row.
+def factors(basis, coords_t):
+    """A pool as ``forward`` reads one: its constant factors Q and R^T, nothing else."""
+    return SimpleNamespace(basis=Matrix(basis), coords_t=Matrix(coords_t))
+
+
+def new_model(sizes, n_concepts: int, n_classes: int = 1) -> ModelParams:
+    """A zero model with encoder ``sizes`` (features, hidden ..., embedding) and a classifier."""
+    size = sum(a * b + b for a, b in zip(sizes, sizes[1:])) + n_concepts * n_classes + n_classes
+    return ModelParams("student", np.zeros(size), sizes, n_concepts, n_classes, "")
+
+
+def identity_model(k: int, n_classes: int = 1) -> ModelParams:
+    """A model for k-wide features whose encoder is the identity map, for k identity concepts.
 
     ``x @ I + 0`` is ``x`` exactly, so the similarity rows normalize the
     features themselves; the classifier is zero.
     """
-    shapes = [(k, k), (1, k), (k, n_classes), (1, n_classes)]
-    flat = np.zeros((1, k * k + k + k * n_classes + n_classes))
-    flat[0, :k * k] = np.eye(k).ravel()
-    return shapes, flat
-
-
-def tiles(row: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the 1 x P array ``row`` with ``shapes``, end to end: a layout of ``row``."""
-    ends = np.cumsum([0] + [r * c for r, c in shapes])
-    return [row[0, lo:hi].reshape(shape) for lo, hi, shape in zip(ends, ends[1:], shapes)]
-
-
-def concept_model(x, row, shapes, basis, coords_t):
-    """``ad.concept_model`` on ``row`` (a 1 x P array or matrix) laid out as ``shapes``."""
-    return ad.concept_model(x, row, tiles(row.data if isinstance(row, Matrix) else row, shapes),
-                            basis, coords_t)
+    params = new_model([k, k], k, n_classes)
+    params.arrays["encoder.0.weight"][:] = np.eye(k)
+    return params
 
 
 def normalize_rows(rows) -> Matrix:
-    """Row L2 normalization: ``concept_model``'s coordinates, identity encoder and pool factors."""
+    """Row L2 normalization: ``forward``'s coordinates, identity encoder and pool factors."""
     rows = np.asarray(rows.data if isinstance(rows, Matrix) else rows, dtype=np.float64)
-    shapes, flat = identity_model(rows.shape[1])
     eye = np.eye(rows.shape[1])
-    return concept_model(rows, flat, shapes, eye, eye)[0]
+    return forward(identity_model(rows.shape[1]), rows, factors(eye, eye))[0]
 
 
 class TestL2NormalizeRows:
-    """The row normalization inside ``concept_model``, read through identity pool factors."""
+    """The row normalization inside ``forward``, read through identity pool factors."""
 
     def test_three_four_five(self):
         out = normalize_rows([[3.0, 4.0]])
@@ -100,33 +116,29 @@ def recorded_vjp(out: Matrix):
     return vjp
 
 
-def random_model(rng, widths, n_concepts, n_classes):
-    """Layer arrays for encoder ``widths`` (features, hidden ..., embedding) and a classifier.
-
-    Returns the arrays in layer order, their shapes and the 1 x P row that
-    holds them end to end.
-    """
-    arrays = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        arrays += [rng.uniform(-1, 1, (fan_in, fan_out)), rng.uniform(-1, 1, (1, fan_out))]
-    arrays += [rng.uniform(-1, 1, (n_concepts, n_classes)), rng.uniform(-1, 1, (1, n_classes))]
-    return arrays, [a.shape for a in arrays], np.concatenate([a.ravel() for a in arrays])[None]
+def random_model(rng, widths, n_concepts, n_classes) -> ModelParams:
+    """A model for encoder ``widths`` (features, hidden ..., embedding), entries in [-1, 1)."""
+    params = new_model(widths, n_concepts, n_classes)
+    for arr in params.arrays.values():
+        arr[:] = rng.uniform(-1, 1, arr.shape)
+    return params
 
 
 def pool_factors(rng, dim, n):
-    """Q (n x k) and R^T (dim x k) of the reduced QR of ``n`` random unit rows of width ``dim``."""
+    """The factors Q (n x k) and R^T (dim x k) of ``n`` random unit rows of width ``dim``."""
     e = rng.standard_normal((n, dim))
     q, r = np.linalg.qr(e / np.linalg.norm(e, axis=1, keepdims=True))
-    return q, np.ascontiguousarray(r.T)
+    return factors(q, np.ascontiguousarray(r.T))
 
 
-def per_layer_reference(x, arrays, basis, coords_t, g_coords, g_logits):
-    """Values and parameter adjoints by the per-layer NumPy expressions ``concept_model`` fuses.
+def per_layer_reference(x, arrays, pool, g_coords, g_logits):
+    """Values and parameter adjoints by the per-layer NumPy expressions ``forward`` fuses.
 
     The coordinates' adjoint is the distill path's plus the classifier's,
     summed in the order ``backward`` once accumulated them; a missing output
     adjoint leaves its layers' gradients zero.
     """
+    basis, coords_t = pool.basis.data, pool.coords_t.data
     n_enc = len(arrays) // 2 - 1
     acts = [x]  # each encoder layer's input, then the encoder's output
     for i in range(n_enc):
@@ -168,59 +180,65 @@ def assert_flat_gradient_equal(grad, arrays, want):
         start += a.size
 
 
+def bound_forward(params: ModelParams, x, pool):
+    """``forward`` of ``params`` bound on a fresh tape: its coordinates and logits."""
+    coords, pred = forward(ModelBinding(params, Tape()), x, pool)
+    return coords, pred.logits
+
+
 class TestFusedOpsExact:
     """Each fused op's value and adjoints equal, bit for bit, the NumPy expressions it replaces."""
 
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])
     def test_concept_model(self, hidden):
-        # both adjoints present, and rows that are dead: exactly zero, or below eps
+        # forward, which concept_model was folded into: both adjoints present, and
+        # rows that are dead: exactly zero, or below eps
         rng = np.random.default_rng(len(hidden))
-        arrays, shapes, flat0 = random_model(rng, [5, *hidden, 6], 7, 3)
+        params = random_model(rng, [5, *hidden, 6], 7, 3)
+        arrays = list(params.arrays.values())
         x = rng.standard_normal((8, 5))
-        basis, coords_t = pool_factors(rng, 6, 7)
+        pool = pool_factors(rng, 6, 7)
         # without encoder biases, feature rows 2 and 5 give a zero row and one below eps
         for b in arrays[1:-2:2]:
             b[:] = 0.0
         x[2], x[5] = 0.0, [1e-13, 0.0, 0.0, 0.0, 0.0]
-        flat0 = np.concatenate([a.ravel() for a in arrays])[None]
         g_coords, g_logits = rng.standard_normal((8, 6)), rng.standard_normal((8, 3))
-        tape = Tape()
-        coords, logits = concept_model(x, tape.leaf(flat0), shapes, basis, coords_t)
-        want_coords, want_logits, want_grads = per_layer_reference(x, arrays, basis, coords_t,
-                                                                   g_coords, g_logits)
+        coords, logits = bound_forward(params, x, pool)
+        want_coords, want_logits, want_grads = per_layer_reference(x, arrays, pool, g_coords,
+                                                                   g_logits)
         np.testing.assert_array_equal(coords.data, want_coords)
         np.testing.assert_array_equal(coords.data[[2, 5]], 0.0)
         np.testing.assert_array_equal(logits.data, want_logits)
-        d_x, grad, d_basis, d_coords_t = recorded_vjp(logits)(g_coords, g_logits)
-        assert d_x is None and d_basis is None and d_coords_t is None
+        d_x, grad = recorded_vjp(logits)(g_coords, g_logits)
+        assert d_x is None
         assert_flat_gradient_equal(grad, arrays, want_grads)
 
     def test_affine(self):
         # the two layers, encoder and classifier, with only the logits' adjoint
         rng = np.random.default_rng(0)
-        arrays, shapes, flat0 = random_model(rng, [3, 4], 5, 2)
+        params = random_model(rng, [3, 4], 5, 2)
+        arrays = list(params.arrays.values())
         x, g = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
-        basis, coords_t = pool_factors(rng, 4, 5)
-        tape = Tape()
-        coords, logits = concept_model(x, tape.leaf(flat0), shapes, basis, coords_t)
+        pool = pool_factors(rng, 4, 5)
+        basis = pool.basis.data
+        coords, logits = bound_forward(params, x, pool)
         np.testing.assert_array_equal(logits.data, coords.data @ (basis.T @ arrays[2]) + arrays[3])
-        _, grad, _, _ = recorded_vjp(logits)(None, g)
-        _, _, want = per_layer_reference(x, arrays, basis, coords_t, None, g)
+        _, grad = recorded_vjp(logits)(None, g)
+        _, _, want = per_layer_reference(x, arrays, pool, None, g)
         assert_flat_gradient_equal(grad, arrays, want)
         np.testing.assert_array_equal(want[2], basis @ (coords.data.T @ g))
         np.testing.assert_array_equal(want[3], g.sum(axis=0, keepdims=True))
 
     def test_affine_skips_untracked_adjoints(self):
         # constants get no adjoint, and without the logits' adjoint the classifier's is zero
-        tape = Tape()
-        shapes, flat = identity_model(2, n_classes=3)
-        eye = np.eye(2)
-        coords, _ = concept_model(np.ones((4, 2)), tape.leaf(flat), shapes, eye, eye)
-        d_x, grad, d_basis, d_coords_t = recorded_vjp(coords)(np.ones((4, 2)), None)
-        assert d_x is None and d_basis is None and d_coords_t is None
+        params = identity_model(2, n_classes=3)
+        eye = factors(np.eye(2), np.eye(2))
+        coords, _ = bound_forward(params, np.ones((4, 2)), eye)
+        d_x, grad = recorded_vjp(coords)(np.ones((4, 2)), None)
+        assert d_x is None
         np.testing.assert_array_equal(grad[0, 6:], 0.0)
-        with pytest.raises(ValueError, match="features must be a constant"):
-            concept_model(tape.leaf(np.ones((4, 2))), flat, shapes, eye, eye)
+        with pytest.raises(ValueError, match="forward: features must be a constant"):
+            forward(params, Tape().leaf(np.ones((4, 2))), eye)
 
     def test_cosine_similarity(self):
         # features I and encoder weight u0: the encoder outputs u0, and its weight's
@@ -229,9 +247,10 @@ class TestFusedOpsExact:
         u0 = rng.standard_normal((6, 4))
         u0[2] = 0.0  # a zero row: output zero, adjoint zero
         u0[4] = [0.0, 1e-13, 0.0, 0.0]  # below eps: guarded like a zero row
-        basis, coords_t = pool_factors(rng, 4, 7)
+        pool = pool_factors(rng, 4, 7)
+        coords_t = pool.coords_t.data
         g = rng.standard_normal((6, 4))
-        coords, du = similarity_and_adjoint(u0, basis, coords_t, g)
+        coords, du = similarity_and_adjoint(u0, pool, g)
 
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
@@ -246,29 +265,25 @@ class TestFusedOpsExact:
 
     def test_concept_model_checks_each_stage(self):
         # an overflowing encoder or classifier layer is named as the layer that overflowed
-        shapes, flat = identity_model(2, n_classes=2)
-        eye = np.eye(2)
+        eye = factors(np.eye(2), np.eye(2))
+        params = identity_model(2, n_classes=2)
+        params.flat *= 10.0
         with pytest.raises(ValueError, match="affine produced non-finite"), \
                 np.errstate(all="ignore"):
-            concept_model(np.full((1, 2), 1e308), flat * 10.0, shapes, eye, eye)
-        flat[0, -6:] = 1e308  # the classifier: (0.71 + 0.71) * 1e308 + 1e308 overflows
+            forward(params, np.full((1, 2), 1e308), eye)
+        params = identity_model(2, n_classes=2)
+        params.flat[-6:] = 1e308  # the classifier: (0.71 + 0.71) * 1e308 + 1e308 overflows
         with pytest.raises(ValueError, match="affine produced non-finite"), \
                 np.errstate(all="ignore"):
-            concept_model(np.ones((1, 2)), flat, shapes, eye, eye)
+            forward(params, np.ones((1, 2)), eye)
 
     def test_cosine_similarity_rejects_tracked_unit_t(self):
-        # the similarity stage's constant operands are the pool's factors Q and R^T
-        tape = Tape()
-        shapes, flat = identity_model(3)
-        eye = np.eye(3)
-        with pytest.raises(ValueError, match="basis must be a constant"):
-            concept_model(np.ones((2, 3)), flat, shapes, tape.leaf(eye), eye)
-        with pytest.raises(ValueError, match="coords_t must be a constant"):
-            concept_model(np.ones((2, 3)), flat, shapes, eye, tape.leaf(eye))
+        # the similarity stage's factors must fit the encoder's output and the classifier
+        params = identity_model(3)
         with pytest.raises(ShapeError, match=r"cosine_similarity: \(2, 3\) x \(4, 4\)"):
-            concept_model(np.ones((2, 3)), flat, shapes, np.eye(4), np.eye(4))
+            forward(params, np.ones((2, 3)), factors(np.eye(4), np.eye(4)))
         with pytest.raises(ShapeError, match=r"affine: \(2, 3\) x \(3, 2\)\^T \(3, 1\)"):
-            concept_model(np.ones((2, 3)), flat, shapes, np.eye(3, 2), eye)
+            forward(params, np.ones((2, 3)), factors(np.eye(3, 2), np.eye(3)))
 
     def test_loss_sum(self):
         # total_loss, which loss_sum was folded into: the weighted terms, then cls
@@ -298,10 +313,11 @@ class TestFusedOpsExact:
         tape = Tape()
         pa = class_prototypes(tape.leaf(a0), [0, 2, 2, 4, 0, 2, 4], 5)
         pb = class_prototypes(tape.leaf(b0), [1, 2, 4, 4, 2, 1, 0, 4, 2], 5)
-        out = gpd_loss(pa, pb)
+        out, shared = gpd_loss(pa, pb)
 
         wa, wb = pa.weights, pb.weights
         rows = np.flatnonzero(pa.present & pb.present)
+        assert shared == len(rows) == 3
         c = 1.0 / len(rows)
         d = (wa @ a0)[rows] - (wb @ b0)[rows]
         np.testing.assert_array_equal(out.data, ((d * d).sum() * c).reshape(1, 1))
@@ -318,9 +334,10 @@ class TestFusedOpsExact:
         rng = np.random.default_rng(7)
         u0 = rng.standard_normal((9, 5)) * scale
         u0[3] = 0.0
-        basis, coords_t = pool_factors(rng, 5, 4)
+        pool = pool_factors(rng, 5, 4)
+        coords_t = pool.coords_t.data
         g = rng.standard_normal((9, 4))
-        coords, du = similarity_and_adjoint(u0, basis, coords_t, g)
+        coords, du = similarity_and_adjoint(u0, pool, g)
         norms = np.linalg.norm(u0, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
         live = (norms > 1e-12).astype(np.float64)
@@ -331,19 +348,17 @@ class TestFusedOpsExact:
         np.testing.assert_array_equal(du, live * (gn - unit * dot) / safe)
 
 
-def similarity_and_adjoint(u0, basis, coords_t, g):
-    """``concept_model``'s coordinates of ``u0`` and the adjoint of ``u0`` for ``g`` on them.
+def similarity_and_adjoint(u0, pool, g):
+    """``forward``'s coordinates of ``u0`` and the adjoint of ``u0`` for ``g`` on them.
 
     With features I and encoder weight ``u0`` (bias 0), the encoder's output
     is ``u0`` exactly and its weight's gradient, ``I^T d_u``, is ``d_u``.
     """
     n, k = u0.shape
-    n_concepts = basis.shape[0]
-    shapes = [(n, k), (1, k), (n_concepts, 1), (1, 1)]
-    flat = np.concatenate([u0.ravel(), np.zeros(k + n_concepts + 1)])[None]
-    tape = Tape()
-    coords, _ = concept_model(np.eye(n), tape.leaf(flat), shapes, basis, coords_t)
-    _, grad, _, _ = recorded_vjp(coords)(g, None)
+    params = new_model([n, k], pool.basis.rows)
+    params.arrays["encoder.0.weight"][:] = u0
+    coords, _ = bound_forward(params, np.eye(n), pool)
+    _, grad = recorded_vjp(coords)(g, None)
     return coords.data, grad[0, :n * k].reshape(n, k)
 
 
@@ -422,8 +437,8 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
-        shapes, flat = identity_model(2)
-        coords, _ = concept_model(np.ones((2, 2)), tape.leaf(flat), shapes, np.eye(2), np.eye(2))
+        eye = factors(np.eye(2), np.eye(2))
+        coords, _ = forward(ModelBinding(identity_model(2), tape), np.ones((2, 2)), eye)
         with pytest.raises(ShapeError):
             backward(tape, coords)
 
@@ -447,7 +462,8 @@ class TestBackward:
 
     def test_softmax_cross_entropy_matches_fd(self):
         rng = np.random.default_rng(0)
-        check_against_fd(lambda x: ad.softmax_cross_entropy(x, [0, 2]),
+        # cross_entropy, which softmax_cross_entropy was folded into
+        check_against_fd(lambda x: cross_entropy(Prediction(x), [0, 2]),
                          rng.uniform(-2, 2, (2, 3)))
 
 
@@ -470,14 +486,17 @@ def _random_shape(rng):
 
 
 OP_CASES = {
-    "concept_model": lambda rng: _concept_model_case(rng, int(rng.integers(3)), "both"),
-    # concept_model again, under the names of the per-layer ops it replaced
-    "affine": lambda rng: _concept_model_case(rng, 0, "logits"),
-    "affine_w": lambda rng: _concept_model_case(rng, 0, "coords"),
-    "affine_b": lambda rng: _concept_model_case(rng, 0, "both"),
-    "tanh": lambda rng: _concept_model_case(rng, int(rng.integers(1, 3)), "logits"),
-    "cosine_similarity": lambda rng: _cosine_case(rng),
+    "forward": lambda rng: _forward_case(rng, int(rng.integers(3)), "both"),
+    "cross_entropy": lambda rng: _cross_entropy_case(rng, through_model=True),
+    # the model ops again, under the names of the autodiff ops folded into them
+    "concept_model": lambda rng: _forward_case(rng, 1, "coords"),
     "softmax_cross_entropy": lambda rng: _cross_entropy_case(rng),
+    # forward again, under the names of the per-layer ops it replaced
+    "affine": lambda rng: _forward_case(rng, 0, "logits"),
+    "affine_w": lambda rng: _forward_case(rng, 0, "coords"),
+    "affine_b": lambda rng: _forward_case(rng, 0, "both"),
+    "tanh": lambda rng: _forward_case(rng, int(rng.integers(1, 3)), "logits"),
+    "cosine_similarity": lambda rng: _cosine_case(rng),
     "lcd_loss": lambda rng: _lcd_case(rng, tracked="student"),
     "gpd_loss": lambda rng: _gpd_case(rng, tracked="b"),
     "total_loss": lambda rng: _total_case(rng, both=True),
@@ -499,7 +518,7 @@ def test_tapes_hold_no_reference_cycle():
         for name, case in OP_CASES.items():
             build, x0 = case(rng)
             tape = Tape()
-            backward(tape, build(tape.leaf(x0)))
+            backward(tape, build(track(tape, x0)[0]))
             ref = weakref.ref(tape)
             del tape
             assert ref() is None, name
@@ -508,12 +527,18 @@ def test_tapes_hold_no_reference_cycle():
 
 
 def public_ops() -> set[str]:
-    """The public functions of ``autodiff`` and ``losses`` that record a tape op."""
-    names = set()
-    for module in (ad, losses):
-        names |= {name for name, fn in inspect.getmembers(module, inspect.isfunction)
-                  if fn.__module__ == module.__name__ and not name.startswith("_")}
-    return names - {"as_matrix", "backward", "class_prototypes"}
+    """The public functions of ``autodiff``, ``model`` and ``losses`` that record a tape op.
+
+    An op is a function whose body ends its work in ``autodiff._finish``.
+    """
+    return {name for module in (ad, model, losses)
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not name.startswith("_")
+            and "_finish(" in inspect.getsource(fn)}
+
+
+def test_public_ops_are_the_model_and_loss_ops():
+    assert public_ops() == {"forward", "cross_entropy", "gpd_loss", "lcd_loss", "total_loss"}
 
 
 def test_every_public_op_has_a_gradient_case():
@@ -553,36 +578,44 @@ def _reduce(shape, rng):
     return lambda out: (out, w, np.ones(shape[0], dtype=bool))
 
 
-def _concept_model_case(rng, n_hidden, scored):
-    """The op on random constants, its 1 x P parameters tracked.
+def _random_forward(rng, n_hidden):
+    """A random model with ``n_hidden`` tanh layers, features for it and pool factors.
 
-    ``scored`` picks the outputs the loss reads: "coords", "logits" or "both".
     Encoder outputs are redrawn until every row has norm >= 0.3, where the
     normalization is smooth on the scale of a finite-difference step.
     """
     while True:
         widths = [int(w) for w in rng.integers(1, 6, n_hidden + 2)]
         n, m, c = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
-        arrays, shapes, flat0 = random_model(rng, widths, n, c)
+        params = random_model(rng, widths, n, c)
+        arrays = list(params.arrays.values())
         x = rng.uniform(-2, 2, (m, widths[0]))
         h = x
         for i in range(n_hidden + 1):
             h = h @ arrays[2 * i] + arrays[2 * i + 1]
             h = np.tanh(h) if i < n_hidden else h
         if np.linalg.norm(h, axis=1).min() >= 0.3:
-            break
-    basis, coords_t = pool_factors(rng, widths[-1], n)
-    reduce_coords, reduce_logits = _reduce((m, basis.shape[1]), rng), _reduce((m, c), rng)
+            return params, x, pool_factors(rng, widths[-1], n)
 
-    def build(leaf):
-        coords, logits = concept_model(x, leaf, shapes, basis, coords_t)
+
+def _forward_case(rng, n_hidden, scored):
+    """``forward`` on random constants, its model bound.
+
+    ``scored`` picks the outputs the loss reads: "coords", "logits" or "both".
+    """
+    params, x, pool = _random_forward(rng, n_hidden)
+    m, c = x.shape[0], params.num_classes
+    reduce_coords, reduce_logits = _reduce((m, pool.basis.cols), rng), _reduce((m, c), rng)
+
+    def build(model):
+        coords, pred = forward(model, x, pool)
         if scored == "coords":
             return _score(reduce_coords(coords))
         if scored == "logits":
-            return _score(reduce_logits(logits))
-        return _score(reduce_coords(coords), reduce_logits(logits))
+            return _score(reduce_logits(pred.logits))
+        return _score(reduce_coords(coords), reduce_logits(pred.logits))
 
-    return build, flat0
+    return build, params
 
 
 def _cosine_case(rng):
@@ -596,22 +629,21 @@ def _cosine_case(rng):
     m, k = int(rng.integers(2, 9)), int(rng.integers(1, 9))
     n = int(rng.integers(1, 9))
     x = rng.uniform(0.2, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
-    basis, coords_t = pool_factors(rng, k, n)
-    shapes = [(k, k), (1, k), (n, 1), (1, 1)]
-    flat0 = np.zeros((1, k * k + k + n + 1))
+    pool = pool_factors(rng, k, n)
+    params = new_model([k, k], n)
     # an encoder near the identity, without bias: rows stay long, and a zero row stays zero
-    flat0[0, :k * k] = (np.eye(k) + rng.uniform(-0.1, 0.1, (k, k))).ravel()
+    params.arrays["encoder.0.weight"][:] = np.eye(k) + rng.uniform(-0.1, 0.1, (k, k))
     scored = np.ones(m, dtype=bool)
     if rng.uniform() < 0.5:
         zero = int(rng.integers(m))
         x[zero] = 0.0
         scored[zero] = False
-    w = rng.uniform(-1, 1, (m, basis.shape[1]))
+    w = rng.uniform(-1, 1, (m, pool.basis.cols))
 
-    def build(leaf):
-        return _score((concept_model(x, leaf, shapes, basis, coords_t)[0], w, scored))
+    def build(model):
+        return _score((forward(model, x, pool)[0], w, scored))
 
-    return build, flat0
+    return build, params
 
 
 def _total_case(rng, both):
@@ -645,17 +677,22 @@ def _gpd_case(rng, tracked, one_shared=False):
     la[0] = lb[0] = 0
     a0, b0 = rng.uniform(-2, 2, (n_a, k)), rng.uniform(-2, 2, (n_b, k))
     if tracked == "b":
-        return (lambda x: gpd_loss(class_prototypes(a0, la, c), class_prototypes(x, lb, c))), b0
-    return (lambda x: gpd_loss(class_prototypes(x, la, c), class_prototypes(b0, lb, c))), a0
+        return (lambda x: gpd_loss(class_prototypes(a0, la, c), class_prototypes(x, lb, c))[0]), b0
+    return (lambda x: gpd_loss(class_prototypes(x, la, c), class_prototypes(b0, lb, c))[0]), a0
 
 
-def _cross_entropy_case(rng):
+def _cross_entropy_case(rng, through_model=False):
+    """CE on tracked logits, or with ``through_model`` on a bound one-layer model's logits."""
+    w = -rng.uniform(0.5, 2.0, (1, 1))  # an upstream adjoint 2 (loss - w), other than 1
+    if through_model:
+        params, x, pool = _random_forward(rng, 0)
+        labels = rng.integers(0, params.num_classes, x.shape[0])
+        return (lambda m: _score((cross_entropy(forward(m, x, pool)[1], labels), w, ALL))), params
     n = int(rng.integers(1, 9))
     c = int(rng.integers(2, 9))
     x0 = rng.uniform(-2, 2, (n, c))
     labels = rng.integers(0, c, n)
-    w = -rng.uniform(0.5, 2.0, (1, 1))  # an upstream adjoint 2 (loss - w), other than 1
-    return (lambda x: _score((ad.softmax_cross_entropy(x, labels), w, ALL))), x0
+    return (lambda x: _score((cross_entropy(Prediction(x), labels), w, ALL))), x0
 
 
 def _lcd_case(rng, tracked, sparse=False):
@@ -698,28 +735,22 @@ class TestValidation:
             total_loss(Matrix([[0.0]]), Matrix([[1e300]]), None, DistillConfig(alpha=1e10))
 
     def test_broadcast_shape_mismatch(self):
-        # a layer's bias is one row of its output's width, never a matrix, column or scalar
-        x, eye = np.ones((2, 3)), np.eye(4)
-        classifier = [(4, 2), (1, 2)]
-        for b_shape in [(2, 4), (4, 1), (1, 1), (1, 3)]:
-            for shapes in ([(3, 4), b_shape, *classifier], [(3, 4), (1, 4), (4, 2), b_shape]):
-                flat = np.zeros((1, sum(r * c for r, c in shapes)))
-                with pytest.raises(ShapeError, match="affine"):
-                    concept_model(x, flat, shapes, eye, eye)
-        shapes = [(2, 4), (1, 4), *classifier]  # the weight does not take 3-wide features
-        with pytest.raises(ShapeError, match="affine"):
-            concept_model(x, np.zeros((1, 22)), shapes, eye, eye)
-        shapes = [(3, 4), (1, 4), *classifier]
-        row = np.zeros((1, 26))
-        for bad_row, arrays in [
-            (np.zeros((1, 29)), None),  # the arrays miss 3 entries
-            (np.zeros((2, 26)), None),  # two rows
-            (row, [a.copy() for a in tiles(row, shapes)]),  # copies, not views of the row
-            (row, tiles(row, shapes)[:3]),  # no classifier bias
+        # a layer's bias is one row of its output's width, as ModelParams lays it out,
+        # and ModelParams refuses a vector that does not tile that layout exactly
+        x, eye = np.ones((2, 3)), factors(np.eye(4), np.eye(4))
+        params = new_model([3, 4], 4, 2)
+        assert params.arrays["encoder.0.bias"].shape == (1, 4)
+        assert params.arrays["classifier.bias"].shape == (1, 2)
+        with pytest.raises(ShapeError, match="affine"):  # the weight does not take 3-wide features
+            forward(new_model([2, 4], 4, 2), x, eye)
+        for flat, sizes in [
+            (np.zeros(29), [3, 4]),  # 3 entries too many
+            (np.zeros(25), [3, 4]),  # one short
+            (np.zeros((1, 26)), [3, 4]),  # a row, not a vector
+            (np.zeros(10), [4]),  # the classifier alone: no encoder layer
         ]:
-            arrays = tiles(bad_row, shapes) if arrays is None else arrays
-            with pytest.raises(ShapeError, match="concept_model: .* do not tile"):
-                ad.concept_model(x, bad_row, arrays, eye, eye)
+            with pytest.raises(ValueError, match="for a layout of"):
+                ModelParams("student", flat, sizes, 4, 2, "")
 
     def test_class_mean_distance_inputs_checked(self):
         # gpd_loss, which class_mean_distance was folded into: the two sides must
@@ -738,8 +769,8 @@ class TestValidation:
         a = class_prototypes([[3.0, 4.0], [9.0, 9.0], [0.0, 1.0]], [0, 1, 2], 3)
         tape = Tape()
         b = tape.leaf(np.zeros((3, 2)))
-        loss = gpd_loss(a, class_prototypes(b, [0, 0, 2], 3))
-        assert loss.item() == 13.0
+        loss, shared = gpd_loss(a, class_prototypes(b, [0, 0, 2], 3))
+        assert loss.item() == 13.0 and shared == 2
         grads = backward(tape, loss)
         # -(m_a - m_b) on the shared means (-3, -4) and (0, -1), through the class weights
         np.testing.assert_array_equal(grads[b.slot], [[-1.5, -2.0], [-1.5, -2.0], [0.0, -1.0]])
@@ -747,8 +778,8 @@ class TestValidation:
     def test_class_mean_distance_nothing_shared_is_zero(self):
         tape = Tape()
         a = class_prototypes(tape.leaf(np.ones((2, 3))), [0, 0], 2)
-        loss = gpd_loss(a, class_prototypes(np.zeros((2, 3)), [1, 1], 2))
-        assert loss.item() == 0.0 and not loss.tracked and tape._ops == []
+        loss, shared = gpd_loss(a, class_prototypes(np.zeros((2, 3)), [1, 1], 2))
+        assert loss.item() == 0.0 and shared == 0 and not loss.tracked and tape._ops == []
 
     def test_3d_rejected(self):
         with pytest.raises(ShapeError):
@@ -756,12 +787,12 @@ class TestValidation:
 
     def test_cross_entropy_labels_must_be_integers(self):
         # a cast to int64 would score 0.5, 1.5 and 2.9 as classes 0, 1 and 2
-        logits = np.zeros((3, 3))
+        pred = Prediction(Matrix(np.zeros((3, 3))))
         for bad in ([0.5, 1.5, 2.9], [0.0, 1.0, 2.0], [True, False, True]):
-            with pytest.raises(ValueError, match="softmax_cross_entropy: .* integer dtype"):
-                ad.softmax_cross_entropy(logits, bad)
+            with pytest.raises(ValueError, match="cross_entropy: .* integer dtype"):
+                cross_entropy(pred, bad)
         for good in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8)):
-            assert ad.softmax_cross_entropy(logits, good).item() == pytest.approx(np.log(3))
+            assert cross_entropy(pred, good).item() == pytest.approx(np.log(3))
 
     def test_supcon_inputs_checked(self):
         # lcd_loss, which supcon_loss was folded into, checks its caller's inputs once

@@ -57,7 +57,7 @@ class TestLoadPool:
         ([[0.6, 0.8], [0.6, 0.8 + 1e-8]], r"row 1 \('b'\) has L2 norm 1\.00000000"),
     ], ids=["scaled", "zero", "just_off"])
     def test_rows_must_be_unit_vectors(self, rows, message):
-        # concept_model normalises only the embedding side: [[1, 1]] against a row
+        # forward normalises only the embedding side: [[1, 1]] against a row
         # of norm 5 would score 4.95
         with pytest.raises(ValueError, match=message + ".*pool rows must be unit vectors"):
             ConceptPool(["a", "b"], rows)

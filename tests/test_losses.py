@@ -176,38 +176,40 @@ class TestGpdLoss:
         sims = np.random.default_rng(0).uniform(-1, 1, (4, 5))
         p = class_prototypes(sims, [0, 0, 1, 1], 2)
         q = class_prototypes(sims.copy(), [0, 0, 1, 1], 2)
-        assert gpd_loss(p, q).item() == 0.0
+        assert gpd_loss(p, q)[0].item() == 0.0
 
     def test_unit_vectors_squared_distance(self):
         a = class_prototypes(np.array([[1.0, 0.0]]), [0], 2)
         b = class_prototypes(np.array([[0.0, 1.0]]), [0], 2)
-        assert gpd_loss(a, b).item() == pytest.approx(2.0)
+        assert gpd_loss(a, b)[0].item() == pytest.approx(2.0)
 
     def test_mean_over_two_common_classes(self):
         # squared distances 2.0 and 0.5 by construction
         a = class_prototypes(np.array([[1.0, 0.0], [0.5, 0.0]]), [0, 1], 2)
         b = class_prototypes(np.array([[0.0, 1.0], [0.0, 0.5]]), [0, 1], 2)
-        assert gpd_loss(a, b).item() == pytest.approx(1.25)
+        loss, shared = gpd_loss(a, b)
+        assert loss.item() == pytest.approx(1.25) and shared == 2
 
     def test_no_common_class_zero(self):
         a = class_prototypes(np.ones((1, 3)), [0], 2)
         b = class_prototypes(np.ones((1, 3)), [1], 2)
-        assert gpd_loss(a, b).item() == 0.0
+        loss, shared = gpd_loss(a, b)
+        assert loss.item() == 0.0 and shared == 0 and not loss.tracked
 
     def test_symmetric(self):
         rng = np.random.default_rng(2)
         a = class_prototypes(rng.uniform(-1, 1, (5, 4)), rng.integers(0, 3, 5), 3)
         b = class_prototypes(rng.uniform(-1, 1, (6, 4)), rng.integers(0, 3, 6), 3)
-        assert gpd_loss(a, b).item() == pytest.approx(gpd_loss(b, a).item(), abs=1e-15)
+        assert gpd_loss(a, b)[0].item() == pytest.approx(gpd_loss(b, a)[0].item(), abs=1e-15)
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(3)
         sims = rng.uniform(-1, 1, (8, 5))
         labels = rng.integers(0, 3, 8)
         other = class_prototypes(rng.uniform(-1, 1, (6, 5)), rng.integers(0, 3, 6), 3)
-        base = gpd_loss(other, class_prototypes(sims, labels, 3)).item()
+        base = gpd_loss(other, class_prototypes(sims, labels, 3))[0].item()
         perm = rng.permutation(8)
-        shuffled = gpd_loss(other, class_prototypes(sims[perm], labels[perm], 3)).item()
+        shuffled = gpd_loss(other, class_prototypes(sims[perm], labels[perm], 3))[0].item()
         assert shuffled == pytest.approx(base, abs=1e-12)
 
     def test_width_mismatch(self):
@@ -233,10 +235,11 @@ class TestGpdLoss:
             lb = rng.integers(0, c, int(rng.integers(1, 9)))
             sa = rng.uniform(-1, 1, (len(la), 6))
             sb = rng.uniform(-1, 1, (len(lb), 6))
-            got = gpd_loss(class_prototypes(sa, la, c), class_prototypes(sb, lb, c)).item()
+            got, shared = gpd_loss(class_prototypes(sa, la, c), class_prototypes(sb, lb, c))
             pa, qa = oracle_prototypes(sa, la, c)
             pb, qb = oracle_prototypes(sb, lb, c)
-            assert got == pytest.approx(oracle_gpd(pa, qa, pb, qb), abs=1e-12)
+            assert got.item() == pytest.approx(oracle_gpd(pa, qa, pb, qb), abs=1e-12)
+            assert shared == np.count_nonzero(qa & qb)
 
 
 class TestLcdLoss:
@@ -613,7 +616,7 @@ class TestGpdGradient:
             tape = Tape()
             leaf = tape.leaf(x)
             student = class_prototypes(leaf, ls, 3)
-            return tape, leaf, gpd_loss(teacher, student)
+            return tape, leaf, gpd_loss(teacher, student)[0]
 
         tape, leaf, loss = run(x0)
         analytic = backward(tape, loss)[leaf.slot]
@@ -661,6 +664,6 @@ class TestPoolCoordinates:
     def test_gpd(self, name):
         def loss_of(s, t):
             return gpd_loss(class_prototypes(t, self.TEACHER_LABELS, 6),
-                            class_prototypes(s, self.STUDENT_LABELS, 6))
+                            class_prototypes(s, self.STUDENT_LABELS, 6))[0]
 
         self.check(basis_pools()[name], loss_of, seed=13)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptdistill import autodiff as ad
 from conceptdistill.autodiff import Matrix, ShapeError, Tape, backward
 from conceptdistill.concepts import ConceptPool
 from conceptdistill.model import (
@@ -117,8 +116,7 @@ class TestConceptSimilarity:
         flat = np.zeros(k * k + k + len(pool) + 1)
         params = ModelParams("student", flat, [k, k], len(pool), 1, "")
         params.arrays["encoder.0.weight"][:] = np.eye(k)
-        return ad.concept_model(emb, Matrix(params.flat), list(params.arrays.values()),
-                                pool.basis, pool.coords_t)[0]
+        return forward(params, emb, pool)[0]
 
     @classmethod
     def similarity(cls, emb, pool: ConceptPool) -> Matrix:
@@ -239,7 +237,7 @@ class TestForward:
         pool, params = simple_params(feature_dim=5, hidden=hidden)
         tape = Tape()
         sims, pred = forward(ModelBinding(params, tape), np.ones((3, 5)), pool)
-        assert op_names(tape) == ["concept_model"]
+        assert op_names(tape) == ["forward"]
         assert tape._ops[0][0] == (sims.slot, pred.logits.slot)
 
     @pytest.mark.parametrize("hidden", [(), (4,), (4, 3)])

@@ -105,6 +105,17 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match=r"counts has unknown keys \[teacher\]\[tset\]$"):
             small_config(counts=counts)
 
+    @pytest.mark.parametrize("name", ["concepts_per_class", "feature_dim", "embed_dim", "seed"])
+    @pytest.mark.parametrize("value", [int(np.iinfo(np.intp).max) + 1, 10**5000],
+                             ids=["intp_max_plus_one", "many_digits"])
+    def test_int_fields_at_most_intp_max(self, name, value):
+        # generate used to fail inside NumPy ("Maximum allowed dimension exceeded"), and
+        # write_dataset on a seed of over 4300 digits, neither naming the field
+        top = int(np.iinfo(np.intp).max)
+        with pytest.raises(ValueError, match=rf"^{name} must be at most {top}$"):
+            small_config(**{name: value})
+        assert getattr(small_config(**{name: top}), name) == top
+
     def test_round_trip_dict(self):
         cfg = small_config()
         assert GeneratorConfig(**asdict(cfg)) == cfg

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ class TestFrozenTeacherRows:
 
 class TestOpsRecorded:
     def test_training_records_every_public_op(self, monkeypatch):
-        # every public op of autodiff and losses is recorded on a tape by some training step
+        # every public op of model and losses is recorded on a tape by some training step
         recorded = set()
         real_finish = ad._finish
 
@@ -461,7 +462,7 @@ class TestOpsRecorded:
         ds, pool = tiny_dataset()
         teacher = pretrain_teacher(quick_train_config(epochs=1), ds, pool)
         monkeypatch.setattr(train_module, "backward", spy_backward)
-        head = ["concept_model", "softmax_cross_entropy"]
+        head = ["forward", "cross_entropy"]
         for alpha, beta, tail in [
             (0.0, 0.0, []),
             (0.6, 0.0, ["gpd_loss", "total_loss"]),
@@ -585,6 +586,7 @@ class TestConfigValidation:
         (TrainConfig, {"encoder_hidden": (0, 10**5000)},
          "encoder_hidden sizes must be positive integers$"),
         (GeneratorConfig, {"seed": -10**5000}, "seed must be an integer >= 0$"),
+        (TrainConfig, {"seed": -10**5000}, "seed must be >= 0$"),
         (GeneratorConfig, {"concepts_per_class": -10**5000},
          "concepts_per_class must be an integer >= 1$"),
         (GeneratorConfig, {"feature_dim": -10**5000}, "feature_dim must be an integer >= 1$"),
@@ -592,7 +594,7 @@ class TestConfigValidation:
         # positive, but wider than any array NumPy can allocate
         (TrainConfig, {"encoder_hidden": (10**5000,)},
          rf"encoder_hidden sizes must be at most {np.iinfo(np.intp).max}$"),
-    ], ids=["alpha", "learning_rate", "noise_sigma", "encoder_hidden", "seed",
+    ], ids=["alpha", "learning_rate", "noise_sigma", "encoder_hidden", "seed", "train_seed",
             "concepts_per_class", "feature_dim", "embed_dim", "encoder_hidden_width"])
     def test_int_of_too_many_digits_named(self, make, kwargs, message):
         # repr of an int of over 4300 digits raises, so the message used to fail itself
@@ -623,6 +625,12 @@ class TestConfigValidation:
     def test_sizes_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy"])
+    def test_negative_seed_named(self, seed):
+        # NumPy's seeding used to refuse it inside pretrain_teacher, naming no field
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {re.escape(repr(seed))}$"):
+            TrainConfig(seed=seed)
 
     def test_numpy_integer_sizes_accepted(self):
         config = TrainConfig(batch_size=np.int64(8), epochs=np.int32(2), seed=np.int64(3))
